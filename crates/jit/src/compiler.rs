@@ -15,7 +15,7 @@
 //! *injected* on the next poll.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -76,7 +76,7 @@ impl CostModel {
 }
 
 /// A compiled, optimized, executable trace.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CompiledTrace {
     /// The optimized trace IR.
     pub ir: TraceIr,
@@ -98,6 +98,8 @@ pub struct CompiledTrace {
     /// the trace is eligible (see [`exec::compile_native`]). `None` means
     /// the interpreted-trace tier serves every run — never an error.
     native: Option<Arc<NativeTrace>>,
+    /// Measured cost of each tier, shared by every run of this trace.
+    tiers: TierStats,
 }
 
 /// Which tier produced a trace result.
@@ -117,6 +119,98 @@ pub struct TierRun {
     /// True when native code started the chunk but deopted, so the result
     /// came from the interpreter re-run.
     pub native_deopt: bool,
+}
+
+/// Executions each tier is timed for before the verdict.
+const TIER_SAMPLES: u32 = 3;
+/// Chunks shorter than this are not timed: their cost is the per-call
+/// set-up, not the loop the tiers differ in.
+const SAMPLE_MIN_LANES: usize = 256;
+
+/// Per-tier timing of one trace: how many executions were sampled and the
+/// best nanoseconds per 1024 lanes among them (the minimum — a neighbour
+/// on the box only ever slows a sample down). Relaxed atomics: these are
+/// statistics, they publish no other data, and a lost race costs at most
+/// one extra sample.
+#[derive(Debug)]
+struct TierStats {
+    samples: [AtomicU32; 2],
+    best: [AtomicU64; 2],
+}
+
+impl TierStats {
+    fn new() -> TierStats {
+        TierStats {
+            samples: [AtomicU32::new(0), AtomicU32::new(0)],
+            best: [AtomicU64::new(u64::MAX), AtomicU64::new(u64::MAX)],
+        }
+    }
+
+    fn slot(tier: TraceTier) -> usize {
+        match tier {
+            TraceTier::Native => 0,
+            TraceTier::Interpreted => 1,
+        }
+    }
+
+    /// The measured-faster tier once both have their samples (ties go to
+    /// native), `None` while sampling.
+    fn verdict(&self) -> Option<TraceTier> {
+        let done = |t: usize| self.samples[t].load(Ordering::Relaxed) >= TIER_SAMPLES;
+        if !(done(0) && done(1)) {
+            return None;
+        }
+        let (native, packed) = (
+            self.best[0].load(Ordering::Relaxed),
+            self.best[1].load(Ordering::Relaxed),
+        );
+        Some(if native <= packed {
+            TraceTier::Native
+        } else {
+            TraceTier::Interpreted
+        })
+    }
+
+    /// The tier the next sampled execution should time: the one with fewer
+    /// samples, native first.
+    fn next_sample(&self) -> TraceTier {
+        if self.samples[0].load(Ordering::Relaxed) <= self.samples[1].load(Ordering::Relaxed) {
+            TraceTier::Native
+        } else {
+            TraceTier::Interpreted
+        }
+    }
+
+    fn record(&self, tier: TraceTier, elapsed: Duration, lanes: usize) {
+        let per_1024 = (elapsed.as_nanos() as u64).saturating_mul(1024) / lanes as u64;
+        let t = TierStats::slot(tier);
+        self.best[t].fetch_min(per_1024, Ordering::Relaxed);
+        self.samples[t].fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Forced verdict for tests: 0 = none, 1 = native, 2 = interpreted.
+static FORCED_VERDICT: AtomicU8 = AtomicU8::new(0);
+
+/// Test hook: make every trace behave as if the given tier had won its
+/// sampling (process-wide); `None` restores measurement.
+#[doc(hidden)]
+pub fn force_tier_verdict(tier: Option<TraceTier>) {
+    let v = match tier {
+        None => 0,
+        Some(TraceTier::Native) => 1,
+        Some(TraceTier::Interpreted) => 2,
+    };
+    // Relaxed: the flag publishes no other data.
+    FORCED_VERDICT.store(v, Ordering::Relaxed);
+}
+
+fn forced_verdict() -> Option<TraceTier> {
+    match FORCED_VERDICT.load(Ordering::Relaxed) {
+        1 => Some(TraceTier::Native),
+        2 => Some(TraceTier::Interpreted),
+        _ => None,
+    }
 }
 
 impl CompiledTrace {
@@ -142,51 +236,74 @@ impl CompiledTrace {
         self.native.as_ref().map(|n| n.code_len())
     }
 
-    /// Execute preferring the native tier. Native code runs only for the
-    /// packed (no pending selection) path it was compiled for; any guard
-    /// deopt discards the native attempt and re-runs the interpreter over
-    /// the same chunk, so the returned result is always bit-identical to
-    /// [`CompiledTrace::run`]. `allow_native: false` pins the interpreted
-    /// tier (engine config / non-x86-64 hosts).
+    /// The tier this trace's own measurements chose, once its first
+    /// executions have timed both (`None` before that, and for traces
+    /// without a native body).
+    pub fn tier_verdict(&self) -> Option<TraceTier> {
+        self.native.as_ref().and(self.tiers.verdict())
+    }
+
+    /// Execute on the measured-faster tier. A trace with a native body
+    /// times its first executions on both tiers — three each,
+    /// alternating, native first, full-size chunks only — and afterwards
+    /// dispatches every chunk to whichever was faster per lane; the
+    /// measurements live on the (shared) trace, so every run and worker
+    /// using it contributes to and follows one verdict.
+    ///
+    /// Native code runs only for the packed (no pending selection) path it
+    /// was compiled for; any guard deopt discards the native attempt and
+    /// re-runs the interpreter over the same chunk, so the returned result
+    /// is always bit-identical to [`CompiledTrace::run`], whichever tier is
+    /// chosen. `allow_native: false` pins the interpreted tier (engine
+    /// config / non-x86-64 hosts).
     pub fn run_tiered(
         &self,
         inputs: &[&Array],
         candidates: Option<&SelVec>,
         allow_native: bool,
     ) -> Result<(TraceResult, TierRun), JitError> {
-        if allow_native && candidates.is_none() && self.packed.is_ok() {
-            if let Some(nt) = &self.native {
-                match exec::run_native(&self.ir, nt, inputs) {
-                    Ok(r) => {
-                        return Ok((
-                            r,
-                            TierRun {
-                                tier: TraceTier::Native,
-                                native_deopt: false,
-                            },
-                        ));
-                    }
-                    Err(_) => {
-                        let r = self.run(inputs, candidates)?;
-                        return Ok((
-                            r,
-                            TierRun {
-                                tier: TraceTier::Interpreted,
-                                native_deopt: true,
-                            },
-                        ));
-                    }
-                }
-            }
-        }
-        let r = self.run(inputs, candidates)?;
-        Ok((
-            r,
-            TierRun {
-                tier: TraceTier::Interpreted,
-                native_deopt: false,
+        let interpreted = TierRun {
+            tier: TraceTier::Interpreted,
+            native_deopt: false,
+        };
+        let native = match &self.native {
+            Some(nt) if allow_native && candidates.is_none() && self.packed.is_ok() => nt,
+            _ => return Ok((self.run(inputs, candidates)?, interpreted)),
+        };
+        let lanes = inputs.first().map_or(0, |a| a.len());
+        let verdict = forced_verdict().or_else(|| self.tiers.verdict());
+        let sampling = verdict.is_none() && lanes >= SAMPLE_MIN_LANES;
+        let tier = match verdict {
+            Some(t) => t,
+            None if sampling => self.tiers.next_sample(),
+            None => TraceTier::Native,
+        };
+        let started = sampling.then(Instant::now);
+        let run = match tier {
+            TraceTier::Interpreted => (self.run(inputs, candidates)?, interpreted),
+            TraceTier::Native => match exec::run_native(&self.ir, native, inputs) {
+                Ok(r) => (
+                    r,
+                    TierRun {
+                        tier: TraceTier::Native,
+                        native_deopt: false,
+                    },
+                ),
+                Err(_) => (
+                    self.run(inputs, candidates)?,
+                    TierRun {
+                        tier: TraceTier::Interpreted,
+                        native_deopt: true,
+                    },
+                ),
             },
-        ))
+        };
+        if let Some(t0) = started {
+            // A deopted attempt is charged to native, re-run included:
+            // that is what choosing native costs on this input.
+            self.tiers.record(tier, t0.elapsed(), lanes);
+        }
+        Ok(run)
     }
 }
 
@@ -222,6 +339,7 @@ pub fn compile(fragment: Fragment, model: &CostModel) -> CompiledTrace {
         fingerprint,
         packed,
         native,
+        tiers: TierStats::new(),
     }
 }
 

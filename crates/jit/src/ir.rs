@@ -23,6 +23,7 @@
 //! types at the boundaries). Booleans travel as 0/1 in lane domain.
 
 use adaptvm_dsl::ast::{FoldFn, ScalarOp};
+use adaptvm_kernels::lanes::for_each_true;
 use adaptvm_storage::array::Array;
 use adaptvm_storage::scalar::{Scalar, ScalarType};
 use adaptvm_storage::sel::SelVec;
@@ -216,18 +217,23 @@ pub struct TraceResult {
 //
 // A trace is **packed once at compile time** — operands resolved to input
 // indices / register indices / lane-domain constants, opcodes validated —
-// and then executed with a **block-vectorized fused loop**: lanes are
-// processed in L1-resident blocks of [`BLK`] elements, each operation
-// runs as one tight (auto-vectorizable) loop over the block's register
-// file, and filter masks / compacted outputs / fold accumulators are
-// applied blockwise. This keeps the SIMD friendliness of vectorized
+// and then executed with a **block-at-a-time fused loop**: lanes are
+// processed in L1-resident blocks of [`BLK`] elements. Per block, every
+// operation switches on its opcode and operand shape (slice × slice,
+// slice × constant, constant × slice) **once** and then runs one plain
+// slice loop — straight over the register file and the input views, with
+// nothing decided per lane, so the compiler vectorizes it. Filter masks,
+// compacted outputs and fold accumulators are applied blockwise (sums in
+// strict lane order). This keeps the SIMD friendliness of vectorized
 // execution *and* the no-materialization property of compiled code — the
 // combination the paper is after (§I: HyPer-style static code "lacks the
 // ability to fully take advantage of hardware parallelism such as SIMD").
 //
-// A pending-selection (`candidates`) execution falls back to a per-lane
-// loop, which is exactly the selective regime where gather-style access
-// defeats SIMD anyway.
+// A pending-selection (`candidates`) execution runs a per-lane loop
+// instead ([`run_selected`], one opcode match per lane and op), which is
+// exactly the selective regime where gather-style access defeats SIMD
+// anyway. Both loops apply the same [`LaneNum::apply`], so they agree bit
+// for bit.
 
 /// Lanes per execution block (fits the register file of any realistic
 /// fragment in L1).
@@ -416,6 +422,17 @@ impl LaneNum for i64 {
     }
 }
 
+/// A boolean in the `f64` lane domain (1.0 / 0.0). A select, not an
+/// integer conversion, so block loops lower it to a vector mask-and.
+#[inline(always)]
+fn truth(b: bool) -> f64 {
+    if b {
+        1.0
+    } else {
+        0.0
+    }
+}
+
 impl LaneNum for f64 {
     #[inline(always)]
     fn from_scalar(s: &Scalar) -> Option<f64> {
@@ -445,20 +462,20 @@ impl LaneNum for f64 {
             K::Neg => -a,
             K::Abs => a.abs(),
             K::Sqrt => a.sqrt(),
-            K::Eq => (a == b) as i64 as f64,
-            K::Ne => (a != b) as i64 as f64,
-            K::Lt => (a < b) as i64 as f64,
-            K::Le => (a <= b) as i64 as f64,
-            K::Gt => (a > b) as i64 as f64,
-            K::Ge => (a >= b) as i64 as f64,
-            K::And => (((a != 0.0) && (b != 0.0)) as i64) as f64,
-            K::Or => (((a != 0.0) || (b != 0.0)) as i64) as f64,
-            K::Not => ((a == 0.0) as i64) as f64,
+            K::Eq => truth(a == b),
+            K::Ne => truth(a != b),
+            K::Lt => truth(a < b),
+            K::Le => truth(a <= b),
+            K::Gt => truth(a > b),
+            K::Ge => truth(a >= b),
+            K::And => truth((a != 0.0) && (b != 0.0)),
+            K::Or => truth((a != 0.0) || (b != 0.0)),
+            K::Not => truth(a == 0.0),
             K::Hash => unreachable!("validated at pack time"),
             K::CastI8 => a as i8 as f64,
             K::CastI16 => a as i16 as f64,
             K::CastI32 => a as i32 as f64,
-            K::CastBool => ((a != 0.0) as i64) as f64,
+            K::CastBool => truth(a != 0.0),
             K::Ident => a,
         }
     }
@@ -680,53 +697,158 @@ enum LaneStore<'a, T> {
     Owned(Vec<T>),
 }
 
+/// One operand of a block operation, resolved for the whole block.
+#[derive(Clone, Copy)]
+enum Blk<'a, T> {
+    Slice(&'a [T]),
+    Const(T),
+}
+
+/// The block register file: one [`BLK`]-lane row per SSA register.
+type Regs<T> = Vec<[T; BLK]>;
+
 /// Resolve a block operand to a slice (registers/inputs) or a constant.
 #[inline(always)]
 fn block_operand<'b, T: LaneNum>(
     s: PSrc<T>,
     views: &[&'b [T]],
-    regs: &'b [Vec<T>],
+    regs: &'b [[T; BLK]],
     base: usize,
     len: usize,
-) -> Result<&'b [T], T> {
+) -> Blk<'b, T> {
     match s {
-        PSrc::In(k) => Ok(&views[k as usize][base..base + len]),
-        PSrc::Reg(r) => Ok(&regs[r as usize][..len]),
-        PSrc::Const(c) => Err(c),
+        PSrc::In(k) => Blk::Slice(&views[k as usize][base..base + len]),
+        PSrc::Reg(r) => Blk::Slice(&regs[r as usize][..len]),
+        PSrc::Const(c) => Blk::Const(c),
     }
 }
 
-/// Apply one op over a block: each arm is a tight, auto-vectorizable loop.
+/// `out[j] = f(a[j], b[j])`: the operand shape is matched once, each arm
+/// is a slice loop with nothing to decide per lane.
+#[inline(always)]
+fn zip_block<T: Copy, R>(out: &mut [R], a: Blk<'_, T>, b: Blk<'_, T>, f: impl Fn(T, T) -> R) {
+    match (a, b) {
+        (Blk::Slice(a), Blk::Slice(b)) => {
+            for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                *o = f(x, y);
+            }
+        }
+        (Blk::Slice(a), Blk::Const(c)) => {
+            for (o, &x) in out.iter_mut().zip(a) {
+                *o = f(x, c);
+            }
+        }
+        (Blk::Const(c), Blk::Slice(b)) => {
+            for (o, &y) in out.iter_mut().zip(b) {
+                *o = f(c, y);
+            }
+        }
+        (Blk::Const(c), Blk::Const(d)) => {
+            for o in out.iter_mut() {
+                *o = f(c, d);
+            }
+        }
+    }
+}
+
+/// Switch on the opcode once, then run its slice loop. Every arm applies
+/// [`LaneNum::apply`] with a constant opcode (the per-lane match folds
+/// away), so block and per-lane execution share one definition of each
+/// operation.
+#[inline(always)]
+fn dispatch_block<T: LaneNum>(k: K, out: &mut [T], a: Blk<'_, T>, b: Blk<'_, T>) {
+    macro_rules! arms {
+        ($($op:ident)*) => {
+            match k {
+                $(K::$op => zip_block(out, a, b, |x, y| T::apply(K::$op, x, y)),)*
+            }
+        };
+    }
+    arms!(Add Sub Mul Div Rem Min Max Neg Abs Sqrt Eq Ne Lt Le Gt Ge And Or Not Hash
+          CastI8 CastI16 CastI32 CastBool Ident)
+}
+
+/// Apply one op over a block, reading operands straight from the input
+/// views and the register file and writing the destination register.
+#[inline(always)]
 fn apply_block<T: LaneNum>(
     op: &LOp<T>,
     views: &[&[T]],
-    regs: &mut [Vec<T>],
+    regs: &mut [[T; BLK]],
     base: usize,
     len: usize,
 ) {
-    // Copy operands into small stack blocks first — this keeps every
-    // compute arm a simple slice-to-slice loop the compiler vectorizes,
-    // and sidesteps aliasing between the register file entries.
-    let mut ab = [T::default(); BLK];
-    let mut bb = [T::default(); BLK];
-    match block_operand(op.a, views, regs, base, len) {
-        Ok(s) => ab[..len].copy_from_slice(s),
-        Err(c) => ab[..len].fill(c),
-    }
-    match block_operand(op.b, views, regs, base, len) {
-        Ok(s) => bb[..len].copy_from_slice(s),
-        Err(c) => bb[..len].fill(c),
-    }
-    let dst = &mut regs[op.dst as usize][..len];
-    let k = op.k;
-    for j in 0..len {
-        dst[j] = T::apply(k, ab[j], bb[j]);
-    }
+    let d = op.dst as usize;
+    // Split the register file around the destination so the sources can
+    // be borrowed beside it; a source that *is* the destination (only
+    // hand-built IR — the builder emits SSA) is staged through a copy.
+    let (lo, rest) = regs.split_at_mut(d);
+    let (dst, hi) = rest.split_first_mut().expect("dst validated at pack time");
+    let aliased = [op.a, op.b]
+        .iter()
+        .any(|s| matches!(s, PSrc::Reg(r) if *r as usize == d));
+    // (Copied only when aliased: `then_some` would copy a block per op.)
+    let staged = if aliased { Some(*dst) } else { None };
+    let operand = |s: PSrc<T>| match s {
+        PSrc::In(k) => Blk::Slice(&views[k as usize][base..base + len]),
+        PSrc::Reg(r) if (r as usize) < d => Blk::Slice(&lo[r as usize][..len]),
+        PSrc::Reg(r) if (r as usize) > d => Blk::Slice(&hi[r as usize - d - 1][..len]),
+        PSrc::Reg(_) => Blk::Slice(&staged.as_ref().expect("staged when aliased")[..len]),
+        PSrc::Const(c) => Blk::Const(c),
+    };
+    dispatch_block(op.k, &mut dst[..len], operand(op.a), operand(op.b));
 }
 
-/// Block-vectorized execution over all lanes (no pending selection).
+/// Append `lane(j)` for every lane with `mask[j]`, without a per-lane
+/// branch: every lane is written, the cursor only advances on a hit.
+#[inline(always)]
+fn compact_into<V: Copy + Default>(buf: &mut Vec<V>, mask: &[bool], lane: impl Fn(usize) -> V) {
+    let start = buf.len();
+    buf.resize(start + mask.len(), V::default());
+    let mut k = start;
+    for (j, &m) in mask.iter().enumerate() {
+        buf[k] = lane(j);
+        k += m as usize;
+    }
+    buf.truncate(k);
+}
+
+/// Block-vectorized execution over all lanes (no pending selection),
+/// on the widest vector unit the CPU has.
 fn run_blocks<T: LaneNum>(ir: &TraceIr, p: &Packed<T>, views: &[&[T]], n: usize) -> TraceResult {
-    let mut regs: Vec<Vec<T>> = vec![vec![T::default(); BLK]; p.n_regs];
+    #[cfg(target_arch = "x86_64")]
+    if adaptvm_kernels::lanes::avx2_enabled() {
+        // SAFETY: `avx2_enabled()` just observed AVX2 support on this CPU.
+        return unsafe { run_blocks_avx2(ir, p, views, n) };
+    }
+    run_blocks_body(ir, p, views, n)
+}
+
+/// [`run_blocks_body`] compiled with AVX2 enabled: the same Rust loops
+/// (every helper down to [`LaneNum::apply`] is `#[inline(always)]`, so
+/// they are re-vectorized here), hence bit-identical lanes.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn run_blocks_avx2<T: LaneNum>(
+    ir: &TraceIr,
+    p: &Packed<T>,
+    views: &[&[T]],
+    n: usize,
+) -> TraceResult {
+    run_blocks_body(ir, p, views, n)
+}
+
+#[inline(always)]
+fn run_blocks_body<T: LaneNum>(
+    ir: &TraceIr,
+    p: &Packed<T>,
+    views: &[&[T]],
+    n: usize,
+) -> TraceResult {
+    let mut regs: Regs<T> = vec![[T::default(); BLK]; p.n_regs];
     let mut mask = [true; BLK];
     let mut arr_bufs: Vec<Vec<T>> = (0..p.arr_count).map(|_| Vec::with_capacity(n)).collect();
     let mut sel_bufs: Vec<Vec<u32>> = (0..p.sel_count).map(|_| Vec::new()).collect();
@@ -738,56 +860,21 @@ fn run_blocks<T: LaneNum>(ir: &TraceIr, p: &Packed<T>, views: &[&[T]], n: usize)
         for op in &p.pre {
             apply_block(op, views, &mut regs, base, len);
         }
-        let all_pass = match p.filter {
-            None => true,
-            Some((k, lhs, rhs)) => {
-                // Evaluate the mask blockwise (branch-free comparison arm).
-                let mut la = [T::default(); BLK];
-                let mut lb = [T::default(); BLK];
-                match block_operand(lhs, views, &regs, base, len) {
-                    Ok(s) => la[..len].copy_from_slice(s),
-                    Err(c) => la[..len].fill(c),
-                }
-                match block_operand(rhs, views, &regs, base, len) {
-                    Ok(s) => lb[..len].copy_from_slice(s),
-                    Err(c) => lb[..len].fill(c),
-                }
-                match k {
-                    K::Eq => {
-                        for j in 0..len {
-                            mask[j] = la[j] == lb[j];
-                        }
-                    }
-                    K::Ne => {
-                        for j in 0..len {
-                            mask[j] = la[j] != lb[j];
-                        }
-                    }
-                    K::Lt => {
-                        for j in 0..len {
-                            mask[j] = la[j] < lb[j];
-                        }
-                    }
-                    K::Le => {
-                        for j in 0..len {
-                            mask[j] = la[j] <= lb[j];
-                        }
-                    }
-                    K::Gt => {
-                        for j in 0..len {
-                            mask[j] = la[j] > lb[j];
-                        }
-                    }
-                    K::Ge => {
-                        for j in 0..len {
-                            mask[j] = la[j] >= lb[j];
-                        }
-                    }
-                    _ => unreachable!("validated at pack time"),
-                }
-                false
+        if let Some((k, lhs, rhs)) = p.filter {
+            // Evaluate the mask blockwise (branch-free comparison loop).
+            let a = block_operand(lhs, views, &regs, base, len);
+            let b = block_operand(rhs, views, &regs, base, len);
+            let mask = &mut mask[..len];
+            match k {
+                K::Eq => zip_block(mask, a, b, |x, y| x == y),
+                K::Ne => zip_block(mask, a, b, |x, y| x != y),
+                K::Lt => zip_block(mask, a, b, |x, y| x < y),
+                K::Le => zip_block(mask, a, b, |x, y| x <= y),
+                K::Gt => zip_block(mask, a, b, |x, y| x > y),
+                K::Ge => zip_block(mask, a, b, |x, y| x >= y),
+                _ => unreachable!("validated at pack time"),
             }
-        };
+        }
         // Guarded ops run on the whole block branch-free: non-passing
         // lanes compute unused values (division is total, so this is safe).
         for op in &p.post {
@@ -796,56 +883,38 @@ fn run_blocks<T: LaneNum>(ir: &TraceIr, p: &Packed<T>, views: &[&[T]], n: usize)
         // Dense outputs: straight block append.
         for &(slot, src) in &p.dense {
             match block_operand(src, views, &regs, base, len) {
-                Ok(s) => arr_bufs[slot].extend_from_slice(s),
-                Err(c) => arr_bufs[slot].extend(std::iter::repeat_n(c, len)),
+                Blk::Slice(s) => arr_bufs[slot].extend_from_slice(s),
+                Blk::Const(c) => arr_bufs[slot].extend(std::iter::repeat_n(c, len)),
             }
         }
-        if p.filter.is_none() || all_pass {
+        if p.filter.is_none() {
             for &(slot, src) in &p.compact {
                 match block_operand(src, views, &regs, base, len) {
-                    Ok(s) => arr_bufs[slot].extend_from_slice(s),
-                    Err(c) => arr_bufs[slot].extend(std::iter::repeat_n(c, len)),
+                    Blk::Slice(s) => arr_bufs[slot].extend_from_slice(s),
+                    Blk::Const(c) => arr_bufs[slot].extend(std::iter::repeat_n(c, len)),
                 }
             }
             for &slot in &p.sel_slots {
                 sel_bufs[slot].extend((base..base + len).map(|i| i as u32));
             }
-            for (fi, &(slot, f, src, _)) in p.folds.iter().enumerate() {
-                let _ = fi;
-                fold_block(f, src, views, &regs, base, len, None, &mut accs[slot]);
+            for &(slot, f, src, _) in &p.folds {
+                let src = block_operand(src, views, &regs, base, len);
+                fold_block(f, src, len, None, &mut accs[slot]);
             }
         } else {
+            let mask = &mask[..len];
             for &(slot, src) in &p.compact {
                 match block_operand(src, views, &regs, base, len) {
-                    Ok(s) => {
-                        let buf = &mut arr_bufs[slot];
-                        for j in 0..len {
-                            if mask[j] {
-                                buf.push(s[j]);
-                            }
-                        }
-                    }
-                    Err(c) => {
-                        let buf = &mut arr_bufs[slot];
-                        for &m in &mask[..len] {
-                            if m {
-                                buf.push(c);
-                            }
-                        }
-                    }
+                    Blk::Slice(s) => compact_into(&mut arr_bufs[slot], mask, |j| s[j]),
+                    Blk::Const(c) => compact_into(&mut arr_bufs[slot], mask, |_| c),
                 }
             }
             for &slot in &p.sel_slots {
-                let buf = &mut sel_bufs[slot];
-                for (j, &m) in mask[..len].iter().enumerate() {
-                    if m {
-                        buf.push((base + j) as u32);
-                    }
-                }
+                compact_into(&mut sel_bufs[slot], mask, |j| (base + j) as u32);
             }
             for &(slot, f, src, guarded) in &p.folds {
-                let m = if guarded { Some(&mask[..len]) } else { None };
-                fold_block(f, src, views, &regs, base, len, m, &mut accs[slot]);
+                let src = block_operand(src, views, &regs, base, len);
+                fold_block(f, src, len, guarded.then_some(mask), &mut accs[slot]);
             }
         }
         base += len;
@@ -853,50 +922,58 @@ fn run_blocks<T: LaneNum>(ir: &TraceIr, p: &Packed<T>, views: &[&[T]], n: usize)
     assemble(ir, arr_bufs, sel_bufs, accs)
 }
 
-/// Blockwise fold update; masked sums use a branch-free select.
-#[allow(clippy::too_many_arguments)]
+/// Blockwise fold update, strictly in lane order.
+///
+/// A masked sum is *defined* as adding the lane type's zero for every
+/// non-passing lane (the native tier emits exactly that). Adding zero
+/// leaves an accumulator unchanged except that it turns `-0.0` into
+/// `+0.0`, and a sum can only still be `-0.0` while everything added so
+/// far was `-0.0` — so a block adds only its passing lanes (found a word
+/// of mask at a time) and then one zero if it skipped any: the same bits,
+/// without feeding 256 lanes through the add chain.
+#[inline(always)]
 fn fold_block<T: LaneNum>(
     f: FoldFn,
-    src: PSrc<T>,
-    views: &[&[T]],
-    regs: &[Vec<T>],
-    base: usize,
+    src: Blk<'_, T>,
     len: usize,
     mask: Option<&[bool]>,
     acc: &mut (T, i64),
 ) {
-    let mut sb = [T::default(); BLK];
-    match block_operand(src, views, regs, base, len) {
-        Ok(s) => sb[..len].copy_from_slice(s),
-        Err(c) => sb[..len].fill(c),
-    }
+    let lane = |j: usize| match src {
+        Blk::Slice(s) => s[j],
+        Blk::Const(c) => c,
+    };
     match (f, mask) {
         (FoldFn::Sum, None) => {
             let mut a = acc.0;
-            for &v in &sb[..len] {
-                a = T::fold_add(a, v);
+            for j in 0..len {
+                a = T::fold_add(a, lane(j));
             }
             acc.0 = a;
         }
         (FoldFn::Sum, Some(m)) => {
             let mut a = acc.0;
-            for j in 0..len {
-                let v = if m[j] { sb[j] } else { T::default() };
-                a = T::fold_add(a, v);
+            let mut hits = 0;
+            for_each_true(m, |j| {
+                a = T::fold_add(a, lane(j));
+                hits += 1;
+            });
+            if hits < len {
+                a = T::fold_add(a, T::default());
             }
             acc.0 = a;
         }
         (FoldFn::Min, m) => {
             for j in 0..len {
-                if m.is_none_or(|m| m[j]) && sb[j] < acc.0 {
-                    acc.0 = sb[j];
+                if m.is_none_or(|m| m[j]) && lane(j) < acc.0 {
+                    acc.0 = lane(j);
                 }
             }
         }
         (FoldFn::Max, m) => {
             for j in 0..len {
-                if m.is_none_or(|m| m[j]) && sb[j] > acc.0 {
-                    acc.0 = sb[j];
+                if m.is_none_or(|m| m[j]) && lane(j) > acc.0 {
+                    acc.0 = lane(j);
                 }
             }
         }

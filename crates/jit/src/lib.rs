@@ -42,7 +42,9 @@ mod ssa;
 
 pub use builder::build_fragment;
 pub use cache::CodeCache;
-pub use compiler::{compile, CompileServer, CompiledTrace, CostModel, TierRun, TraceTier};
+pub use compiler::{
+    compile, force_tier_verdict, CompileServer, CompiledTrace, CostModel, TierRun, TraceTier,
+};
 pub use error::JitError;
 pub use exec::{native_available, set_native_capacity_limit, set_native_guard_budget, NativeDeopt};
 pub use ir::{LaneType, TraceIr, TraceResult};

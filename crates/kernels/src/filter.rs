@@ -1,8 +1,10 @@
 //! `filter` kernels: compute selections without moving data (Table I).
 //!
 //! Three flavors implement the §III-C micro-adaptivity choice:
-//! * [`FilterFlavor::SelVecLoop`] — branchy loop appending matching indices
-//!   to a selection vector; cheapest at low-to-medium selectivity.
+//! * [`FilterFlavor::SelVecLoop`] — one pass over the candidate lanes that
+//!   compares and compacts matching indices into a selection vector
+//!   (predicated, no per-lane branch); cheapest once an existing selection
+//!   has thinned the candidates.
 //! * [`FilterFlavor::Bitmap`] — branch-free predicate pass building a
 //!   bitmap, then word-at-a-time conversion; wins at high selectivity and
 //!   composes with bitmap logic.
@@ -18,13 +20,14 @@ use adaptvm_storage::array::Array;
 use adaptvm_storage::sel::{Bitmap, SelVec};
 
 use crate::error::KernelError;
+use crate::lanes::{select2, true_among, true_lanes};
 use crate::map::{map_apply, MapMode};
 use crate::operand::{as_bool, as_f64, as_i64, as_str, common_len, Operand};
 
 /// The filter implementation flavors (micro-adaptivity arms).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FilterFlavor {
-    /// Branchy selection-vector loop.
+    /// Compare-and-compact selection-vector loop over the candidates.
     SelVecLoop,
     /// Branch-free bitmap pass + conversion.
     Bitmap,
@@ -108,26 +111,10 @@ pub fn filter_bools(
             };
             Ok(bm.to_selvec())
         }
-        _ => {
-            let mut out = Vec::new();
-            match existing {
-                Some(sel) => {
-                    for &i in sel.indices() {
-                        if b[i as usize] {
-                            out.push(i);
-                        }
-                    }
-                }
-                None => {
-                    for (i, &v) in b.iter().enumerate() {
-                        if v {
-                            out.push(i as u32);
-                        }
-                    }
-                }
-            }
-            Ok(SelVec::new(out))
-        }
+        _ => Ok(SelVec::new(match existing {
+            Some(sel) => true_among(b, sel.indices()),
+            None => true_lanes(b),
+        })),
     }
 }
 
@@ -136,16 +123,18 @@ pub fn filter_bools(
 /// carrier) would otherwise index past the column — and the three flavors
 /// would disagree on how. One typed error keeps them identical.
 fn check_existing(existing: Option<&SelVec>, n: usize) -> Result<(), KernelError> {
-    if let Some(sel) = existing {
-        for &i in sel.indices() {
-            if (i as usize) >= n {
-                return Err(KernelError::Precondition(format!(
-                    "selection index {i} out of range of {n}-lane filter input"
-                )));
-            }
-        }
+    let Some(sel) = existing else { return Ok(()) };
+    // The common case is one max-reduction; the offender is only looked
+    // up on the error path.
+    if sel.indices().iter().fold(0, |m, &i| m.max(i as usize)) < n {
+        return Ok(());
     }
-    Ok(())
+    match sel.indices().iter().find(|&&i| i as usize >= n) {
+        Some(i) => Err(KernelError::Precondition(format!(
+            "selection index {i} out of range of {n}-lane filter input"
+        ))),
+        None => Ok(()), // empty selection over an empty input
+    }
 }
 
 fn selvec_loop(
@@ -157,25 +146,13 @@ fn selvec_loop(
     macro_rules! run {
         ($a:expr, $b:expr, $pred:expr) => {{
             let (a, b) = ($a, $b);
-            let mut out = Vec::new();
-            match existing {
-                Some(sel) => {
-                    for &i in sel.indices() {
-                        let i = i as usize;
-                        if $pred(&a.get(i), &b.get(i)) {
-                            out.push(i as u32);
-                        }
-                    }
-                }
-                None => {
-                    for i in 0..n {
-                        if $pred(&a.get(i), &b.get(i)) {
-                            out.push(i as u32);
-                        }
-                    }
-                }
-            }
-            Ok(SelVec::new(out))
+            Ok(SelVec::new(select2(
+                a.lanes(),
+                b.lanes(),
+                n,
+                existing,
+                |x, y| $pred(&x, &y),
+            )))
         }};
     }
     macro_rules! typed {
@@ -190,24 +167,16 @@ fn selvec_loop(
                 (T::Str, T::Str) => {
                     let a = as_str(&operands[0])?;
                     let b = as_str(&operands[1])?;
-                    let mut out = Vec::new();
-                    match existing {
-                        Some(sel) => {
-                            for &i in sel.indices() {
-                                if $pred(&a.get(i as usize), &b.get(i as usize)) {
-                                    out.push(i);
-                                }
-                            }
-                        }
-                        None => {
-                            for i in 0..n {
-                                if $pred(&a.get(i), &b.get(i)) {
-                                    out.push(i as u32);
-                                }
-                            }
-                        }
-                    }
-                    Ok(SelVec::new(out))
+                    let hit = |i: usize| $pred(&a.get(i), &b.get(i));
+                    Ok(SelVec::new(match existing {
+                        Some(sel) => sel
+                            .indices()
+                            .iter()
+                            .copied()
+                            .filter(|&i| hit(i as usize))
+                            .collect(),
+                        None => (0..n as u32).filter(|&i| hit(i as usize)).collect(),
+                    }))
                 }
                 (T::Bool, T::Bool) => {
                     run!(as_bool(&operands[0])?, as_bool(&operands[1])?, $pred)

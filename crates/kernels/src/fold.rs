@@ -60,11 +60,19 @@ pub fn fold_apply(
                     })?;
                     return fold_f64(f, init, &wide, sel);
                 }
-                let wide = input.to_i64_vec().ok_or_else(|| KernelError::NoKernel {
-                    op: f.name().into(),
-                    types: vec![elem_ty],
-                })?;
-                fold_i64(f, init, &wide, sel, result_ty)
+                // Borrow `i64` payloads; only narrower integers are widened.
+                let widened;
+                let values = match input.as_i64() {
+                    Some(v) => v,
+                    None => {
+                        widened = input.to_i64_vec().ok_or_else(|| KernelError::NoKernel {
+                            op: f.name().into(),
+                            types: vec![elem_ty],
+                        })?;
+                        &widened
+                    }
+                };
+                fold_i64(f, init, values, sel, result_ty)
             }
         }
     }

@@ -21,6 +21,7 @@ pub mod compressed;
 pub mod error;
 pub mod filter;
 pub mod fold;
+pub mod lanes;
 pub mod map;
 pub mod merge;
 pub mod movement;

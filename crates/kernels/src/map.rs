@@ -1,8 +1,9 @@
 //! `map` kernels: element-wise application of a single scalar operation.
 //!
 //! These are the pre-compiled functions the vectorized interpreter looks up
-//! after normalization (§III-A). Every (operation × type) pair is a
-//! monomorphized tight loop.
+//! after normalization (§III-A). Every (operation × type × operand shape)
+//! combination is a monomorphized slice loop ([`crate::lanes`]): type and
+//! shape are resolved once per call, nothing is decided per lane.
 //!
 //! [`MapMode`] is a micro-adaptivity flavor (§III-C): `Full` computes every
 //! lane (branch-free; what the paper calls "fully evaluate expressions" in
@@ -20,6 +21,7 @@ use adaptvm_storage::scalar::ScalarType;
 use adaptvm_storage::sel::SelVec;
 
 use crate::error::KernelError;
+use crate::lanes::{map1, map2};
 use crate::operand::{
     as_bool, as_f64, as_i16, as_i32, as_i64, as_i8, as_str, common_len, Operand, Typed,
 };
@@ -33,6 +35,8 @@ pub enum MapMode {
     Selective,
 }
 
+/// One-operand lane loop: the operand's shape is resolved here, once per
+/// kernel call, and the loop itself is [`crate::lanes`]' slice loop.
 #[inline(always)]
 fn unary_loop<T: Copy, R: Copy + Default>(
     n: usize,
@@ -41,19 +45,10 @@ fn unary_loop<T: Copy, R: Copy + Default>(
     a: Typed<'_, T>,
     f: impl Fn(T) -> R,
 ) -> Vec<R> {
-    match (sel, mode) {
-        (Some(s), MapMode::Selective) => {
-            let mut out = vec![R::default(); n];
-            for &i in s.indices() {
-                let i = i as usize;
-                out[i] = f(a.get(i));
-            }
-            out
-        }
-        _ => (0..n).map(|i| f(a.get(i))).collect(),
-    }
+    map1(n, sel, mode, a.lanes(), f)
 }
 
+/// Two-operand [`unary_loop`].
 #[inline(always)]
 fn binary_loop<T: Copy, R: Copy + Default>(
     n: usize,
@@ -63,17 +58,7 @@ fn binary_loop<T: Copy, R: Copy + Default>(
     b: Typed<'_, T>,
     f: impl Fn(T, T) -> R,
 ) -> Vec<R> {
-    match (sel, mode) {
-        (Some(s), MapMode::Selective) => {
-            let mut out = vec![R::default(); n];
-            for &i in s.indices() {
-                let i = i as usize;
-                out[i] = f(a.get(i), b.get(i));
-            }
-            out
-        }
-        _ => (0..n).map(|i| f(a.get(i), b.get(i))).collect(),
-    }
+    map2(n, sel, mode, a.lanes(), b.lanes(), f)
 }
 
 fn promoted(operands: &[Operand<'_>], op: ScalarOp) -> Result<ScalarType, KernelError> {

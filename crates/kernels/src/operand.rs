@@ -4,6 +4,7 @@ use adaptvm_storage::array::Array;
 use adaptvm_storage::scalar::{Scalar, ScalarType};
 
 use crate::error::KernelError;
+use crate::lanes::Lanes;
 
 /// One operand of a vectorized kernel.
 #[derive(Debug, Clone)]
@@ -70,13 +71,14 @@ pub enum Typed<'a, T> {
 }
 
 impl<T: Copy> Typed<'_, T> {
-    /// Value at lane `i`.
-    #[inline(always)]
-    pub fn get(&self, i: usize) -> T {
+    /// The operand's shape, resolved once per kernel call (never per
+    /// lane): a column slice or a broadcast constant.
+    #[inline]
+    pub(crate) fn lanes(&self) -> Lanes<'_, T> {
         match self {
-            Typed::Slice(s) => s[i],
-            Typed::Owned(v) => v[i],
-            Typed::Const(c) => *c,
+            Typed::Slice(s) => Lanes::Col(s),
+            Typed::Owned(v) => Lanes::Col(v),
+            Typed::Const(c) => Lanes::Const(*c),
         }
     }
 }
@@ -200,12 +202,12 @@ mod tests {
     fn widening_coercion() {
         let narrow = Array::I16(vec![1, 2, 3]);
         let t = as_i64(&Operand::Col(&narrow)).unwrap();
-        assert_eq!(t.get(2), 3i64);
+        assert!(matches!(t.lanes(), Lanes::Col([1, 2, 3])));
         let t = as_f64(&Operand::Col(&narrow)).unwrap();
-        assert_eq!(t.get(0), 1.0);
+        assert!(matches!(t.lanes(), Lanes::Col(c) if c == [1.0, 2.0, 3.0]));
         // Constants broadcast.
         let t = as_i32(&Operand::Const(Scalar::I64(7))).unwrap();
-        assert_eq!(t.get(99), 7);
+        assert!(matches!(t.lanes(), Lanes::Const(7)));
         // Bool cannot coerce to ints.
         let b = Array::from(vec![true]);
         assert!(as_i64(&Operand::Col(&b)).is_err());

@@ -16,7 +16,10 @@
 //! output independent of worker count and scheduling; see the crate docs
 //! for the determinism argument.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
+
+use adaptvm_dsl::ast::Program;
 
 use adaptvm_jit::cache::CacheStats;
 use adaptvm_jit::CodeCache;
@@ -124,17 +127,21 @@ impl ParallelVm {
         &self.config
     }
 
-    /// Run `make(morsel)`-built program instances over the plan. Returns
+    /// Run `make(morsel)`-built program instances over the plan (`make`
+    /// may hand out an owned [`Program`] or a borrow of a shared one — a
+    /// program that only depends on the morsel's length is worth building
+    /// once, not once per morsel). Returns
     /// per-morsel output buffers **in morsel order** plus the aggregated
     /// report. The caller merges outputs (ordered reduction) — see
     /// `adaptvm_relational::parallel` for complete pipelines.
-    pub fn run_morsels<F>(
+    pub fn run_morsels<F, P>(
         &self,
         plan: &MorselPlan,
         make: F,
     ) -> Result<(Vec<Buffers>, ParallelRunReport), VmError>
     where
-        F: Fn(&Morsel) -> (adaptvm_dsl::ast::Program, Buffers) + Sync,
+        F: Fn(&Morsel) -> (P, Buffers) + Sync,
+        P: Borrow<Program>,
     {
         self.run_morsels_with(plan, None, make)
     }
@@ -142,20 +149,21 @@ impl ParallelVm {
     /// [`ParallelVm::run_morsels`] with a cooperative [`CancelToken`]
     /// checked before every morsel: on cancellation/deadline the run
     /// aborts with [`VmError::Cancelled`].
-    pub fn run_morsels_with<F>(
+    pub fn run_morsels_with<F, P>(
         &self,
         plan: &MorselPlan,
         cancel: Option<&CancelToken>,
         make: F,
     ) -> Result<(Vec<Buffers>, ParallelRunReport), VmError>
     where
-        F: Fn(&Morsel) -> (adaptvm_dsl::ast::Program, Buffers) + Sync,
+        F: Fn(&Morsel) -> (P, Buffers) + Sync,
+        P: Borrow<Program>,
     {
         let wall = std::time::Instant::now();
         let vm = Vm::new(self.config.clone());
         let (outcomes, dispatch) = run_morsels_with(self.workers, plan, cancel, |_w, m| {
             let (program, buffers) = make(m);
-            vm.run(&program, buffers)
+            vm.run(program.borrow(), buffers)
         })
         .map_err(vm_run_err)?;
         Ok(assemble_report(
@@ -202,13 +210,14 @@ impl ScheduledVm<'_> {
     /// morsels, later queries — surface as `trace_cache_hits`). After the
     /// run, the merged profile window feeds the scheduler's morsel
     /// elasticity.
-    pub fn run_morsels<F>(
+    pub fn run_morsels<F, P>(
         &self,
         plan: &MorselPlan,
         make: F,
     ) -> Result<(Vec<Buffers>, ParallelRunReport), VmError>
     where
-        F: Fn(&Morsel) -> (adaptvm_dsl::ast::Program, Buffers) + Send + Sync,
+        F: Fn(&Morsel) -> (P, Buffers) + Send + Sync,
+        P: Borrow<Program>,
     {
         self.run_morsels_with(plan, None, make)
     }
@@ -218,14 +227,15 @@ impl ScheduledVm<'_> {
     /// cancellation, deadline, or a shut-down pool abort the run with
     /// [`VmError::Cancelled`] — other queries on the scheduler are
     /// untouched.
-    pub fn run_morsels_with<F>(
+    pub fn run_morsels_with<F, P>(
         &self,
         plan: &MorselPlan,
         cancel: Option<&CancelToken>,
         make: F,
     ) -> Result<(Vec<Buffers>, ParallelRunReport), VmError>
     where
-        F: Fn(&Morsel) -> (adaptvm_dsl::ast::Program, Buffers) + Send + Sync,
+        F: Fn(&Morsel) -> (P, Buffers) + Send + Sync,
+        P: Borrow<Program>,
     {
         let wall = std::time::Instant::now();
         let mut config = self.vm.config().clone();
@@ -238,7 +248,7 @@ impl ScheduledVm<'_> {
             .scheduler
             .run_with(plan, cancel, |_w, m| {
                 let (program, buffers) = make(m);
-                vm.run(&program, buffers)
+                vm.run(program.borrow(), buffers)
             })
             .map_err(vm_run_err)?;
         let (buffers, report) = assemble_report(

@@ -914,13 +914,22 @@ pub fn q6_parallel(
     let disc = table.column_by_name("l_discount").expect("schema");
     let qty = table.column_by_name("l_quantity").expect("schema");
     let ship = table.column_by_name("l_shipdate").expect("schema");
+    // The program depends only on a morsel's length (its loop bound), and a
+    // plan has at most two lengths (full and tail): format and parse each
+    // once, then every morsel borrows its program.
+    let mut programs: HashMap<usize, adaptvm_dsl::ast::Program> = HashMap::new();
+    for m in plan.morsels() {
+        programs
+            .entry(m.len)
+            .or_insert_with(|| tpch::q6_program(m.len as i64, date_lo));
+    }
     let make = |m: &Morsel| {
         let buffers = adaptvm_vm::Buffers::new()
             .with_input("l_price", m.slice_array(price))
             .with_input("l_disc", m.slice_array(disc))
             .with_input("l_qty", m.slice_array(qty))
             .with_input("l_ship", m.slice_array(ship));
-        (tpch::q6_program(m.len as i64, date_lo), buffers)
+        (&programs[&m.len], buffers)
     };
     let (outs, report) = if let Some(service) = opts.service {
         let mut sopts = SubmitOpts::new(opts.priority);

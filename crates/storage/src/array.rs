@@ -332,10 +332,12 @@ impl Array {
     /// Widen any numeric array to an owned `Vec<f64>`.
     pub fn to_f64_vec(&self) -> Option<Vec<f64>> {
         match self {
+            Array::I8(v) => Some(v.iter().map(|&x| x as f64).collect()),
+            Array::I16(v) => Some(v.iter().map(|&x| x as f64).collect()),
+            Array::I32(v) => Some(v.iter().map(|&x| x as f64).collect()),
+            Array::I64(v) => Some(v.iter().map(|&x| x as f64).collect()),
             Array::F64(v) => Some(v.clone()),
-            other => other
-                .to_i64_vec()
-                .map(|v| v.iter().map(|&x| x as f64).collect()),
+            _ => None,
         }
     }
 

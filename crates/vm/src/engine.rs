@@ -23,11 +23,12 @@
 //!   compile hot regions (optionally in the background), inject, and fall
 //!   back to interpretation whenever a fragment is uncompilable.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use adaptvm_dsl::ast::{OpClass, Program, Stmt};
+use adaptvm_dsl::ast::{Expr, OpClass, Program, Stmt};
 use adaptvm_dsl::depgraph::{scalar_uses, DepGraph, NodeId};
 use adaptvm_dsl::normalize::normalize_program;
 use adaptvm_dsl::partition::{partition, PartitionConfig};
@@ -37,6 +38,7 @@ use adaptvm_hetsim::exec::run_trace_on;
 use adaptvm_jit::builder::{build_fragment, Fragment};
 use adaptvm_jit::cache::{CodeCache, TraceKey, GENERIC_SITUATION};
 use adaptvm_jit::compiler::{compile, CompileServer, CompiledTrace, CostModel, TierRun, TraceTier};
+use adaptvm_jit::ir::OutputSpec;
 use adaptvm_jit::JitError;
 use adaptvm_storage::array::Array;
 use adaptvm_storage::scalar::ScalarType;
@@ -45,7 +47,7 @@ use adaptvm_storage::DEFAULT_CHUNK;
 use crate::adaptive::{FixedPolicy, FlavorPolicy};
 use crate::env::{Buffers, Env};
 use crate::error::VmError;
-use crate::interp::{Flow, Interpreter, MAX_ITERATIONS};
+use crate::interp::{filter_site, Flow, Interpreter, MAX_ITERATIONS};
 use crate::placement::PlacementPolicy;
 use crate::profile::Profile;
 
@@ -206,7 +208,9 @@ pub struct Vm {
 #[derive(Debug, Clone)]
 enum Step {
     /// Interpret one dataflow node (a body-less `let` or a sink statement).
-    Node { stmt: Stmt },
+    /// `site` is the node's filter site id, derived once when the plan is
+    /// built instead of once per chunk.
+    Node { stmt: Stmt, site: Option<String> },
     /// Interpret a scalar statement (assignments, `if`/`break`).
     Scalar(Stmt),
     /// Execute an injected trace.
@@ -220,6 +224,11 @@ struct Injection {
     anchor: NodeId,
     covered: HashSet<NodeId>,
     trace: Arc<CompiledTrace>,
+    /// Profile site of the trace step (`trace@<anchor>`).
+    site: String,
+    /// Selectivity-profile sites of the trace's selection outputs, in
+    /// output order (`trace-sel@<name>`).
+    sel_sites: Vec<String>,
 }
 
 // Unspecialized engine traces use [`GENERIC_SITUATION`] (re-exported from
@@ -402,14 +411,16 @@ impl Vm {
             }
         }
 
-        // The chunk loop.
+        // The chunk loop. One interpreter serves every iteration; the
+        // profile is reached through it while it holds the borrow.
+        let mut interp = Interpreter::new(self.config.chunk_size, &mut profile, &mut *policy);
         let mut iterations: u64 = 0;
         'outer: loop {
             iterations += 1;
             if iterations > MAX_ITERATIONS {
                 return Err(VmError::IterationLimit(MAX_ITERATIONS));
             }
-            profile.iterations += 1;
+            interp.profile.iterations += 1;
 
             // Adaptive: hot-path detection (the Interpret → Optimize edge).
             if self.config.strategy == Strategy::Adaptive
@@ -422,7 +433,7 @@ impl Vm {
                     state: VmState::Optimize,
                 });
                 let mut costed = graph.clone();
-                costed.apply_costs(&profile.costs());
+                costed.apply_costs(&interp.profile.costs());
                 let parts = partition(&costed, &self.config.partition);
                 report.transitions.push(StateTransition {
                     iteration: iterations,
@@ -602,13 +613,12 @@ impl Vm {
             }
 
             // Execute one iteration of the plan.
-            let mut interp = Interpreter::new(self.config.chunk_size, &mut profile, policy);
             let mut idx = 0;
             while idx < plan.len() {
                 match &plan[idx] {
-                    Step::Node { stmt, .. } => {
+                    Step::Node { stmt, site } => {
                         report.interpreted_nodes += 1;
-                        if interp.exec_stmt(stmt, &mut env)? == Flow::Broke {
+                        if interp.exec_stmt_at(stmt, site.as_deref(), &mut env)? == Flow::Broke {
                             break 'outer;
                         }
                     }
@@ -717,7 +727,7 @@ fn exec_trace(
     let t0 = Instant::now();
 
     // 1. Perform the region's buffer reads.
-    let mut local: HashMap<String, Array> = HashMap::new();
+    let mut local: HashMap<&str, Array> = HashMap::with_capacity(trace.reads.len());
     for spec in &trace.reads {
         let pos = interp
             .eval_scalar_index(&spec.pos, env, "read position")
@@ -732,78 +742,100 @@ fn exec_trace(
             .buffers
             .read(&spec.buffer, pos, len)
             .map_err(TraceFailure::Fatal)?;
-        local.insert(spec.var.clone(), chunk);
+        local.insert(&spec.var, chunk);
     }
 
-    // 2. Gather trace inputs (condensing any pending selections).
-    let mut owned: Vec<(usize, Array)> = Vec::new();
-    for (i, name) in trace.ir.inputs.iter().enumerate() {
-        if local.contains_key(name) {
-            continue;
-        }
-        let value = env.get(name).map_err(TraceFailure::Fatal)?;
-        match value {
-            Value::Vector(v) => {
-                let dense = v.condense().map_err(|e| TraceFailure::Fatal(e.into()))?;
-                owned.push((i, dense.data));
-            }
-            Value::Scalar(_) => {
-                return Err(TraceFailure::Recoverable(JitError::Unsupported(format!(
-                    "trace input {name} is a scalar"
-                ))))
-            }
-        }
-    }
-    for (i, a) in owned {
-        local.insert(trace.ir.inputs[i].clone(), a);
-    }
-    let inputs: Vec<&Array> = trace
-        .ir
-        .inputs
-        .iter()
-        .map(|n| local.get(n).expect("collected above"))
-        .collect();
-
-    // 3. Run (with placement when devices are registered). Placement runs
-    // stay on the interpreted tier — the device cost model meters that
-    // path; only the plain host dispatch goes native.
-    let lanes = inputs.first().map_or(0, |a| a.len());
     let mut tier = TierRun {
         tier: TraceTier::Interpreted,
         native_deopt: false,
     };
-    let result = match placement {
-        Some(policy) => {
-            let bytes_in: usize = inputs.iter().map(|a| a.byte_size()).sum();
-            let d = policy.choose(lanes, trace.ir.op_count(), bytes_in, bytes_in);
-            let run = run_trace_on(&policy.devices()[d].clone(), trace, &inputs, None)
-                .map_err(TraceFailure::Recoverable)?;
-            device_clocks[d] += run.cost.total_ns();
-            policy.feedback(
-                d,
-                lanes,
-                trace.ir.op_count(),
-                bytes_in,
-                bytes_in,
-                run.cost.total_ns(),
-            );
-            run.result
+    let (result, lanes, condensed) = {
+        // 2. Gather trace inputs: read chunks from `local`, everything else
+        // borrowed from the environment (condensing pending selections).
+        let mut from_env: Vec<Option<Cow<'_, Array>>> = Vec::with_capacity(trace.ir.inputs.len());
+        for name in &trace.ir.inputs {
+            if local.contains_key(name.as_str()) {
+                from_env.push(None);
+                continue;
+            }
+            match env.get(name).map_err(TraceFailure::Fatal)? {
+                Value::Vector(v) => from_env.push(Some(match &v.sel {
+                    None => Cow::Borrowed(&v.data),
+                    Some(sel) => Cow::Owned(
+                        v.data
+                            .take(sel.indices())
+                            .map_err(|e| TraceFailure::Fatal(e.into()))?,
+                    ),
+                })),
+                Value::Scalar(_) => {
+                    return Err(TraceFailure::Recoverable(JitError::Unsupported(format!(
+                        "trace input {name} is a scalar"
+                    ))))
+                }
+            }
         }
-        None => {
-            let (r, t) = trace
-                .run_tiered(&inputs, None, allow_native)
-                .map_err(TraceFailure::Recoverable)?;
-            tier = t;
-            r
-        }
+        let inputs: Vec<&Array> = trace
+            .ir
+            .inputs
+            .iter()
+            .zip(&from_env)
+            .map(|(name, gathered)| match gathered {
+                Some(a) => &**a,
+                None => &local[name.as_str()],
+            })
+            .collect();
+
+        // 3. Run (with placement when devices are registered). Placement
+        // runs stay on the interpreted tier — the device cost model meters
+        // that path; only the plain host dispatch goes native.
+        let lanes = inputs.first().map_or(0, |a| a.len());
+        let result = match placement {
+            Some(policy) => {
+                let bytes_in: usize = inputs.iter().map(|a| a.byte_size()).sum();
+                let d = policy.choose(lanes, trace.ir.op_count(), bytes_in, bytes_in);
+                let run = run_trace_on(&policy.devices()[d].clone(), trace, &inputs, None)
+                    .map_err(TraceFailure::Recoverable)?;
+                device_clocks[d] += run.cost.total_ns();
+                policy.feedback(
+                    d,
+                    lanes,
+                    trace.ir.op_count(),
+                    bytes_in,
+                    bytes_in,
+                    run.cost.total_ns(),
+                );
+                run.result
+            }
+            None => {
+                let (r, t) = trace
+                    .run_tiered(&inputs, None, allow_native)
+                    .map_err(TraceFailure::Recoverable)?;
+                tier = t;
+                r
+            }
+        };
+        // A condensed input is what a selection output of this trace
+        // indexes: keep it beside the read chunks for step 4.
+        let condensed: Vec<(&str, Array)> = trace
+            .ir
+            .inputs
+            .iter()
+            .zip(from_env)
+            .filter_map(|(name, gathered)| match gathered {
+                Some(Cow::Owned(a)) => Some((name.as_str(), a)),
+                _ => None,
+            })
+            .collect();
+        (result, lanes, condensed)
     };
+    local.extend(condensed);
 
     // 4. Bind outputs (arrays first — selections may reference them).
     for (name, data) in result.arrays {
         env.set(&name, Value::dense(data));
     }
-    for (name, flow, sel) in result.sels {
-        let data = match local.get(&flow) {
+    for ((name, flow, sel), site) in result.sels.into_iter().zip(&inj.sel_sites) {
+        let data = match local.get(flow.as_str()) {
             Some(a) => a.clone(),
             None => match env.get(&flow).map_err(TraceFailure::Fatal)? {
                 Value::Vector(v) => v.data.clone(),
@@ -815,7 +847,7 @@ fn exec_trace(
             },
         };
         interp.profile.record_selectivity(
-            &format!("trace-sel@{name}"),
+            site,
             if data.is_empty() {
                 0.0
             } else {
@@ -827,10 +859,12 @@ fn exec_trace(
     for (name, scalar) in result.scalars {
         env.set(&name, Value::Scalar(scalar));
     }
-    // Bind read results too (the loop's counter updates use len(input)).
+    // Bind read results too (the loop's counter updates use len(input)):
+    // each chunk moves into the environment, it is not copied again.
     for spec in &trace.reads {
-        let data = local.get(&spec.var).expect("read performed").clone();
-        env.set(&spec.var, Value::dense(data));
+        if let Some(data) = local.remove(spec.var.as_str()) {
+            env.set(&spec.var, Value::dense(data));
+        }
     }
 
     // 5. Perform the region's buffer writes.
@@ -852,11 +886,9 @@ fn exec_trace(
             .map_err(TraceFailure::Fatal)?;
     }
 
-    interp.profile.record(
-        &format!("trace@{}", inj.anchor),
-        t0.elapsed().as_nanos() as u64,
-        lanes,
-    );
+    interp
+        .profile
+        .record(&inj.site, t0.elapsed().as_nanos() as u64, lanes);
     Ok(tier)
 }
 
@@ -949,7 +981,16 @@ fn build_plan(flat: &FlatBody, injections: &[Injection]) -> Vec<Step> {
                 match injections.iter().position(|inj| inj.covered.contains(id)) {
                     Some(k) if injections[k].anchor == *id => plan.push(Step::Trace(k)),
                     Some(_) => {} // covered, non-anchor: skipped
-                    None => plan.push(Step::Node { stmt: stmt.clone() }),
+                    None => plan.push(Step::Node {
+                        stmt: stmt.clone(),
+                        site: match stmt {
+                            Stmt::Let {
+                                expr: Expr::Filter { p, .. },
+                                ..
+                            } => Some(filter_site(p)),
+                            _ => None,
+                        },
+                    }),
                 }
             }
         }
@@ -977,12 +1018,23 @@ fn inject(
         }
     }
     let Some(anchor) = anchor else { return };
-    if native && trace.has_native() {
+    if native && trace.has_native() && trace.tier_verdict() != Some(TraceTier::Interpreted) {
         // The injected trace carries an executable machine-code body the
-        // engine will dispatch to.
+        // engine will dispatch to (unless its own measurements already
+        // found the packed tier faster).
         crate::obs::jit_event(crate::obs::JitEvent::NativeInstall);
     }
     injections.push(Injection {
+        site: format!("trace@{anchor}"),
+        sel_sites: trace
+            .ir
+            .outputs
+            .iter()
+            .filter_map(|o| match o {
+                OutputSpec::Sel { name, .. } => Some(format!("trace-sel@{name}")),
+                _ => None,
+            })
+            .collect(),
         anchor,
         covered,
         trace,
@@ -1013,13 +1065,13 @@ fn collect_binding_types(
                     if let Type::Array(elem) = t {
                         hints.insert(name.clone(), elem);
                     }
-                    *env = env.clone().with_var(name, t);
+                    *env = std::mem::take(env).with_var(name, t);
                 }
                 collect_binding_types(body, env, hints);
             }
             Stmt::Assign { name, expr } => {
                 if let Ok(t) = infer_expr(expr, env) {
-                    *env = env.clone().with_var(name, t);
+                    *env = std::mem::take(env).with_var(name, t);
                 }
             }
             Stmt::Loop(body) => collect_binding_types(body, env, hints),
@@ -1346,6 +1398,84 @@ mod tests {
         };
         let (out, _) = run_fig2(config, 50_000, 40_000);
         check_fig2(&out, 50_000, 40_000);
+    }
+
+    #[test]
+    fn trace_selection_over_a_selected_input_indexes_the_condensed_lanes() {
+        // A trace whose flow input arrives from the environment with a
+        // pending selection runs over the condensed lanes, so the
+        // selection it outputs indexes those — it must be attached to the
+        // condensed data, not to the physical chunk.
+        use adaptvm_dsl::ast::ScalarOp;
+        use adaptvm_jit::ir::{FilterCheck, LaneType, Src, TraceIr};
+        use adaptvm_storage::sel::SelVec;
+        let ir = TraceIr {
+            lane: LaneType::I64,
+            inputs: vec!["t".into()],
+            n_regs: 0,
+            pre_ops: vec![],
+            filter: Some(FilterCheck {
+                op: ScalarOp::Lt,
+                lhs: Src::Input(0),
+                rhs: Src::ConstI(9),
+            }),
+            post_ops: vec![],
+            outputs: vec![OutputSpec::Sel {
+                name: "u".into(),
+                flow: "t".into(),
+            }],
+        };
+        let fragment = Fragment {
+            ir,
+            reads: vec![],
+            writes: vec![],
+            node_ids: vec![0],
+        };
+        let mut injections = Vec::new();
+        let flat = FlatBody {
+            items: vec![FlatItem::Node {
+                id: 0,
+                stmt: Stmt::Break,
+            }],
+        };
+        inject(
+            &mut injections,
+            &DepGraph::from_stmts(&[]),
+            &flat,
+            vec![0],
+            Arc::new(compile(fragment, &CostModel::untimed())),
+            false,
+        );
+        let mut env = Env::new(Buffers::new());
+        // Physical chunk [1, 20, 3, 30, 5]; lanes 1, 2, 4 selected.
+        env.set(
+            "t",
+            Value::Vector(Vector::selected(
+                Array::from(vec![1i64, 20, 3, 30, 5]),
+                SelVec::new(vec![1, 2, 4]),
+            )),
+        );
+        let mut profile = Profile::new();
+        let mut policy = FixedPolicy::default();
+        let mut interp = Interpreter::new(1024, &mut profile, &mut policy);
+        exec_trace(
+            &injections[0],
+            &mut interp,
+            &mut env,
+            1024,
+            None,
+            &mut [],
+            false,
+        )
+        .unwrap_or_else(|_| panic!("trace step failed"));
+        let u = env
+            .get("u")
+            .unwrap()
+            .as_vector()
+            .unwrap()
+            .condense()
+            .unwrap();
+        assert_eq!(u.data, Array::from(vec![3i64, 5]));
     }
 
     #[test]

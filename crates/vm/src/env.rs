@@ -116,7 +116,13 @@ impl Env {
 
     /// Bind (or rebind) a variable.
     pub fn set(&mut self, name: &str, value: Value) {
-        self.vars.insert(name.to_string(), value);
+        // Loop bodies rebind the same names every chunk: reuse the key.
+        match self.vars.get_mut(name) {
+            Some(slot) => *slot = value,
+            None => {
+                self.vars.insert(name.to_string(), value);
+            }
+        }
     }
 
     /// True when `name` is bound.

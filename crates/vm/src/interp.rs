@@ -8,12 +8,13 @@
 //! scalar ops lifted element-wise), so the interpreter is total over the
 //! language even before normalization.
 
+use std::borrow::Cow;
 use std::time::Instant;
 
 use adaptvm_dsl::ast::{Expr, Lambda, Program, ScalarOp, Stmt};
 use adaptvm_dsl::value::{Value, Vector};
 use adaptvm_kernels::movement;
-use adaptvm_kernels::{filter_cmp, fold_apply, map_apply, Operand};
+use adaptvm_kernels::{filter_cmp, fold_apply, map_apply, FilterFlavor, Operand};
 use adaptvm_storage::array::Array;
 use adaptvm_storage::scalar::Scalar;
 use adaptvm_storage::sel::SelVec;
@@ -72,6 +73,18 @@ impl<'p> Interpreter<'p> {
 
     /// Execute one statement.
     pub fn exec_stmt(&mut self, s: &Stmt, env: &mut Env) -> Result<Flow, VmError> {
+        self.exec_stmt_at(s, None, env)
+    }
+
+    /// Execute one statement whose filter site id (see [`filter_site`]) the
+    /// caller already holds — the engine derives it once per plan step, so
+    /// the chunk loop never prints a predicate.
+    pub fn exec_stmt_at(
+        &mut self,
+        s: &Stmt,
+        site: Option<&str>,
+        env: &mut Env,
+    ) -> Result<Flow, VmError> {
         match s {
             Stmt::DeclareMut { .. } => Ok(Flow::Normal),
             Stmt::Assign { name, expr } => {
@@ -82,7 +95,12 @@ impl<'p> Interpreter<'p> {
             Stmt::Let { name, expr, body } => {
                 let profiled = !matches!(expr, Expr::Const(_) | Expr::Var(_) | Expr::Apply(..));
                 let t0 = Instant::now();
-                let v = self.eval(expr, env)?;
+                let v = match (expr, site) {
+                    (Expr::Filter { p, inputs }, Some(site)) => {
+                        self.eval_filter(p, inputs, site, env)?
+                    }
+                    _ => self.eval(expr, env)?,
+                };
                 if profiled {
                     let tuples = v.logical_len();
                     self.profile
@@ -95,10 +113,9 @@ impl<'p> Interpreter<'p> {
             Stmt::Write { target, pos, value } => {
                 let t0 = Instant::now();
                 let pos = self.eval_scalar_index(pos, env, "write position")?;
-                let v = self.eval(value, env)?;
-                let data = match v {
+                let data = match &*self.eval_cow(value, env)? {
                     Value::Vector(vec) => vec.condense()?.data,
-                    Value::Scalar(s) => Array::splat(&s, 1),
+                    Value::Scalar(s) => Array::splat(s, 1),
                 };
                 let tuples = data.len();
                 env.buffers.write(target, pos, &data)?;
@@ -161,8 +178,8 @@ impl<'p> Interpreter<'p> {
             Expr::Const(s) => Ok(Value::Scalar(s.clone())),
             Expr::Var(name) => env.get(name).cloned(),
             Expr::Len(inner) => {
-                let v = self.eval(inner, env)?;
-                Ok(Value::Scalar(Scalar::I64(v.logical_len() as i64)))
+                let n = self.eval_cow(inner, env)?.logical_len();
+                Ok(Value::Scalar(Scalar::I64(n as i64)))
             }
             Expr::Apply(op, args) => {
                 let values = args
@@ -181,27 +198,26 @@ impl<'p> Interpreter<'p> {
                 Ok(Value::dense(chunk))
             }
             Expr::Map { f, inputs } => {
+                if let Some(result) = map_single_op(f, inputs, env) {
+                    return result;
+                }
                 let values = inputs
                     .iter()
                     .map(|i| self.eval(i, env))
                     .collect::<Result<Vec<_>, _>>()?;
                 self.eval_map(f, &values, env, "map")
             }
-            Expr::Filter { p, inputs } => {
-                let values = inputs
-                    .iter()
-                    .map(|i| self.eval(i, env))
-                    .collect::<Result<Vec<_>, _>>()?;
-                self.eval_filter(p, &values, env)
-            }
+            Expr::Filter { p, inputs } => self.eval_filter(p, inputs, &filter_site(p), env),
             Expr::Fold { r, init, input } => {
                 let init = self
                     .eval(init, env)?
                     .as_scalar()
                     .cloned()
                     .ok_or_else(|| VmError::Shape("fold init must be scalar".into()))?;
-                let v = self.eval_vector(input, env)?;
-                let result = fold_apply(*r, &init, &v.data, v.sel.as_ref())?;
+                let result = match &*self.eval_cow(input, env)? {
+                    Value::Vector(v) => fold_apply(*r, &init, &v.data, v.sel.as_ref())?,
+                    Value::Scalar(s) => fold_apply(*r, &init, &Array::splat(s, 1), None)?,
+                };
                 Ok(Value::Scalar(result))
             }
             Expr::Gather { indices, data } => {
@@ -237,6 +253,15 @@ impl<'p> Interpreter<'p> {
         match self.eval(e, env)? {
             Value::Vector(v) => Ok(v),
             Value::Scalar(s) => Ok(Vector::dense(Array::splat(&s, 1))),
+        }
+    }
+
+    /// Evaluate without copying when `e` names a variable (the common,
+    /// normalized case): the bound value is borrowed from `env`.
+    fn eval_cow<'e>(&mut self, e: &Expr, env: &'e mut Env) -> Result<Cow<'e, Value>, VmError> {
+        match e {
+            Expr::Var(name) => env.get(name).map(Cow::Borrowed),
+            other => self.eval(other, env).map(Cow::Owned),
         }
     }
 
@@ -295,8 +320,11 @@ impl<'p> Interpreter<'p> {
                 None => Operand::Const(v.as_scalar().cloned().expect("scalar")),
             })
             .collect();
-        let data = map_apply(op, &operands, sel.as_ref(), adaptvm_kernels::MapMode::Full)?;
-        Ok(Value::Vector(Vector { data, sel }))
+        let data = map_apply(op, &operands, sel, adaptvm_kernels::MapMode::Full)?;
+        Ok(Value::Vector(Vector {
+            data,
+            sel: sel.cloned(),
+        }))
     }
 
     /// Evaluate a map by binding parameters and evaluating the body with
@@ -316,7 +344,7 @@ impl<'p> Interpreter<'p> {
                 inputs.len()
             )));
         }
-        let sel = common_sel(inputs)?;
+        let sel = common_sel(inputs)?.cloned();
         // Broadcast scalars are kept as scalars (kernel Const operands).
         let shadowed: Vec<Option<Value>> = f
             .params
@@ -361,118 +389,212 @@ impl<'p> Interpreter<'p> {
     }
 
     /// Evaluate a filter: compute the new selection on the flow carrier.
+    /// `site` keys the micro-adaptive arms and the selectivity profile.
     fn eval_filter(
         &mut self,
         p: &Lambda,
-        inputs: &[Value],
+        inputs: &[Expr],
+        site: &str,
         env: &mut Env,
     ) -> Result<Value, VmError> {
-        let flow = inputs
-            .first()
-            .and_then(Value::as_vector)
-            .ok_or_else(|| VmError::Shape("filter flow must be a vector".into()))?
-            .clone();
-        let site = format!("filter@{}", p_fingerprint(p));
-        let flavor = self.policy.filter_flavor(&site);
+        // Fast path: a normalized comparison predicate runs as one kernel
+        // call; over atom inputs (normalized programs) every operand is
+        // borrowed straight from the environment.
+        let cmp = comparison_shape(p);
+        if let (Some((op, args)), true) = (cmp, inputs.iter().all(is_atom)) {
+            let values = atoms(inputs, env)?;
+            let refs: Vec<&Value> = values.iter().map(|v| &**v).collect();
+            return self.filter_compare(p, op, args, &refs, site);
+        }
+        let values = inputs
+            .iter()
+            .map(|i| self.eval(i, env))
+            .collect::<Result<Vec<_>, _>>()?;
+        if let Some((op, args)) = cmp {
+            let refs: Vec<&Value> = values.iter().collect();
+            return self.filter_compare(p, op, args, &refs, site);
+        }
+        // Generic path: evaluate the predicate to a bool column.
+        let flow = flow_of(values.first())?;
+        let flavor = self.policy.filter_flavor(site);
         let t0 = Instant::now();
+        let bools = self.eval_map(p, &values, env, "filter-pred")?;
+        let bools = bools
+            .as_vector()
+            .ok_or_else(|| VmError::Shape("predicate must be vectorized".into()))?;
+        let sel = adaptvm_kernels::filter::filter_bools(&bools.data, flow.sel.as_ref(), flavor)?;
+        Ok(self.finish_filter(site, flavor, t0, flow, sel))
+    }
 
-        // Fast path: normalized comparison predicate.
-        let sel = if let Expr::Apply(op, args) = p.body.as_ref() {
-            if op.is_comparison()
-                && args
-                    .iter()
-                    .all(|a| matches!(a, Expr::Var(_) | Expr::Const(_)))
-            {
-                let operands = args
-                    .iter()
-                    .map(|a| self.predicate_operand(a, p, inputs))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let operand_refs: Vec<Operand<'_>> = operands
-                    .iter()
-                    .map(|o| match o {
-                        PredOperand::Col(a) => Operand::Col(a),
-                        PredOperand::Const(s) => Operand::Const(s.clone()),
-                    })
-                    .collect();
-                Some(filter_cmp(*op, &operand_refs, flow.sel.as_ref(), flavor)?)
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-        let sel = match sel {
-            Some(s) => s,
-            None => {
-                // Generic path: evaluate the predicate to a bool column.
-                let bools = self.eval_map(p, inputs, env, "filter-pred")?;
-                let bools = bools
-                    .as_vector()
-                    .ok_or_else(|| VmError::Shape("predicate must be vectorized".into()))?;
-                adaptvm_kernels::filter::filter_bools(&bools.data, flow.sel.as_ref(), flavor)?
-            }
-        };
+    /// One comparison kernel over borrowed operands.
+    fn filter_compare(
+        &mut self,
+        p: &Lambda,
+        op: ScalarOp,
+        args: &[Expr],
+        inputs: &[&Value],
+        site: &str,
+    ) -> Result<Value, VmError> {
+        let flow = flow_of(inputs.first().copied())?;
+        let flavor = self.policy.filter_flavor(site);
+        let t0 = Instant::now();
+        let operands = args
+            .iter()
+            .map(|a| predicate_operand(a, p, inputs))
+            .collect::<Result<Vec<_>, _>>()?;
+        let sel = filter_cmp(op, &operands, flow.sel.as_ref(), flavor)?;
+        Ok(self.finish_filter(site, flavor, t0, flow, sel))
+    }
 
+    /// Feed the flavor bandit and the selectivity profile, then attach the
+    /// new selection to (a copy of) the flow carrier.
+    fn finish_filter(
+        &mut self,
+        site: &str,
+        flavor: FilterFlavor,
+        t0: Instant,
+        flow: &Vector,
+        sel: SelVec,
+    ) -> Value {
         let elapsed = t0.elapsed().as_nanos() as u64;
         let candidates = flow.selected_len();
         self.policy
-            .feedback_filter(&site, flavor, elapsed, candidates.max(1));
+            .feedback_filter(site, flavor, elapsed, candidates.max(1));
         let selectivity = if candidates == 0 {
             0.0
         } else {
             sel.len() as f64 / candidates as f64
         };
-        self.profile.record_selectivity(&site, selectivity);
-
-        Ok(Value::Vector(Vector::selected(flow.data, sel)))
+        self.profile.record_selectivity(site, selectivity);
+        Value::Vector(Vector::selected(flow.data.clone(), sel))
     }
+}
 
-    fn predicate_operand<'v>(
-        &self,
-        arg: &Expr,
-        p: &Lambda,
-        inputs: &'v [Value],
-    ) -> Result<PredOperand<'v>, VmError> {
-        match arg {
-            Expr::Const(s) => Ok(PredOperand::Const(s.clone())),
-            Expr::Var(name) => match p.params.iter().position(|x| x == name) {
-                Some(i) => match &inputs[i] {
-                    Value::Vector(v) => Ok(PredOperand::Col(&v.data)),
-                    Value::Scalar(s) => Ok(PredOperand::Const(s.clone())),
-                },
-                None => Err(VmError::Unbound(format!("predicate variable {name}"))),
-            },
-            _ => Err(VmError::Shape("non-atomic predicate operand".into())),
+fn is_atom(e: &Expr) -> bool {
+    matches!(e, Expr::Var(_) | Expr::Const(_))
+}
+
+/// Resolve atom expressions against the environment without copying any
+/// bound value (constants become owned scalars).
+fn atoms<'e>(exprs: &[Expr], env: &'e Env) -> Result<Vec<Cow<'e, Value>>, VmError> {
+    exprs
+        .iter()
+        .map(|e| match e {
+            Expr::Var(name) => env.get(name).map(Cow::Borrowed),
+            Expr::Const(s) => Ok(Cow::Owned(Value::Scalar(s.clone()))),
+            _ => Err(VmError::Shape("non-atomic operand".into())),
+        })
+        .collect()
+}
+
+/// `(op, args)` when the predicate is a normalized comparison.
+fn comparison_shape(p: &Lambda) -> Option<(ScalarOp, &[Expr])> {
+    match p.body.as_ref() {
+        Expr::Apply(op, args) if op.is_comparison() && args.iter().all(is_atom) => {
+            Some((*op, args.as_slice()))
         }
+        _ => None,
     }
 }
 
-enum PredOperand<'a> {
-    Col(&'a Array),
-    Const(Scalar),
+fn flow_of(first: Option<&Value>) -> Result<&Vector, VmError> {
+    first
+        .and_then(Value::as_vector)
+        .ok_or_else(|| VmError::Shape("filter flow must be a vector".into()))
 }
 
-/// A stable site id for a predicate (used to key micro-adaptive arms).
-fn p_fingerprint(p: &Lambda) -> String {
-    adaptvm_dsl::printer::print_expr(&p.body)
+fn predicate_operand<'v>(
+    arg: &Expr,
+    p: &Lambda,
+    inputs: &[&'v Value],
+) -> Result<Operand<'v>, VmError> {
+    match arg {
+        Expr::Const(s) => Ok(Operand::Const(s.clone())),
+        Expr::Var(name) => match p.params.iter().position(|x| x == name) {
+            Some(i) => Ok(operand_of(inputs[i])),
+            None => Err(VmError::Unbound(format!("predicate variable {name}"))),
+        },
+        _ => Err(VmError::Shape("non-atomic predicate operand".into())),
+    }
+}
+
+fn operand_of(v: &Value) -> Operand<'_> {
+    match v {
+        Value::Vector(v) => Operand::Col(&v.data),
+        Value::Scalar(s) => Operand::Const(s.clone()),
+    }
+}
+
+/// The normalized-map fast path: a single-op lambda over atom inputs is
+/// one kernel call on operands borrowed from the environment — no vector
+/// is copied and no parameter is bound. `None` sends every other shape
+/// (composite bodies, non-atom inputs, all-scalar operands, arity errors)
+/// down the general path.
+fn map_single_op(f: &Lambda, inputs: &[Expr], env: &Env) -> Option<Result<Value, VmError>> {
+    let Expr::Apply(op, args) = f.body.as_ref() else {
+        return None;
+    };
+    if f.params.len() != inputs.len() || !inputs.iter().all(is_atom) || !args.iter().all(is_atom) {
+        return None;
+    }
+    let run = || -> Result<Option<Value>, VmError> {
+        let bound = atoms(inputs, env)?;
+        // As on the general path, inputs must agree on their selection
+        // even when the body ignores some of them.
+        common_sel(bound.iter().map(|v| &**v))?;
+        // A later parameter shadows an earlier one of the same name;
+        // anything else is a captured outer variable.
+        let operand_values = args
+            .iter()
+            .map(|a| match a {
+                Expr::Var(name) => match f.params.iter().rposition(|x| x == name) {
+                    Some(i) => Ok(Cow::Borrowed(&*bound[i])),
+                    None => env.get(name).map(Cow::Borrowed),
+                },
+                Expr::Const(s) => Ok(Cow::Owned(Value::Scalar(s.clone()))),
+                _ => unreachable!("checked atom"),
+            })
+            .collect::<Result<Vec<Cow<'_, Value>>, VmError>>()?;
+        if !operand_values.iter().any(|v| v.as_vector().is_some()) {
+            return Ok(None);
+        }
+        let sel = common_sel(operand_values.iter().map(|v| &**v))?;
+        let operands: Vec<Operand<'_>> = operand_values.iter().map(|v| operand_of(v)).collect();
+        let data = map_apply(*op, &operands, sel, adaptvm_kernels::MapMode::Full)?;
+        Ok(Some(Value::Vector(Vector {
+            data,
+            sel: sel.cloned(),
+        })))
+    };
+    run().transpose()
+}
+
+/// A stable site id for a filter predicate (keys the micro-adaptive arms
+/// and the selectivity profile). Printing the predicate allocates, so
+/// callers on the chunk path derive it once and pass it to
+/// [`Interpreter::exec_stmt_at`].
+pub fn filter_site(p: &Lambda) -> String {
+    format!("filter@{}", adaptvm_dsl::printer::print_expr(&p.body))
 }
 
 /// The common pending selection of vector operands (scalars have none).
 /// Mixed selections are a shape error — normalization never produces them.
-fn common_sel(values: &[Value]) -> Result<Option<SelVec>, VmError> {
+fn common_sel<'v>(
+    values: impl IntoIterator<Item = &'v Value>,
+) -> Result<Option<&'v SelVec>, VmError> {
     let mut sel: Option<&SelVec> = None;
     for v in values {
         if let Value::Vector(vec) = v {
-            match (&sel, &vec.sel) {
+            match (sel, &vec.sel) {
                 (None, Some(s)) => sel = Some(s),
-                (Some(a), Some(b)) if *a != b => {
+                (Some(a), Some(b)) if a != b => {
                     return Err(VmError::Shape("operands carry different selections".into()))
                 }
                 _ => {}
             }
         }
     }
-    Ok(sel.cloned())
+    Ok(sel)
 }
 
 /// Convenience: run a whole program under plain vectorized interpretation.

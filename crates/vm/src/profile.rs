@@ -101,7 +101,11 @@ impl Profile {
 
     /// Record one operation execution.
     pub fn record(&mut self, site: &str, ns: u64, tuples: usize) {
-        let p = self.ops.entry(site.to_string()).or_default();
+        // Sites repeat every chunk: only a first sighting allocates a key.
+        if !self.ops.contains_key(site) {
+            self.ops.insert(site.to_string(), OpProfile::default());
+        }
+        let p = self.ops.get_mut(site).expect("just inserted");
         p.calls += 1;
         p.tuples += tuples as u64;
         p.total_ns += ns;
@@ -109,7 +113,11 @@ impl Profile {
 
     /// Record an observed filter selectivity.
     pub fn record_selectivity(&mut self, site: &str, selectivity: f64) {
-        let t = self.selectivity.entry(site.to_string()).or_default();
+        if !self.selectivity.contains_key(site) {
+            self.selectivity
+                .insert(site.to_string(), SelTracker::default());
+        }
+        let t = self.selectivity.get_mut(site).expect("just inserted");
         if t.observations == 0 {
             t.ewma = selectivity;
         } else {
