@@ -226,6 +226,42 @@ impl DepGraph {
         }
     }
 
+    /// The smallest superset of `ids` that can run as **one function at
+    /// the position of its first member** — which is how the engine
+    /// executes a compiled region. Such a set may consume from outside only
+    /// values produced *before* that position; node ids are assigned in
+    /// document order, so every outside producer of a member must have an
+    /// id below the set's smallest id. The closure therefore pulls in every
+    /// later producer a member needs, transitively.
+    ///
+    /// A closed set is in particular convex (it contains every node on a
+    /// path between two of its members): a path that leaves the set
+    /// re-enters it through an outside producer that descends from a
+    /// member, hence lies after the first member. A set that is not closed
+    /// would read a value its own outputs feed — the previous chunk's, not
+    /// this chunk's.
+    pub fn fusable_closure(&self, ids: &[NodeId]) -> Vec<NodeId> {
+        let mut set = ids.to_vec();
+        let Some(&first) = set.iter().min() else {
+            return set;
+        };
+        let mut next = 0;
+        while next < set.len() {
+            for &p in &self.producers[set[next]] {
+                if p > first && !set.contains(&p) {
+                    set.push(p);
+                }
+            }
+            next += 1;
+        }
+        set
+    }
+
+    /// True when `ids` is its own [`DepGraph::fusable_closure`].
+    pub fn is_fusable(&self, ids: &[NodeId]) -> bool {
+        self.fusable_closure(ids).len() == ids.len()
+    }
+
     /// Distinct external inputs + outputs of a node set — the §III-B
     /// "inputs/intermediates per function" count the TLB heuristic bounds.
     pub fn io_count(&self, ids: &[NodeId]) -> usize {

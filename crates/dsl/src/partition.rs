@@ -19,6 +19,13 @@
 //!   compilable function: a barrier operation may **seed** (head) a region
 //!   and grow downstream, but may never be pulled *into* a region grown
 //!   from elsewhere. [`BarrierMode`] makes the stricter reading available.
+//!
+//! One constraint is not a heuristic but a validity condition: a region is
+//! one function called where its first member stood, so it may only consume
+//! values produced before that point ([`DepGraph::is_fusable`]; in
+//! particular it contains every node on a path between two of its members).
+//! A neighbor therefore joins together with the later producers it needs,
+//! or not at all.
 
 use std::collections::HashSet;
 
@@ -121,6 +128,11 @@ impl Partitioning {
 pub fn partition(g: &DepGraph, cfg: &PartitionConfig) -> Partitioning {
     let mut visited = vec![false; g.len()];
     let mut result = Partitioning::default();
+    // A node a region grown from elsewhere may pull in.
+    let joinable = |n: NodeId, visited: &[bool]| {
+        let class = &g.node(n).class;
+        !visited[n] && !cfg.barriers.contains(class) && !cfg.excluded.contains(class)
+    };
 
     loop {
         if result.regions.len() >= cfg.max_regions {
@@ -165,11 +177,7 @@ pub fn partition(g: &DepGraph, cfg: &PartitionConfig) -> Partitioning {
                     g.neighbors(m)
                 };
                 for nb in nbrs {
-                    if !visited[nb]
-                        && !region.contains(&nb)
-                        && !candidates.contains(&nb)
-                        && !cfg.barriers.contains(&g.node(nb).class)
-                        && !cfg.excluded.contains(&g.node(nb).class)
+                    if joinable(nb, &visited) && !region.contains(&nb) && !candidates.contains(&nb)
                     {
                         candidates.push(nb);
                     }
@@ -187,9 +195,17 @@ pub fn partition(g: &DepGraph, cfg: &PartitionConfig) -> Partitioning {
             for cand in candidates {
                 let mut attempt = region.clone();
                 attempt.push(cand);
-                if g.io_count(&attempt) <= cfg.max_io {
-                    region.push(cand);
-                    visited[cand] = true;
+                // The candidate brings along every producer it needs that
+                // runs after the region's first member — all of which must
+                // be free to join.
+                let attempt = g.fusable_closure(&attempt);
+                let joining = &attempt[region.len()..];
+                let free = joining[1..].iter().all(|&n| joinable(n, &visited));
+                if free && g.io_count(&attempt) <= cfg.max_io {
+                    for &n in joining {
+                        visited[n] = true;
+                    }
+                    region = attempt;
                     grew = true;
                     break; // re-derive the frontier
                 }
@@ -368,6 +384,93 @@ mod tests {
             }
             assert!(seen.iter().all(|&c| c == 1), "max_io={max_io}: {seen:?}");
         }
+    }
+
+    /// The normalized TPC-H Q6 loop body (16 nodes: four reads, the
+    /// predicate maps `_t0`…`_t8`, the filter `t`, the product `r`, the
+    /// fold `s`).
+    fn q6_graph() -> DepGraph {
+        use crate::normalize::normalize_program;
+        use crate::parser::parse_program;
+        let p = parse_program(
+            "mut i\nmut rev\ni := 0\nrev := 0.0\nloop {\n\
+             let price = read i l_price in { let disc = read i l_disc in {\n\
+             let qty = read i l_qty in { let ship = read i l_ship in {\n\
+             let t = filter (\\p s d q -> s >= 1000 && s < 1365 && d >= 0.05 && d <= 0.07 && q < 24) price ship disc qty in {\n\
+             let r = map (\\p d -> p * d) t disc in { let s = fold sum 0.0 r in {\n\
+             rev := rev + s\ni := i + len(price) } } } } } } }\n\
+             if i >= 16384 then { break }\n}\nwrite revenue 0 rev\n",
+        )
+        .unwrap();
+        let p = normalize_program(&p);
+        DepGraph::from_stmts(programs::loop_body(&p).unwrap())
+    }
+
+    fn node_named(g: &DepGraph, name: &str) -> NodeId {
+        let binds = |n: &&crate::depgraph::Node| n.output.as_deref() == Some(name);
+        g.nodes().iter().find(binds).unwrap().id
+    }
+
+    /// Regression: with wall-clock profile costs, a predicate map sometimes
+    /// measures above the filter and seeds first. Its region then reached
+    /// `r`/`s` through `disc` without the (barrier) filter between them —
+    /// a function that consumes `t`, which its own mask output feeds. The
+    /// costs below are one such measured profile.
+    #[test]
+    fn q6_regions_never_consume_what_they_feed() {
+        let mut g = q6_graph();
+        assert_eq!(g.len(), 16);
+        let costs: HashMap<String, f64> = [
+            ("price", 485.0),
+            ("disc", 386.0),
+            ("qty", 346.0),
+            ("ship", 340.0),
+            ("_t0", 1720.0), // the noisy sample: above the filter
+            ("_t1", 657.0),
+            ("_t2", 315.0),
+            ("_t3", 583.0),
+            ("_t4", 293.0),
+            ("_t5", 567.0),
+            ("_t6", 275.0),
+            ("_t7", 626.0),
+            ("_t8", 291.0),
+            ("t", 1577.0),
+            ("r", 580.0),
+            ("s", 130.0),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect();
+        g.apply_costs(&costs);
+        let id = |name: &str| node_named(&g, name);
+        let parts = partition(&g, &PartitionConfig::default());
+        assert_eq!(g.node(parts.regions[0].seed).output.as_deref(), Some("_t0"));
+        for r in &parts.regions {
+            assert!(g.is_fusable(&r.nodes), "{r:?}");
+        }
+        // `r` and `s` sit behind the filter, in the filter's region.
+        let filter_region = parts.region_of(id("t")).unwrap();
+        assert_eq!(parts.region_of(id("r")), Some(filter_region));
+        assert_eq!(parts.region_of(id("s")), Some(filter_region));
+        // The same partition the common (filter-seeds-first) profile gives.
+        let mut sizes: Vec<usize> = parts.regions.iter().map(Region::len).collect();
+        sizes.sort_unstable();
+        assert_eq!(sizes, vec![1, 3, 12], "{parts:?}");
+        assert!(parts.interpreted.is_empty());
+    }
+
+    #[test]
+    fn fusable_sets_take_outside_values_only_from_before_their_first_member() {
+        let g = q6_graph();
+        let id = |name: &str| node_named(&g, name);
+        // Non-convex: disc → _t3 → … → t → r leaves and re-enters the set.
+        assert!(!g.is_fusable(&[id("disc"), id("r"), id("s")]));
+        // Convex, but `_t8` also needs `_t6`, computed after `qty` is read.
+        assert!(!g.is_fusable(&[id("qty"), id("_t7"), id("_t8")]));
+        assert!(g.is_fusable(&[id("_t7"), id("_t8")]));
+        assert!(g.is_fusable(&[id("t"), id("r"), id("s")]));
+        assert!(g.is_fusable(&(0..g.len()).collect::<Vec<_>>()));
+        assert!(g.is_fusable(&[]));
     }
 
     #[test]

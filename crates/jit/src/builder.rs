@@ -7,7 +7,8 @@
 //! after — "directly plugged into the interpreter").
 //!
 //! Unsupported shapes (merges, gathers, gens, string ops, captured scalar
-//! variables, multiple filters) return [`JitError::Unsupported`]; the VM
+//! variables, multiple filters, regions that are not
+//! [fusable](DepGraph::is_fusable)) return [`JitError::Unsupported`]; the VM
 //! then interprets that region — the paper's "the remaining nodes can
 //! either be compiled or interpreted".
 
@@ -17,6 +18,7 @@ use std::collections::HashSet;
 use adaptvm_dsl::ast::{Expr, Lambda, OpClass, ScalarOp};
 use adaptvm_dsl::depgraph::{DepGraph, NodeId};
 use adaptvm_dsl::partition::Region;
+use adaptvm_kernels::map::hash_str;
 use adaptvm_storage::scalar::{Scalar, ScalarType};
 
 use crate::error::JitError;
@@ -64,6 +66,22 @@ pub struct Fragment {
     pub node_ids: Vec<NodeId>,
 }
 
+impl Fragment {
+    /// The code-cache key of this fragment: the trace's fingerprint
+    /// extended over the VM wiring (which buffers are read into which
+    /// inputs, which outputs are written where). A cached trace carries
+    /// that wiring, so two fragments may share one only when it agrees too.
+    pub fn fingerprint(&self) -> u64 {
+        let wired = format!(
+            "{:x}{:?}{:?}",
+            self.ir.fingerprint(),
+            self.reads,
+            self.writes
+        );
+        hash_str(&wired) as u64
+    }
+}
+
 #[derive(Debug, Clone)]
 struct VarRef {
     src: Src,
@@ -82,6 +100,11 @@ pub fn build_fragment(
     scalar_uses: &HashSet<String>,
     type_hints: &HashMap<String, ScalarType>,
 ) -> Result<Fragment, JitError> {
+    if !g.is_fusable(&region.nodes) {
+        return Err(JitError::Unsupported(
+            "region consumes a value produced after its first node".into(),
+        ));
+    }
     let order = topo_order(g, &region.nodes);
     let in_region = |id: NodeId| region.nodes.contains(&id);
 
@@ -650,6 +673,20 @@ mod tests {
         let g = DepGraph::from_stmts(&p.stmts);
         let region = Region {
             nodes: (0..g.len()).collect(),
+            seed: 0,
+            cost: 0.0,
+        };
+        let err = build_fragment(&g, &region, &HashSet::new(), &HashMap::new()).unwrap_err();
+        assert!(matches!(err, JitError::Unsupported(_)));
+        // A region that skips a node between two of its members (read and
+        // write without the map): it would write the previous chunk's `m`.
+        let p = parse_program(
+            "let a = read 0 xs in { let m = map (\\x -> 2 * x) a in { write out 0 m } }",
+        )
+        .unwrap();
+        let g = DepGraph::from_stmts(&p.stmts);
+        let region = Region {
+            nodes: vec![0, 2],
             seed: 0,
             cost: 0.0,
         };

@@ -88,7 +88,8 @@ pub struct CompiledTrace {
     pub stats: PassStats,
     /// Modeled compilation cost in nanoseconds.
     pub cost_ns: u64,
-    /// Structural fingerprint (pre-optimization).
+    /// The fragment's fingerprint ([`Fragment::fingerprint`],
+    /// pre-optimization).
     pub fingerprint: u64,
     /// The packed (validated, operand-resolved) program — built once here
     /// so execution never re-validates. A pack error is surfaced on the
@@ -310,7 +311,7 @@ impl CompiledTrace {
 /// Compile a fragment synchronously.
 pub fn compile(fragment: Fragment, model: &CostModel) -> CompiledTrace {
     let started = Instant::now();
-    let fingerprint = fragment.ir.fingerprint();
+    let fingerprint = fragment.fingerprint();
     let n_ops = fragment.ir.op_count();
     let (ir, stats) = optimize(fragment.ir);
     let cost = Duration::from_nanos(model.cost_ns(n_ops));
@@ -488,7 +489,7 @@ impl CompileServer {
     /// cache first and `submit_unique` on a miss compile each fragment at
     /// most once per window.
     pub fn submit_unique(&self, fragment: Fragment) -> Result<Option<u64>, JitError> {
-        let fingerprint = fragment.ir.fingerprint();
+        let fingerprint = fragment.fingerprint();
         if !self.inflight.lock().insert(fingerprint) {
             return Ok(None);
         }
@@ -672,7 +673,7 @@ mod tests {
             .situation()
             .is_none());
         let frag = fig2_whole_fragment();
-        let fp = frag.ir.fingerprint();
+        let fp = frag.fingerprint();
         let ticket = server.submit_unique(frag).unwrap().expect("first submit");
         let trace = server.wait(ticket).unwrap();
         assert_eq!(trace.fingerprint, fp);

@@ -24,6 +24,7 @@
 
 use adaptvm_dsl::ast::{FoldFn, ScalarOp};
 use adaptvm_kernels::lanes::for_each_true;
+use adaptvm_kernels::map::hash_str;
 use adaptvm_storage::array::Array;
 use adaptvm_storage::scalar::{Scalar, ScalarType};
 use adaptvm_storage::sel::SelVec;
@@ -148,56 +149,12 @@ impl TraceIr {
         self.pre_ops.len() + self.post_ops.len() + usize::from(self.filter.is_some())
     }
 
-    /// A stable fingerprint of the trace structure (FNV-1a).
+    /// A fingerprint of the whole trace: FNV-1a over its `Debug` rendering,
+    /// so every field counts — lane, input names, every operation and
+    /// constant, the filter, and each output's kind, name, source and type.
+    /// (Stable within a process, which is as far as a code cache lives.)
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |b: u64| {
-            h ^= b;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        };
-        eat(match self.lane {
-            LaneType::I64 => 1,
-            LaneType::F64 => 2,
-        });
-        eat(self.inputs.len() as u64);
-        let eat_src = |eat: &mut dyn FnMut(u64), s: &Src| match s {
-            Src::Input(i) => {
-                eat(3);
-                eat(*i as u64);
-            }
-            Src::Reg(r) => {
-                eat(4);
-                eat(*r as u64);
-            }
-            Src::ConstI(v) => {
-                eat(5);
-                eat(*v as u64);
-            }
-            Src::ConstF(v) => {
-                eat(6);
-                eat(v.to_bits());
-            }
-        };
-        for ops in [&self.pre_ops, &self.post_ops] {
-            for op in ops {
-                eat(op.op.name().len() as u64);
-                eat(op.op.name().as_bytes()[0] as u64);
-                eat(op.dst as u64);
-                for a in &op.args {
-                    eat_src(&mut eat, a);
-                }
-            }
-        }
-        if let Some(fc) = &self.filter {
-            eat(99);
-            eat(fc.op.name().as_bytes()[0] as u64);
-            eat_src(&mut eat, &fc.lhs);
-            eat_src(&mut eat, &fc.rhs);
-        }
-        for o in &self.outputs {
-            eat(o.name().len() as u64);
-        }
-        h
+        hash_str(&format!("{self:?}")) as u64
     }
 }
 
@@ -1451,6 +1408,27 @@ mod tests {
         assert_ne!(a.fingerprint(), b.fingerprint());
         let c = filter_pipeline_ir();
         assert_ne!(a.fingerprint(), c.fingerprint());
+        // Operators that share a name length and first letter.
+        let mut lt = filter_pipeline_ir();
+        let mut le = filter_pipeline_ir();
+        lt.filter.as_mut().unwrap().op = ScalarOp::Lt;
+        le.filter.as_mut().unwrap().op = ScalarOp::Le;
+        assert_ne!(lt.fingerprint(), le.fingerprint());
+        // The same filter, emitted as a selection vs. as compacted lanes
+        // under an equally long name.
+        let mut sel = filter_pipeline_ir();
+        let mut arr = filter_pipeline_ir();
+        sel.outputs = vec![OutputSpec::Sel {
+            name: "t".into(),
+            flow: "a".into(),
+        }];
+        arr.outputs = vec![OutputSpec::Array {
+            name: "b".into(),
+            src: Src::Input(0),
+            compacted: true,
+            out_ty: ScalarType::I64,
+        }];
+        assert_ne!(sel.fingerprint(), arr.fingerprint());
     }
 
     #[test]

@@ -31,5 +31,5 @@ pub mod registry;
 pub use error::KernelError;
 pub use filter::{filter_cmp, FilterFlavor};
 pub use fold::fold_apply;
-pub use map::{map_apply, MapMode};
+pub use map::{map_apply, scalar_apply, MapMode};
 pub use operand::Operand;

@@ -15,9 +15,7 @@
 
 use adaptvm_dsl::ast::ScalarOp;
 use adaptvm_storage::array::Array;
-#[cfg(test)]
-use adaptvm_storage::scalar::Scalar;
-use adaptvm_storage::scalar::ScalarType;
+use adaptvm_storage::scalar::{Scalar, ScalarType};
 use adaptvm_storage::sel::SelVec;
 
 use crate::error::KernelError;
@@ -407,6 +405,89 @@ pub fn map_apply(
             ))
         }
     }
+}
+
+/// Apply one scalar operation to scalars — what a scalar statement of the
+/// chunk loop does (`rev := rev + s`, `i := i + len(p)`, `i >= rows`).
+///
+/// The result is, bit for bit and error for error, lane 0 of
+/// [`map_apply`] over a length-1 column of `args[0]` and the remaining
+/// `args` broadcast. The shapes loop statements are made of — `i64`, `f64`
+/// (mixed pairs promote to `f64`) and `bool` operands of the arithmetic,
+/// comparison and logic operators — are computed in place; every other
+/// shape (narrow integers, strings, casts, hashes, arity errors) takes
+/// that kernel call.
+pub fn scalar_apply(op: ScalarOp, args: &[&Scalar]) -> Result<Scalar, KernelError> {
+    use Scalar::{Bool, F64, I64};
+    use ScalarOp::*;
+    macro_rules! ordered {
+        ($a:expr, $b:expr) => {
+            match op {
+                Eq => Some(Bool($a == $b)),
+                Ne => Some(Bool($a != $b)),
+                Lt => Some(Bool($a < $b)),
+                Le => Some(Bool($a <= $b)),
+                Gt => Some(Bool($a > $b)),
+                Ge => Some(Bool($a >= $b)),
+                _ => None,
+            }
+        };
+    }
+    let int = |a: i64, b: i64| match op {
+        Add => Some(I64(a.wrapping_add(b))),
+        Sub => Some(I64(a.wrapping_sub(b))),
+        Mul => Some(I64(a.wrapping_mul(b))),
+        Div => Some(I64(if b == 0 { 0 } else { a.wrapping_div(b) })),
+        Rem => Some(I64(if b == 0 { 0 } else { a.wrapping_rem(b) })),
+        Min => Some(I64(a.min(b))),
+        Max => Some(I64(a.max(b))),
+        _ => ordered!(a, b),
+    };
+    let float = |a: f64, b: f64| match op {
+        Add => Some(F64(a + b)),
+        Sub => Some(F64(a - b)),
+        Mul => Some(F64(a * b)),
+        Div => Some(F64(a / b)),
+        Rem => Some(F64(a % b)),
+        Min => Some(F64(a.min(b))),
+        Max => Some(F64(a.max(b))),
+        _ => ordered!(a, b),
+    };
+    let direct = match args {
+        [I64(a), I64(b)] => int(*a, *b),
+        [F64(a), F64(b)] => float(*a, *b),
+        [I64(a), F64(b)] => float(*a as f64, *b),
+        [F64(a), I64(b)] => float(*a, *b as f64),
+        [Bool(a), Bool(b)] => match op {
+            And => Some(Bool(*a && *b)),
+            Or => Some(Bool(*a || *b)),
+            _ => ordered!(a, b),
+        },
+        [I64(a)] => match op {
+            Neg => Some(I64(a.wrapping_neg())),
+            Abs => Some(I64(a.wrapping_abs())),
+            Sqrt => Some(F64((*a as f64).sqrt())),
+            _ => None,
+        },
+        [F64(a)] => match op {
+            Neg => Some(F64(-a)),
+            Abs => Some(F64(a.abs())),
+            Sqrt => Some(F64(a.sqrt())),
+            _ => None,
+        },
+        [Bool(a)] if op == Not => Some(Bool(!a)),
+        _ => None,
+    };
+    if let Some(result) = direct {
+        return Ok(result);
+    }
+    let Some((first, rest)) = args.split_first() else {
+        return Err(KernelError::NoArrayOperand);
+    };
+    let first = Array::splat(first, 1);
+    let mut operands = vec![Operand::Col(&first)];
+    operands.extend(rest.iter().map(|&s| Operand::Const(s.clone())));
+    Ok(map_apply(op, &operands, None, MapMode::Full)?.get(0)?)
 }
 
 #[cfg(test)]

@@ -2,8 +2,14 @@
 //!
 //! [`ParallelVm`] runs one program instance per morsel, each on its own
 //! [`adaptvm_vm::Env`]/interpreter (workers share **no** mutable query
-//! state), while two things are deliberately shared across the whole run:
+//! state), while three things are deliberately shared across the whole run:
 //!
+//! * the **prepared program** ([`adaptvm_vm::Prepared`]): the caller
+//!   prepares each distinct program of the query once and every morsel runs
+//!   it by reference — including its write-once *hot plan*: the first
+//!   morsel to get hot partitions and compiles, every other morsel adopts
+//!   the published plan and runs traced from its next chunk (also counted
+//!   under `trace_cache_hits`),
 //! * the **JIT code cache** ([`adaptvm_jit::CodeCache`]): the first worker
 //!   to hit a hot fragment compiles it; every later morsel — on any
 //!   worker — injects the cached trace without paying the compile cost
@@ -16,14 +22,11 @@
 //! output independent of worker count and scheduling; see the crate docs
 //! for the determinism argument.
 
-use std::borrow::Borrow;
 use std::sync::Arc;
-
-use adaptvm_dsl::ast::Program;
 
 use adaptvm_jit::cache::CacheStats;
 use adaptvm_jit::CodeCache;
-use adaptvm_vm::{Buffers, Profile, RunReport, Vm, VmConfig, VmError};
+use adaptvm_vm::{Buffers, Prepared, Profile, RunReport, Vm, VmConfig, VmError};
 
 use crate::dispatch::DispatchStats;
 use crate::morsel::{Morsel, MorselPlan};
@@ -127,21 +130,20 @@ impl ParallelVm {
         &self.config
     }
 
-    /// Run `make(morsel)`-built program instances over the plan (`make`
-    /// may hand out an owned [`Program`] or a borrow of a shared one — a
-    /// program that only depends on the morsel's length is worth building
-    /// once, not once per morsel). Returns
+    /// Run one program instance per morsel of the plan: `make(morsel)`
+    /// hands out the morsel's input buffers and the [`Prepared`] program to
+    /// run over them (prepared once per distinct program by the caller —
+    /// [`Vm::prepare`] — so morsels share it and its hot plan). Returns
     /// per-morsel output buffers **in morsel order** plus the aggregated
     /// report. The caller merges outputs (ordered reduction) — see
     /// `adaptvm_relational::parallel` for complete pipelines.
-    pub fn run_morsels<F, P>(
+    pub fn run_morsels<'p, F>(
         &self,
         plan: &MorselPlan,
         make: F,
     ) -> Result<(Vec<Buffers>, ParallelRunReport), VmError>
     where
-        F: Fn(&Morsel) -> (P, Buffers) + Sync,
-        P: Borrow<Program>,
+        F: Fn(&Morsel) -> (&'p Prepared, Buffers) + Sync,
     {
         self.run_morsels_with(plan, None, make)
     }
@@ -149,21 +151,20 @@ impl ParallelVm {
     /// [`ParallelVm::run_morsels`] with a cooperative [`CancelToken`]
     /// checked before every morsel: on cancellation/deadline the run
     /// aborts with [`VmError::Cancelled`].
-    pub fn run_morsels_with<F, P>(
+    pub fn run_morsels_with<'p, F>(
         &self,
         plan: &MorselPlan,
         cancel: Option<&CancelToken>,
         make: F,
     ) -> Result<(Vec<Buffers>, ParallelRunReport), VmError>
     where
-        F: Fn(&Morsel) -> (P, Buffers) + Sync,
-        P: Borrow<Program>,
+        F: Fn(&Morsel) -> (&'p Prepared, Buffers) + Sync,
     {
         let wall = std::time::Instant::now();
         let vm = Vm::new(self.config.clone());
         let (outcomes, dispatch) = run_morsels_with(self.workers, plan, cancel, |_w, m| {
-            let (program, buffers) = make(m);
-            vm.run(program.borrow(), buffers)
+            let (prepared, buffers) = make(m);
+            run_morsel(&vm, prepared, buffers)
         })
         .map_err(vm_run_err)?;
         Ok(assemble_report(
@@ -210,14 +211,13 @@ impl ScheduledVm<'_> {
     /// morsels, later queries — surface as `trace_cache_hits`). After the
     /// run, the merged profile window feeds the scheduler's morsel
     /// elasticity.
-    pub fn run_morsels<F, P>(
+    pub fn run_morsels<'p, F>(
         &self,
         plan: &MorselPlan,
         make: F,
     ) -> Result<(Vec<Buffers>, ParallelRunReport), VmError>
     where
-        F: Fn(&Morsel) -> (P, Buffers) + Send + Sync,
-        P: Borrow<Program>,
+        F: Fn(&Morsel) -> (&'p Prepared, Buffers) + Send + Sync,
     {
         self.run_morsels_with(plan, None, make)
     }
@@ -227,15 +227,14 @@ impl ScheduledVm<'_> {
     /// cancellation, deadline, or a shut-down pool abort the run with
     /// [`VmError::Cancelled`] — other queries on the scheduler are
     /// untouched.
-    pub fn run_morsels_with<F, P>(
+    pub fn run_morsels_with<'p, F>(
         &self,
         plan: &MorselPlan,
         cancel: Option<&CancelToken>,
         make: F,
     ) -> Result<(Vec<Buffers>, ParallelRunReport), VmError>
     where
-        F: Fn(&Morsel) -> (P, Buffers) + Send + Sync,
-        P: Borrow<Program>,
+        F: Fn(&Morsel) -> (&'p Prepared, Buffers) + Send + Sync,
     {
         let wall = std::time::Instant::now();
         let mut config = self.vm.config().clone();
@@ -247,8 +246,8 @@ impl ScheduledVm<'_> {
         let (outcomes, dispatch) = self
             .scheduler
             .run_with(plan, cancel, |_w, m| {
-                let (program, buffers) = make(m);
-                vm.run(program.borrow(), buffers)
+                let (prepared, buffers) = make(m);
+                run_morsel(&vm, prepared, buffers)
             })
             .map_err(vm_run_err)?;
         let (buffers, report) = assemble_report(
@@ -267,6 +266,19 @@ impl ScheduledVm<'_> {
         });
         Ok((buffers, report))
     }
+}
+
+/// One morsel's run. Its input slices are released here, on the worker, as
+/// soon as the run ends — not held until the whole query has merged: the
+/// next morsel's slices then reuse the same (cache-warm) memory instead of
+/// the query cycling through a table-sized allocation.
+fn run_morsel(
+    vm: &Vm,
+    prepared: &Prepared,
+    buffers: Buffers,
+) -> Result<(Buffers, RunReport), VmError> {
+    let (out, report) = vm.run_prepared(prepared, buffers)?;
+    Ok((out.without_inputs(), report))
 }
 
 /// Fold per-morsel `(Buffers, RunReport)` outcomes into the aggregate
@@ -318,14 +330,34 @@ impl ParallelRunReport {
 mod tests {
     use super::*;
     use adaptvm_dsl::programs;
-    use adaptvm_storage::Array;
+    use adaptvm_storage::{Array, ScalarType};
     use adaptvm_vm::Strategy;
+    use std::collections::HashMap;
+
+    /// Fig. 2 prepared once per distinct morsel length of the plan (the
+    /// length is the program's loop bound).
+    fn fig2_prepared(plan: &MorselPlan) -> HashMap<usize, Prepared> {
+        let mut prepared = HashMap::new();
+        for m in plan.morsels() {
+            prepared.entry(m.len).or_insert_with(|| {
+                Vm::prepare(
+                    &programs::fig2_with_limit(m.len as i64),
+                    [("some_data", ScalarType::I64)],
+                )
+            });
+        }
+        prepared
+    }
 
     /// Fig. 2 over a morsel: double every element, keep positives.
-    fn fig2_task(data: &[i64], m: &Morsel) -> (adaptvm_dsl::ast::Program, Buffers) {
+    fn fig2_task<'p>(
+        prepared: &'p HashMap<usize, Prepared>,
+        data: &[i64],
+        m: &Morsel,
+    ) -> (&'p Prepared, Buffers) {
         let slice: Vec<i64> = data[m.start..m.end()].to_vec();
         (
-            programs::fig2_with_limit(slice.len() as i64),
+            &prepared[&m.len],
             Buffers::new().with_input("some_data", Array::from(slice)),
         )
     }
@@ -338,6 +370,7 @@ mod tests {
     fn parallel_outputs_merge_in_morsel_order() {
         let data: Vec<i64> = (0..40_000).map(|i| (i % 11) - 5).collect();
         let plan = MorselPlan::new(data.len(), 4096);
+        let fig2 = fig2_prepared(&plan);
         for workers in [1, 2, 4] {
             let pvm = ParallelVm::new(
                 workers,
@@ -346,7 +379,9 @@ mod tests {
                     ..VmConfig::default()
                 },
             );
-            let (outs, report) = pvm.run_morsels(&plan, |m| fig2_task(&data, m)).unwrap();
+            let (outs, report) = pvm
+                .run_morsels(&plan, |m| fig2_task(&fig2, &data, m))
+                .unwrap();
             let mut v = Vec::new();
             for out in &outs {
                 v.extend(out.output("v").unwrap().to_i64_vec().unwrap());
@@ -361,11 +396,27 @@ mod tests {
     }
 
     #[test]
+    fn a_morsels_inputs_are_released_with_its_run() {
+        let data: Vec<i64> = (0..8192).collect();
+        let plan = MorselPlan::new(data.len(), 4096);
+        let fig2 = fig2_prepared(&plan);
+        let pvm = ParallelVm::new(2, VmConfig::default());
+        let (outs, _) = pvm
+            .run_morsels(&plan, |m| fig2_task(&fig2, &data, m))
+            .unwrap();
+        for out in &outs {
+            assert_eq!(out.output("v").unwrap().len(), 4096);
+            assert!(out.buffer("some_data").is_err(), "input slice retained");
+        }
+    }
+
+    #[test]
     fn shared_cache_compiles_once_per_fragment() {
         let data: Vec<i64> = (0..131_072).map(|i| (i % 11) - 5).collect();
         // Equal-size morsels → identical programs → identical fragment
         // fingerprints: only the first morsel's regions compile.
         let plan = MorselPlan::new(data.len(), 16_384);
+        let fig2 = fig2_prepared(&plan);
         let pvm = ParallelVm::new(
             4,
             VmConfig {
@@ -373,7 +424,9 @@ mod tests {
                 ..VmConfig::default()
             },
         );
-        let (_, report) = pvm.run_morsels(&plan, |m| fig2_task(&data, m)).unwrap();
+        let (_, report) = pvm
+            .run_morsels(&plan, |m| fig2_task(&fig2, &data, m))
+            .unwrap();
         assert_eq!(plan.len(), 8);
         assert!(
             report.trace_cache_hits >= 1,
@@ -398,6 +451,7 @@ mod tests {
     fn adaptive_strategy_profiles_across_workers() {
         let data: Vec<i64> = (0..65_536).map(|i| (i % 7) - 3).collect();
         let plan = MorselPlan::new(data.len(), 16_384);
+        let fig2 = fig2_prepared(&plan);
         let pvm = ParallelVm::new(
             2,
             VmConfig {
@@ -406,7 +460,9 @@ mod tests {
                 ..VmConfig::default()
             },
         );
-        let (outs, report) = pvm.run_morsels(&plan, |m| fig2_task(&data, m)).unwrap();
+        let (outs, report) = pvm
+            .run_morsels(&plan, |m| fig2_task(&fig2, &data, m))
+            .unwrap();
         let total: usize = outs.iter().map(|o| o.output("v").unwrap().len()).sum();
         assert_eq!(total, data.len());
         // Each morsel crossed the hot threshold (16 chunks > 4), so traces

@@ -52,7 +52,7 @@ use adaptvm_storage::scalar::Scalar;
 use adaptvm_storage::schema::Table;
 use adaptvm_storage::Array;
 use adaptvm_vm::reorder::ReorderController;
-use adaptvm_vm::{Vm, VmConfig, VmError};
+use adaptvm_vm::{Prepared, Vm, VmConfig, VmError};
 
 use crate::agg::{AdaptiveAggregator, GroupState, PreAgg};
 use crate::join::{
@@ -914,21 +914,30 @@ pub fn q6_parallel(
     let disc = table.column_by_name("l_discount").expect("schema");
     let qty = table.column_by_name("l_quantity").expect("schema");
     let ship = table.column_by_name("l_shipdate").expect("schema");
+    let inputs = [
+        ("l_price", price),
+        ("l_disc", disc),
+        ("l_qty", qty),
+        ("l_ship", ship),
+    ];
     // The program depends only on a morsel's length (its loop bound), and a
-    // plan has at most two lengths (full and tail): format and parse each
-    // once, then every morsel borrows its program.
-    let mut programs: HashMap<usize, adaptvm_dsl::ast::Program> = HashMap::new();
+    // plan has at most two lengths (full and tail): parse and prepare each
+    // once, then every morsel runs its prepared program — and the morsels
+    // of one length share its hot plan.
+    let mut programs: HashMap<usize, Prepared> = HashMap::new();
     for m in plan.morsels() {
-        programs
-            .entry(m.len)
-            .or_insert_with(|| tpch::q6_program(m.len as i64, date_lo));
+        programs.entry(m.len).or_insert_with(|| {
+            Vm::prepare(
+                &tpch::q6_program(m.len as i64, date_lo),
+                inputs.map(|(name, column)| (name, column.scalar_type())),
+            )
+        });
     }
     let make = |m: &Morsel| {
-        let buffers = adaptvm_vm::Buffers::new()
-            .with_input("l_price", m.slice_array(price))
-            .with_input("l_disc", m.slice_array(disc))
-            .with_input("l_qty", m.slice_array(qty))
-            .with_input("l_ship", m.slice_array(ship));
+        let mut buffers = adaptvm_vm::Buffers::new();
+        for (name, column) in inputs {
+            buffers.insert_input(name, m.slice_array(column));
+        }
         (&programs[&m.len], buffers)
     };
     let (outs, report) = if let Some(service) = opts.service {

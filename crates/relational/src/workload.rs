@@ -53,7 +53,7 @@ use adaptvm_dsl::DslError;
 use adaptvm_parallel::{MemoryBudget, Morsel, MorselPlan, ParallelRunReport, ParallelVm};
 use adaptvm_storage::scalar::ScalarType;
 use adaptvm_storage::Array;
-use adaptvm_vm::{Buffers, Vm, VmConfig, VmError};
+use adaptvm_vm::{Buffers, Prepared, Vm, VmConfig, VmError};
 
 use crate::parallel::ParallelOpts;
 
@@ -131,6 +131,16 @@ impl Workload {
         Ok(buffers)
     }
 
+    /// Prepare the program once for a query over `inputs` (already
+    /// validated by [`Workload::buffers`]); every task of the query runs
+    /// the result by reference.
+    fn prepare(&self, inputs: &[(&str, Array)]) -> Prepared {
+        Vm::prepare(
+            &self.program,
+            inputs.iter().map(|(name, a)| (*name, a.scalar_type())),
+        )
+    }
+
     /// Run sequentially on a plain [`Vm`] with `config`. Returns the
     /// output buffers by name.
     pub fn run_seq(
@@ -163,7 +173,8 @@ impl Workload {
             .effective_budget()
             .map(|b| (b, charge_up_to(b, resident)));
         let plan = MorselPlan::new(1, 1);
-        let make = |_m: &Morsel| (self.program.clone(), buffers.clone());
+        let prepared = self.prepare(inputs);
+        let make = |_m: &Morsel| (&prepared, buffers.clone());
         let result = self.dispatch(&plan, config, opts, make);
         if let Some((budget, bytes)) = charged {
             budget.release(bytes);
@@ -205,6 +216,7 @@ impl Workload {
             .effective_budget()
             .map(|b| (b, charge_up_to(b, resident)));
         let plan = MorselPlan::chunk_aligned(rows, opts.effective_morsel_rows(), config.chunk_size);
+        let prepared = self.prepare(inputs);
         let make = |m: &Morsel| {
             let mut buffers = Buffers::new();
             for (name, array) in inputs {
@@ -215,7 +227,7 @@ impl Workload {
                 };
                 buffers = buffers.with_input(name, piece);
             }
-            (self.program.clone(), buffers)
+            (&prepared, buffers)
         };
         let result = self.dispatch(&plan, config, opts, make);
         if let Some((budget, bytes)) = charged {
@@ -247,7 +259,7 @@ impl Workload {
     /// → shared pool, neither → scoped per-run pool. Mirrors
     /// [`crate::parallel::q6_parallel`] so DSL workloads inherit the same
     /// cancellation / deadline / tenant semantics.
-    fn dispatch<F>(
+    fn dispatch<'p, F>(
         &self,
         plan: &MorselPlan,
         config: VmConfig,
@@ -255,7 +267,7 @@ impl Workload {
         make: F,
     ) -> Result<(Vec<Buffers>, ParallelRunReport), VmError>
     where
-        F: Fn(&Morsel) -> (Program, Buffers) + Send + Sync,
+        F: Fn(&Morsel) -> (&'p Prepared, Buffers) + Send + Sync,
     {
         let _stage = opts.stage("workload");
         let pvm = ParallelVm::new(opts.effective_workers(), config);

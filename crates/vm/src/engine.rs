@@ -14,6 +14,20 @@
 //! trace step — the plan *is* the "partially optimized program", and
 //! rebuilding it is what "inject functions" means concretely.
 //!
+//! Fig. 1 assumes its fixed costs are paid once per hot loop. A query cut
+//! into morsels runs the same loop once per morsel, so the engine splits
+//! what a run needs into three lifetimes:
+//! * **per program** — [`Prepared`], built by [`Vm::prepare`]: normalized
+//!   program, type hints, flattened loop body, dependency graph, base plan;
+//! * **per query** — the *hot plan*, published into the `Prepared` by the
+//!   first run that optimizes and adopted by every other run of the query
+//!   (one atomic load per iteration to check);
+//! * **per run** — [`Vm::run_prepared`]: environment, interpreter, profile,
+//!   report, placement clocks, pending background compiles.
+//!
+//! [`Vm::run`] is `prepare` + `run_prepared`: a single run is a query of
+//! one morsel.
+//!
 //! Three strategies share this machinery (the §IV target-1 goal of
 //! mimicking MonetDB/X100 and HyPer in one framework):
 //! * [`Strategy::Interpret`] — pure vectorized interpretation,
@@ -25,13 +39,13 @@
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use adaptvm_dsl::ast::{Expr, OpClass, Program, Stmt};
 use adaptvm_dsl::depgraph::{scalar_uses, DepGraph, NodeId};
 use adaptvm_dsl::normalize::normalize_program;
-use adaptvm_dsl::partition::{partition, PartitionConfig};
+use adaptvm_dsl::partition::{partition, PartitionConfig, Region};
 use adaptvm_dsl::typecheck::{infer_expr, Type, TypeEnv};
 use adaptvm_dsl::value::{Value, Vector};
 use adaptvm_hetsim::exec::run_trace_on;
@@ -42,6 +56,7 @@ use adaptvm_jit::ir::OutputSpec;
 use adaptvm_jit::JitError;
 use adaptvm_storage::array::Array;
 use adaptvm_storage::scalar::ScalarType;
+use adaptvm_storage::sel::SelVec;
 use adaptvm_storage::DEFAULT_CHUNK;
 
 use crate::adaptive::{FixedPolicy, FlavorPolicy};
@@ -204,23 +219,110 @@ pub struct Vm {
     pub config: VmConfig,
 }
 
+/// A program prepared for execution: everything that depends only on the
+/// program text and the input schema, built once by [`Vm::prepare`] and
+/// immutable afterwards — the normalized program, the JIT's type hints,
+/// the flattened chunk loop with its dependency graph, and the
+/// injection-free iteration plan.
+///
+/// A `Prepared` is `Send + Sync` and is meant to be shared by reference
+/// among the runs of **one query**: a morsel-parallel query prepares its
+/// program once and every morsel — on any worker — calls
+/// [`Vm::run_prepared`] on the same value. Besides the immutable parts it
+/// holds one write-once slot, the **hot plan**: the first run that
+/// optimizes (reaches `hot_threshold` under [`Strategy::Adaptive`], or
+/// starts under [`Strategy::CompiledPipeline`]) publishes its injected
+/// traces and the plan built from them; every other run adopts that plan
+/// at the top of its next iteration instead of interpreting its own
+/// warm-up chunks and repeating the Optimize step. The published plan is
+/// never mutated — a run whose adopted trace fails continues on a private
+/// copy.
+///
+/// Adoption cannot change an answer: a plan only decides *which executor*
+/// (interpreter or trace) computes each node of a chunk, and every trace is
+/// bit-identical to interpreting the nodes it covers — the same invariant
+/// a single run relies on when it injects mid-loop.
+///
+/// Runs sharing a `Prepared` should share one [`VmConfig`] (they are one
+/// query); a [`Strategy::Interpret`] run never adopts. A `Prepared` is not
+/// a cross-query cache — build one per query and drop it with the query.
+pub struct Prepared {
+    /// The normalized program.
+    program: Program,
+    /// The first top-level loop, when the flat executor can run it;
+    /// otherwise the whole program is interpreted.
+    chunk_loop: Option<ChunkLoop>,
+    /// The hot plan, published at most once.
+    hot: OnceLock<Arc<Plan>>,
+}
+
+/// The chunk loop of a [`Prepared`] program.
+struct ChunkLoop {
+    /// Index of the loop statement in `program.stmts`.
+    pos: usize,
+    flat: FlatBody,
+    graph: DepGraph,
+    /// Variables scalar statements read (they must escape any fragment).
+    uses: HashSet<String>,
+    /// Element types of `let` bindings — the JIT's output/lane hints.
+    hints: HashMap<String, ScalarType>,
+    /// The injection-free plan every run starts on.
+    base: Arc<Plan>,
+}
+
+impl Prepared {
+    /// The number of traces in the published hot plan; `None` until a run
+    /// has published one.
+    pub fn hot_traces(&self) -> Option<usize> {
+        self.hot.get().map(|plan| plan.injections.len())
+    }
+}
+
 /// One step of the flat iteration plan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Step {
-    /// Interpret one dataflow node (a body-less `let` or a sink statement).
-    /// `site` is the node's filter site id, derived once when the plan is
-    /// built instead of once per chunk.
-    Node { stmt: Stmt, site: Option<String> },
-    /// Interpret a scalar statement (assignments, `if`/`break`).
-    Scalar(Stmt),
-    /// Execute an injected trace.
+    /// Interpret `flat.items[_]`: a dataflow node or a scalar statement.
+    Item(usize),
+    /// Execute `injections[_]`.
     Trace(usize),
+}
+
+/// The "partially optimized program": the injected traces and the step
+/// list built from them. Immutable once built — injecting or dropping a
+/// trace builds a new plan.
+struct Plan {
+    injections: Vec<Injection>,
+    steps: Vec<Step>,
+}
+
+impl Plan {
+    /// A trace step at each injection's anchor, nothing for the other
+    /// nodes it covers, an item step for everything else.
+    fn build(flat: &FlatBody, injections: Vec<Injection>) -> Plan {
+        let mut steps = Vec::with_capacity(flat.items.len());
+        for (i, item) in flat.items.iter().enumerate() {
+            match item {
+                FlatItem::Scalar(_) => steps.push(Step::Item(i)),
+                FlatItem::Node { id, .. } => {
+                    match injections.iter().position(|inj| inj.covered.contains(id)) {
+                        Some(k) if injections[k].anchor == *id => steps.push(Step::Trace(k)),
+                        Some(_) => {} // covered, non-anchor: skipped
+                        None => steps.push(Step::Item(i)),
+                    }
+                }
+            }
+        }
+        Plan { injections, steps }
+    }
 }
 
 /// An injected compiled region. (No statement copies are kept: if the
 /// trace fails recoverably, the injection is simply removed and the plan
 /// rebuilt — the covered nodes reappear as ordinary steps.)
+#[derive(Clone)]
 struct Injection {
+    /// The first covered node in document order (node ids are document
+    /// order): the trace runs at the region's original position.
     anchor: NodeId,
     covered: HashSet<NodeId>,
     trace: Arc<CompiledTrace>,
@@ -229,6 +331,36 @@ struct Injection {
     /// Selectivity-profile sites of the trace's selection outputs, in
     /// output order (`trace-sel@<name>`).
     sel_sites: Vec<String>,
+}
+
+impl Injection {
+    fn new(nodes: Vec<NodeId>, trace: Arc<CompiledTrace>, native: bool) -> Injection {
+        let anchor = *nodes
+            .iter()
+            .min()
+            .expect("a built fragment covers at least one node");
+        if native && trace.has_native() && trace.tier_verdict() != Some(TraceTier::Interpreted) {
+            // The injected trace carries an executable machine-code body the
+            // engine will dispatch to (unless its own measurements already
+            // found the packed tier faster).
+            crate::obs::jit_event(crate::obs::JitEvent::NativeInstall);
+        }
+        Injection {
+            site: format!("trace@{anchor}"),
+            sel_sites: trace
+                .ir
+                .outputs
+                .iter()
+                .filter_map(|o| match o {
+                    OutputSpec::Sel { name, .. } => Some(format!("trace-sel@{name}")),
+                    _ => None,
+                })
+                .collect(),
+            anchor,
+            covered: nodes.into_iter().collect(),
+            trace,
+        }
+    }
 }
 
 // Unspecialized engine traces use [`GENERIC_SITUATION`] (re-exported from
@@ -247,51 +379,58 @@ impl Vm {
         Vm::new(VmConfig::default())
     }
 
-    /// Compile a fragment, going through the shared code cache when one is
-    /// configured. Returns the trace; accounts compile cost vs. cache hit
-    /// in the report.
-    fn compile_cached(&self, frag: Fragment, report: &mut RunReport) -> Arc<CompiledTrace> {
-        match &self.config.code_cache {
-            Some(cache) => {
-                let key = TraceKey {
-                    fingerprint: frag.ir.fingerprint(),
-                    situation: GENERIC_SITUATION.to_string(),
-                };
-                let model = self.config.cost_model;
-                let (trace, hit) = cache.get_or_compile(key, || Arc::new(compile(frag, &model)));
-                if hit {
-                    report.trace_cache_hits += 1;
-                    crate::obs::jit_event(crate::obs::JitEvent::CacheHit);
-                } else {
-                    report.compile_ns_total += trace.cost_ns;
-                    crate::obs::jit_event(crate::obs::JitEvent::Compile {
-                        cost_ns: trace.cost_ns,
-                    });
-                }
-                trace
-            }
-            None => {
-                let trace = Arc::new(compile(frag, &self.config.cost_model));
-                report.compile_ns_total += trace.cost_ns;
-                crate::obs::jit_event(crate::obs::JitEvent::Compile {
-                    cost_ns: trace.cost_ns,
-                });
-                trace
-            }
+    /// Prepare `program` for inputs of the given `schema` (input buffer
+    /// names and element types, e.g. [`Buffers::input_types`]): normalize,
+    /// infer the JIT's type hints, split around the first top-level loop,
+    /// flatten its body, build the dependency graph and the injection-free
+    /// plan. None of this depends on a [`VmConfig`] or on buffer contents,
+    /// so one [`Prepared`] serves every run of a query — see there for
+    /// what the runs share.
+    pub fn prepare<'s>(
+        program: &Program,
+        schema: impl IntoIterator<Item = (&'s str, ScalarType)>,
+    ) -> Prepared {
+        let program = normalize_program(program);
+        // Complex bodies (nested loops, skeletons under `if`) and loop-free
+        // programs have no chunk loop: they are interpreted whole.
+        let chunk_loop = program
+            .stmts
+            .iter()
+            .enumerate()
+            .find_map(|(pos, s)| match s {
+                Stmt::Loop(body) => Some((pos, body)),
+                _ => None,
+            })
+            .and_then(|(pos, body)| {
+                let flat = flatten_body(body)?;
+                Some(ChunkLoop {
+                    pos,
+                    base: Arc::new(Plan::build(&flat, Vec::new())),
+                    flat,
+                    graph: DepGraph::from_stmts(body),
+                    uses: scalar_uses(body),
+                    hints: binding_types(&program, schema),
+                })
+            });
+        Prepared {
+            program,
+            chunk_loop,
+            hot: OnceLock::new(),
         }
     }
 
-    /// Run a program with the default fixed flavor policy.
+    /// Run a program with the default fixed flavor policy:
+    /// [`Vm::prepare`] for the buffers' input types, then
+    /// [`Vm::run_prepared`].
     pub fn run(
         &self,
         program: &Program,
         buffers: Buffers,
     ) -> Result<(Buffers, RunReport), VmError> {
-        let mut policy = FixedPolicy::default();
-        self.run_with_policy(program, buffers, &mut policy)
+        self.run_with_policy(program, buffers, &mut FixedPolicy::default())
     }
 
-    /// Run a program with a caller-supplied flavor policy (micro-adaptive
+    /// [`Vm::run`] with a caller-supplied flavor policy (micro-adaptive
     /// runs pass a [`crate::adaptive::BanditPolicy`]).
     pub fn run_with_policy(
         &self,
@@ -299,407 +438,447 @@ impl Vm {
         buffers: Buffers,
         policy: &mut dyn FlavorPolicy,
     ) -> Result<(Buffers, RunReport), VmError> {
+        let prepared = Vm::prepare(program, buffers.input_types());
+        self.run_prepared_with_policy(&prepared, buffers, policy)
+    }
+
+    /// Run a prepared program over `buffers` with the default fixed flavor
+    /// policy. Each call is one independent run — its own environment,
+    /// interpreter, profile and report; the only thing runs of one
+    /// [`Prepared`] exchange is the hot plan (see [`Prepared`]).
+    ///
+    /// `buffers` must have the input types the program was prepared for.
+    pub fn run_prepared(
+        &self,
+        prepared: &Prepared,
+        buffers: Buffers,
+    ) -> Result<(Buffers, RunReport), VmError> {
+        self.run_prepared_with_policy(prepared, buffers, &mut FixedPolicy::default())
+    }
+
+    /// [`Vm::run_prepared`] with a caller-supplied flavor policy.
+    pub fn run_prepared_with_policy(
+        &self,
+        prepared: &Prepared,
+        buffers: Buffers,
+        policy: &mut dyn FlavorPolicy,
+    ) -> Result<(Buffers, RunReport), VmError> {
         let wall = Instant::now();
-        let program = normalize_program(program);
-        let hints = binding_types(&program, &buffers);
-        let mut report = RunReport::default();
+        let chunk_size = self.config.chunk_size;
+        let stmts = &prepared.program.stmts;
         let mut profile = Profile::new();
         let mut env = Env::new(buffers);
-        report.transitions.push(StateTransition {
-            iteration: 0,
-            state: VmState::Interpret,
-        });
-
-        // Split around the first top-level loop.
-        let loop_pos = program
-            .stmts
-            .iter()
-            .position(|s| matches!(s, Stmt::Loop(_)));
-        let Some(loop_pos) = loop_pos else {
-            // No loop: plain interpretation.
-            let mut interp = Interpreter::new(self.config.chunk_size, &mut profile, policy);
-            interp.exec_stmts(&program.stmts, &mut env)?;
-            report.profile = profile;
-            report.wall_ns = wall.elapsed().as_nanos() as u64;
-            return Ok((env.buffers, report));
-        };
-
-        // Prelude.
-        {
-            let mut interp = Interpreter::new(self.config.chunk_size, &mut profile, policy);
-            interp.exec_stmts(&program.stmts[..loop_pos], &mut env)?;
-        }
-
-        let body = match &program.stmts[loop_pos] {
-            Stmt::Loop(body) => body,
-            _ => unreachable!("position() found a loop"),
-        };
-
-        // Flatten the body; complex bodies (nested loops, skeletons under
-        // `if`) fall back to whole-program interpretation.
-        let flat = match flatten_body(body) {
-            Some(f) => f,
+        let mut interp = Interpreter::new(chunk_size, &mut profile, policy);
+        let mut report = match &prepared.chunk_loop {
             None => {
-                let mut interp = Interpreter::new(self.config.chunk_size, &mut profile, policy);
-                interp.exec_stmts(&program.stmts[loop_pos..], &mut env)?;
-                report.profile = profile;
-                report.wall_ns = wall.elapsed().as_nanos() as u64;
-                return Ok((env.buffers, report));
+                interp.exec_stmts(stmts, &mut env)?;
+                let mut report = RunReport::default();
+                report.enter(0, VmState::Interpret);
+                report
+            }
+            Some(body) => {
+                interp.exec_stmts(&stmts[..body.pos], &mut env)?;
+                let mut run = LoopRun::new(&self.config, prepared, body);
+                run.run(&mut interp, &mut env)?;
+                interp.exec_stmts(&stmts[body.pos + 1..], &mut env)?;
+                run.finish()
             }
         };
+        report.profile = profile;
+        report.wall_ns = wall.elapsed().as_nanos() as u64;
+        Ok((env.buffers, report))
+    }
+}
 
-        let graph = DepGraph::from_stmts(body);
-        let uses = scalar_uses(body);
-        let mut injections: Vec<Injection> = Vec::new();
-        let mut plan = build_plan(&flat, &injections);
-        let mut placement = if self.config.devices.is_empty() {
-            None
-        } else {
-            Some(PlacementPolicy::new(self.config.devices.clone()))
-        };
-        let mut device_clocks: Vec<u64> = vec![0; self.config.devices.len()];
-        let mut server: Option<CompileServer> = None;
-        let mut pending: HashMap<u64, (NodeId, Vec<NodeId>)> = HashMap::new();
-        // The shared background path: fragments submitted to a *publishing*
-        // compile server, picked up from its cache when they land. Each
-        // entry is (publish key, covered nodes, whether this run enqueued
-        // the compile) — the key is built once, from the server's own
-        // situation string, so server and engine can never disagree and
-        // the per-iteration poll allocates nothing.
-        let shared_server: Option<Arc<CompileServer>> = self
-            .config
-            .compile_server
-            .as_ref()
-            .filter(|s| s.cache().is_some())
-            .cloned();
-        let shared_situation: Option<String> = shared_server
-            .as_ref()
-            .and_then(|s| s.situation())
-            .map(str::to_string);
-        let mut shared_pending: Vec<(TraceKey, Vec<NodeId>, bool)> = Vec::new();
-        let mut optimized = false;
+impl RunReport {
+    fn enter(&mut self, iteration: u64, state: VmState) {
+        self.transitions.push(StateTransition { iteration, state });
+    }
+}
 
-        // Strategy::CompiledPipeline compiles everything before iterating.
-        if self.config.strategy == Strategy::CompiledPipeline {
-            let region = adaptvm_dsl::partition::Region {
-                nodes: (0..graph.len()).collect(),
-                seed: 0,
-                cost: 0.0,
-            };
-            match build_fragment(&graph, &region, &uses, &hints) {
-                Ok(frag) => {
-                    let trace = self.compile_cached(frag, &mut report);
-                    inject(
-                        &mut injections,
-                        &graph,
-                        &flat,
-                        region.nodes.clone(),
-                        trace,
-                        self.config.native,
-                    );
-                    report.injected_traces += 1;
-                    plan = build_plan(&flat, &injections);
-                    report.transitions.push(StateTransition {
-                        iteration: 0,
-                        state: VmState::InjectFunctions,
-                    });
-                }
-                Err(_) => {
-                    report.fallbacks += 1;
-                    crate::obs::jit_event(crate::obs::JitEvent::Deopt);
-                }
-            }
+/// The per-run half of the chunk loop: what one [`Vm::run_prepared`] call
+/// owns while the [`Prepared`] it executes stays shared.
+struct LoopRun<'a> {
+    config: &'a VmConfig,
+    prepared: &'a Prepared,
+    body: &'a ChunkLoop,
+    /// The plan this run executes: the base plan, the published hot plan,
+    /// or a run-local one (own injections not yet published, or a copy
+    /// minus a trace that failed in this run).
+    plan: Arc<Plan>,
+    /// Set once this run has optimized or adopted; it then stops looking
+    /// for a hot plan.
+    settled: bool,
+    report: RunReport,
+    placement: Option<PlacementPolicy>,
+    device_clocks: Vec<u64>,
+    /// This run's private background compile server and its tickets
+    /// (`async_compile` without a shared publishing server).
+    server: Option<CompileServer>,
+    pending: HashMap<u64, Vec<NodeId>>,
+    /// The shared background path: fragments submitted to a *publishing*
+    /// compile server, picked up from its cache when they land. Each
+    /// pending entry is (publish key, covered nodes, whether this run
+    /// enqueued the compile) — the key is built once, from the server's
+    /// own situation string, so server and engine can never disagree and
+    /// the per-iteration poll allocates nothing.
+    shared_server: Option<&'a Arc<CompileServer>>,
+    shared_pending: Vec<(TraceKey, Vec<NodeId>, bool)>,
+}
+
+impl<'a> LoopRun<'a> {
+    fn new(config: &'a VmConfig, prepared: &'a Prepared, body: &'a ChunkLoop) -> LoopRun<'a> {
+        let mut report = RunReport::default();
+        report.enter(0, VmState::Interpret);
+        LoopRun {
+            config,
+            prepared,
+            body,
+            plan: body.base.clone(),
+            settled: false,
+            report,
+            placement: (!config.devices.is_empty())
+                .then(|| PlacementPolicy::new(config.devices.clone())),
+            device_clocks: vec![0; config.devices.len()],
+            server: None,
+            pending: HashMap::new(),
+            shared_server: config
+                .compile_server
+                .as_ref()
+                .filter(|s| s.cache().is_some()),
+            shared_pending: Vec::new(),
         }
+    }
 
-        // The chunk loop. One interpreter serves every iteration; the
-        // profile is reached through it while it holds the borrow.
-        let mut interp = Interpreter::new(self.config.chunk_size, &mut profile, &mut *policy);
+    /// The chunk loop.
+    fn run(&mut self, interp: &mut Interpreter<'_>, env: &mut Env) -> Result<(), VmError> {
+        // Strategy::CompiledPipeline compiles everything before iterating
+        // (the first run of the query does; the others adopt its trace).
+        if self.config.strategy == Strategy::CompiledPipeline && !self.adopt(0) {
+            self.compile_pipeline();
+        }
+        let hot_at = self.config.hot_threshold.max(1);
         let mut iterations: u64 = 0;
-        'outer: loop {
+        loop {
             iterations += 1;
             if iterations > MAX_ITERATIONS {
                 return Err(VmError::IterationLimit(MAX_ITERATIONS));
             }
             interp.profile.iterations += 1;
-
-            // Adaptive: hot-path detection (the Interpret → Optimize edge).
+            // Adaptive: take the query's hot plan if a run has published
+            // one, else detect the hot path here (Interpret → Optimize).
             if self.config.strategy == Strategy::Adaptive
-                && !optimized
-                && iterations == self.config.hot_threshold.max(1)
+                && !self.settled
+                && !self.adopt(iterations)
+                && iterations == hot_at
             {
-                optimized = true;
-                report.transitions.push(StateTransition {
-                    iteration: iterations,
-                    state: VmState::Optimize,
-                });
-                let mut costed = graph.clone();
-                costed.apply_costs(&interp.profile.costs());
-                let parts = partition(&costed, &self.config.partition);
-                report.transitions.push(StateTransition {
-                    iteration: iterations,
-                    state: VmState::GenerateCode,
-                });
-                let injected_before = report.injected_traces;
-                for region in &parts.regions {
-                    match build_fragment(&graph, region, &uses, &hints) {
-                        Ok(frag) => {
-                            if self.config.async_compile {
-                                // A cached trace needs no compile round-trip
-                                // even on the background path: inject now.
-                                // Key lookups by the server's own publish
-                                // situation when one is shared, else the
-                                // generic situation.
-                                let key = TraceKey {
-                                    fingerprint: frag.ir.fingerprint(),
-                                    situation: shared_situation
-                                        .clone()
-                                        .unwrap_or_else(|| GENERIC_SITUATION.to_string()),
-                                };
-                                let cached =
-                                    self.config.code_cache.as_ref().and_then(|c| c.get(&key));
-                                if let Some(trace) = cached {
-                                    report.trace_cache_hits += 1;
-                                    crate::obs::jit_event(crate::obs::JitEvent::CacheHit);
-                                    inject(
-                                        &mut injections,
-                                        &graph,
-                                        &flat,
-                                        region.nodes.clone(),
-                                        trace,
-                                        self.config.native,
-                                    );
-                                    report.injected_traces += 1;
-                                    continue;
-                                }
-                                if let Some(shared) = &shared_server {
-                                    // Shared publishing server: dedup by
-                                    // fingerprint, pick the trace up from
-                                    // the publish cache once it lands.
-                                    match shared.submit_unique(frag) {
-                                        Ok(ours) => {
-                                            crate::obs::jit_event(
-                                                crate::obs::JitEvent::AsyncSubmit,
-                                            );
-                                            shared_pending.push((
-                                                key,
-                                                region.nodes.clone(),
-                                                ours.is_some(),
-                                            ))
-                                        }
-                                        Err(_) => {
-                                            report.fallbacks += 1;
-                                            crate::obs::jit_event(crate::obs::JitEvent::Deopt);
-                                        }
-                                    }
-                                    continue;
-                                }
-                                let srv = server.get_or_insert_with(|| {
-                                    CompileServer::start(self.config.cost_model)
-                                });
-                                if let Ok(ticket) = srv.submit(frag) {
-                                    crate::obs::jit_event(crate::obs::JitEvent::AsyncSubmit);
-                                    pending.insert(ticket, (region.seed, region.nodes.clone()));
-                                }
-                            } else {
-                                let trace = self.compile_cached(frag, &mut report);
-                                inject(
-                                    &mut injections,
-                                    &graph,
-                                    &flat,
-                                    region.nodes.clone(),
-                                    trace,
-                                    self.config.native,
-                                );
-                                report.injected_traces += 1;
-                            }
-                        }
-                        Err(_) => {
-                            report.fallbacks += 1;
-                            crate::obs::jit_event(crate::obs::JitEvent::Deopt);
-                        }
-                    }
-                }
-                if !self.config.async_compile || report.injected_traces > injected_before {
-                    plan = build_plan(&flat, &injections);
-                    report.transitions.push(StateTransition {
-                        iteration: iterations,
-                        state: VmState::InjectFunctions,
-                    });
-                }
+                self.optimize(iterations, interp.profile);
             }
-
-            // Pick up shared-server compiles from the publish cache: the
-            // submitting run counts the compile cost, runs that found the
-            // fragment already in flight count a cache hit.
-            if !shared_pending.is_empty() {
-                let cache = shared_server
-                    .as_ref()
-                    .and_then(|s| s.cache())
-                    .expect("shared_pending implies a publishing server");
-                let mut landed_any = false;
-                let mut i = 0;
-                while i < shared_pending.len() {
-                    match cache.peek(&shared_pending[i].0) {
-                        Some(trace) => {
-                            let (_, nodes, ours) = shared_pending.remove(i);
-                            if ours {
-                                report.compile_ns_total += trace.cost_ns;
-                                crate::obs::jit_event(crate::obs::JitEvent::Publish {
-                                    cost_ns: trace.cost_ns,
-                                });
-                            } else {
-                                report.trace_cache_hits += 1;
-                                crate::obs::jit_event(crate::obs::JitEvent::CacheHit);
-                            }
-                            inject(
-                                &mut injections,
-                                &graph,
-                                &flat,
-                                nodes,
-                                trace,
-                                self.config.native,
-                            );
-                            report.injected_traces += 1;
-                            landed_any = true;
-                        }
-                        None => i += 1,
-                    }
-                }
-                if landed_any {
-                    plan = build_plan(&flat, &injections);
-                    report.transitions.push(StateTransition {
-                        iteration: iterations,
-                        state: VmState::InjectFunctions,
-                    });
-                }
-            }
-
-            // Poll background compiles; inject anything finished.
-            if let Some(srv) = &server {
-                let finished = srv.poll();
-                if !finished.is_empty() {
-                    for f in finished {
-                        if let Some((_, nodes)) = pending.remove(&f.ticket) {
-                            report.compile_ns_total += f.trace.cost_ns;
-                            crate::obs::jit_event(crate::obs::JitEvent::Publish {
-                                cost_ns: f.trace.cost_ns,
-                            });
-                            if let Some(cache) = &self.config.code_cache {
-                                cache.insert(
-                                    TraceKey {
-                                        fingerprint: f.trace.fingerprint,
-                                        situation: GENERIC_SITUATION.to_string(),
-                                    },
-                                    f.trace.clone(),
-                                );
-                            }
-                            inject(
-                                &mut injections,
-                                &graph,
-                                &flat,
-                                nodes,
-                                f.trace,
-                                self.config.native,
-                            );
-                            report.injected_traces += 1;
-                        }
-                    }
-                    plan = build_plan(&flat, &injections);
-                    report.transitions.push(StateTransition {
-                        iteration: iterations,
-                        state: VmState::InjectFunctions,
-                    });
-                }
-            }
-
-            // Execute one iteration of the plan.
-            let mut idx = 0;
-            while idx < plan.len() {
-                match &plan[idx] {
-                    Step::Node { stmt, site } => {
-                        report.interpreted_nodes += 1;
-                        if interp.exec_stmt_at(stmt, site.as_deref(), &mut env)? == Flow::Broke {
-                            break 'outer;
-                        }
-                    }
-                    Step::Scalar(stmt) => {
-                        if interp.exec_stmt(stmt, &mut env)? == Flow::Broke {
-                            break 'outer;
-                        }
-                    }
-                    Step::Trace(k) => {
-                        let inj = &injections[*k];
-                        match exec_trace(
-                            inj,
-                            &mut interp,
-                            &mut env,
-                            self.config.chunk_size,
-                            placement.as_mut(),
-                            &mut device_clocks,
-                            self.config.native,
-                        ) {
-                            Ok(tier) => {
-                                report.trace_executions += 1;
-                                if tier.tier == TraceTier::Native {
-                                    report.native_trace_executions += 1;
-                                }
-                                if tier.native_deopt {
-                                    report.native_deopts += 1;
-                                    crate::obs::jit_event(crate::obs::JitEvent::NativeDeopt);
-                                }
-                            }
-                            Err(TraceFailure::Recoverable(_)) => {
-                                // Drop the injection for good and resume at
-                                // the same plan position. The rebuilt plan
-                                // agrees with the old one before `idx` (the
-                                // anchor is the region's first covered node,
-                                // so nothing covered precedes it), and at
-                                // `idx` the trace step expands back into the
-                                // anchor's node step — execution continues
-                                // in document order, interleaved scalar
-                                // statements (e.g. aliases between covered
-                                // nodes) included. Manually interpreting the
-                                // covered nodes back-to-back instead would
-                                // skip those scalars and feed stale values
-                                // to the nodes after them.
-                                report.fallbacks += 1;
-                                crate::obs::jit_event(crate::obs::JitEvent::Deopt);
-                                injections.remove(*k);
-                                plan = build_plan(&flat, &injections);
-                                continue;
-                            }
-                            Err(TraceFailure::Fatal(e)) => return Err(e),
-                        }
-                    }
-                }
-                idx += 1;
+            self.poll_compiles(iterations);
+            if self.iterate(interp, env)? == Flow::Broke {
+                self.report.iterations = iterations;
+                return Ok(());
             }
         }
+    }
 
-        // Trailing statements after the loop.
-        {
-            let mut interp = Interpreter::new(self.config.chunk_size, &mut profile, policy);
-            interp.exec_stmts(&program.stmts[loop_pos + 1..], &mut env)?;
+    /// Adopt the hot plan another run of this `Prepared` published. The
+    /// adopted traces count as injected and as cache hits (reused, no
+    /// compile paid); the code cache is not consulted.
+    fn adopt(&mut self, iteration: u64) -> bool {
+        let Some(hot) = self.prepared.hot.get() else {
+            return false;
+        };
+        self.plan = hot.clone();
+        self.settled = true;
+        let traces = hot.injections.len();
+        self.report.injected_traces += traces;
+        self.report.trace_cache_hits += traces as u64;
+        for _ in 0..traces {
+            crate::obs::jit_event(crate::obs::JitEvent::CacheHit);
         }
+        self.report.enter(iteration, VmState::InjectFunctions);
+        true
+    }
 
-        report.iterations = iterations;
-        report.profile = profile;
-        if let Some(p) = &placement {
-            report.device_decisions = p
+    /// Splice `fresh` traces into this run's plan and, once nothing this
+    /// run submitted is still compiling, offer the plan to the other runs
+    /// of the query. Losing the publish race is harmless: this run keeps
+    /// its own (equivalent) plan.
+    fn install(&mut self, fresh: Vec<Injection>, iteration: u64) {
+        self.report.injected_traces += fresh.len();
+        let mut injections = self.plan.injections.clone();
+        injections.extend(fresh);
+        self.plan = Arc::new(Plan::build(&self.body.flat, injections));
+        self.report.enter(iteration, VmState::InjectFunctions);
+        if self.pending.is_empty() && self.shared_pending.is_empty() {
+            let _ = self.prepared.hot.set(self.plan.clone());
+        }
+    }
+
+    fn fallback(&mut self) {
+        self.report.fallbacks += 1;
+        crate::obs::jit_event(crate::obs::JitEvent::Deopt);
+    }
+
+    fn inject(&self, nodes: Vec<NodeId>, trace: Arc<CompiledTrace>) -> Injection {
+        Injection::new(nodes, trace, self.config.native)
+    }
+
+    /// Compile a fragment, going through the shared code cache when one is
+    /// configured. Returns the trace; accounts compile cost vs. cache hit
+    /// in the report.
+    fn compile_cached(&mut self, frag: Fragment) -> Arc<CompiledTrace> {
+        let model = self.config.cost_model;
+        let (trace, hit) = match &self.config.code_cache {
+            Some(cache) => {
+                let key = TraceKey {
+                    fingerprint: frag.fingerprint(),
+                    situation: GENERIC_SITUATION.to_string(),
+                };
+                cache.get_or_compile(key, || Arc::new(compile(frag, &model)))
+            }
+            None => (Arc::new(compile(frag, &model)), false),
+        };
+        if hit {
+            self.report.trace_cache_hits += 1;
+            crate::obs::jit_event(crate::obs::JitEvent::CacheHit);
+        } else {
+            self.report.compile_ns_total += trace.cost_ns;
+            crate::obs::jit_event(crate::obs::JitEvent::Compile {
+                cost_ns: trace.cost_ns,
+            });
+        }
+        trace
+    }
+
+    /// Strategy::CompiledPipeline: the whole loop body as one fragment.
+    fn compile_pipeline(&mut self) {
+        self.settled = true;
+        let body = self.body;
+        let region = Region {
+            nodes: (0..body.graph.len()).collect(),
+            seed: 0,
+            cost: 0.0,
+        };
+        match build_fragment(&body.graph, &region, &body.uses, &body.hints) {
+            Ok(frag) => {
+                let trace = self.compile_cached(frag);
+                let injection = self.inject(region.nodes, trace);
+                self.install(vec![injection], 0);
+            }
+            Err(_) => self.fallback(),
+        }
+    }
+
+    /// The Optimize → GenerateCode → InjectFunctions edges of Fig. 1:
+    /// partition under this run's measured costs, then compile each region
+    /// (or fetch it from the cache, or hand it to the background server).
+    fn optimize(&mut self, iteration: u64, profile: &Profile) {
+        self.settled = true;
+        let body = self.body;
+        self.report.enter(iteration, VmState::Optimize);
+        let mut costed = body.graph.clone();
+        costed.apply_costs(&profile.costs());
+        let parts = partition(&costed, &self.config.partition);
+        self.report.enter(iteration, VmState::GenerateCode);
+        let mut fresh = Vec::new();
+        for region in parts.regions {
+            let Ok(frag) = build_fragment(&body.graph, &region, &body.uses, &body.hints) else {
+                self.fallback();
+                continue;
+            };
+            if !self.config.async_compile {
+                let trace = self.compile_cached(frag);
+                fresh.push(self.inject(region.nodes, trace));
+                continue;
+            }
+            // A cached trace needs no compile round-trip even on the
+            // background path: inject now. Key lookups by the server's own
+            // publish situation when one is shared, else the generic
+            // situation.
+            let key = TraceKey {
+                fingerprint: frag.fingerprint(),
+                situation: self
+                    .shared_server
+                    .and_then(|s| s.situation())
+                    .unwrap_or(GENERIC_SITUATION)
+                    .to_string(),
+            };
+            let cached = self.config.code_cache.as_ref().and_then(|c| c.get(&key));
+            if let Some(trace) = cached {
+                self.report.trace_cache_hits += 1;
+                crate::obs::jit_event(crate::obs::JitEvent::CacheHit);
+                fresh.push(self.inject(region.nodes, trace));
+            } else if let Some(shared) = self.shared_server {
+                // Shared publishing server: dedup by fingerprint, pick the
+                // trace up from the publish cache once it lands.
+                match shared.submit_unique(frag) {
+                    Ok(ours) => {
+                        crate::obs::jit_event(crate::obs::JitEvent::AsyncSubmit);
+                        self.shared_pending
+                            .push((key, region.nodes, ours.is_some()));
+                    }
+                    Err(_) => self.fallback(),
+                }
+            } else {
+                let model = self.config.cost_model;
+                let server = self
+                    .server
+                    .get_or_insert_with(|| CompileServer::start(model));
+                if let Ok(ticket) = server.submit(frag) {
+                    crate::obs::jit_event(crate::obs::JitEvent::AsyncSubmit);
+                    self.pending.insert(ticket, region.nodes);
+                }
+            }
+        }
+        if !self.config.async_compile || !fresh.is_empty() {
+            self.install(fresh, iteration);
+        }
+    }
+
+    /// Inject whatever background compiles have finished.
+    fn poll_compiles(&mut self, iteration: u64) {
+        let mut landed = Vec::new();
+        // Shared server: pick finished compiles up from the publish cache.
+        // The submitting run counts the compile cost, runs that found the
+        // fragment already in flight count a cache hit.
+        if !self.shared_pending.is_empty() {
+            let cache = self
+                .shared_server
+                .and_then(|s| s.cache())
+                .expect("shared_pending implies a publishing server");
+            let mut i = 0;
+            while i < self.shared_pending.len() {
+                let Some(trace) = cache.peek(&self.shared_pending[i].0) else {
+                    i += 1;
+                    continue;
+                };
+                let (_, nodes, ours) = self.shared_pending.remove(i);
+                if ours {
+                    self.report.compile_ns_total += trace.cost_ns;
+                    crate::obs::jit_event(crate::obs::JitEvent::Publish {
+                        cost_ns: trace.cost_ns,
+                    });
+                } else {
+                    self.report.trace_cache_hits += 1;
+                    crate::obs::jit_event(crate::obs::JitEvent::CacheHit);
+                }
+                landed.push(self.inject(nodes, trace));
+            }
+        }
+        // Private server: claim finished tickets, publish to the cache.
+        let finished = self.server.as_ref().map_or_else(Vec::new, |s| s.poll());
+        for f in finished {
+            let Some(nodes) = self.pending.remove(&f.ticket) else {
+                continue;
+            };
+            self.report.compile_ns_total += f.trace.cost_ns;
+            crate::obs::jit_event(crate::obs::JitEvent::Publish {
+                cost_ns: f.trace.cost_ns,
+            });
+            if let Some(cache) = &self.config.code_cache {
+                cache.insert(
+                    TraceKey {
+                        fingerprint: f.trace.fingerprint,
+                        situation: GENERIC_SITUATION.to_string(),
+                    },
+                    f.trace.clone(),
+                );
+            }
+            landed.push(self.inject(nodes, f.trace));
+        }
+        if !landed.is_empty() {
+            self.install(landed, iteration);
+        }
+    }
+
+    /// Execute one iteration of the plan.
+    fn iterate(&mut self, interp: &mut Interpreter<'_>, env: &mut Env) -> Result<Flow, VmError> {
+        let mut plan = self.plan.clone();
+        let mut idx = 0;
+        while idx < plan.steps.len() {
+            match plan.steps[idx] {
+                Step::Item(i) => {
+                    let flow = match &self.body.flat.items[i] {
+                        FlatItem::Node { stmt, site, .. } => {
+                            self.report.interpreted_nodes += 1;
+                            interp.exec_stmt_at(stmt, site.as_deref(), env)?
+                        }
+                        FlatItem::Scalar(stmt) => interp.exec_stmt(stmt, env)?,
+                    };
+                    if flow == Flow::Broke {
+                        return Ok(Flow::Broke);
+                    }
+                }
+                Step::Trace(k) => {
+                    match exec_trace(
+                        &plan.injections[k],
+                        interp,
+                        env,
+                        self.config.chunk_size,
+                        self.placement.as_mut(),
+                        &mut self.device_clocks,
+                        self.config.native,
+                    ) {
+                        Ok(tier) => {
+                            self.report.trace_executions += 1;
+                            if tier.tier == TraceTier::Native {
+                                self.report.native_trace_executions += 1;
+                            }
+                            if tier.native_deopt {
+                                self.report.native_deopts += 1;
+                                crate::obs::jit_event(crate::obs::JitEvent::NativeDeopt);
+                            }
+                        }
+                        Err(TraceFailure::Recoverable(_)) => {
+                            // Drop the injection from this run's plan for
+                            // good — a private copy; a published plan stays
+                            // as it is for the other runs — and resume at
+                            // the same plan position. The rebuilt plan
+                            // agrees with the old one before `idx` (the
+                            // anchor is the region's first covered node,
+                            // so nothing covered precedes it), and at
+                            // `idx` the trace step expands back into the
+                            // anchor's node step — execution continues
+                            // in document order, interleaved scalar
+                            // statements (e.g. aliases between covered
+                            // nodes) included. Manually interpreting the
+                            // covered nodes back-to-back instead would
+                            // skip those scalars and feed stale values
+                            // to the nodes after them.
+                            self.fallback();
+                            let mut injections = plan.injections.clone();
+                            injections.remove(k);
+                            plan = Arc::new(Plan::build(&self.body.flat, injections));
+                            self.plan = plan.clone();
+                            continue;
+                        }
+                        Err(TraceFailure::Fatal(e)) => return Err(e),
+                    }
+                }
+            }
+            idx += 1;
+        }
+        Ok(Flow::Normal)
+    }
+
+    fn finish(mut self) -> RunReport {
+        if let Some(p) = &self.placement {
+            self.report.device_decisions = p
                 .devices()
                 .iter()
                 .zip(p.decisions())
                 .map(|(d, &c)| (d.name.clone(), c))
                 .collect();
-            report.device_ns = p
+            self.report.device_ns = p
                 .devices()
                 .iter()
-                .zip(&device_clocks)
+                .zip(&self.device_clocks)
                 .map(|(d, &ns)| (d.name.clone(), ns))
                 .collect();
         }
-        report.wall_ns = wall.elapsed().as_nanos() as u64;
-        Ok((env.buffers, report))
+        self.report
     }
 }
 
@@ -751,22 +930,19 @@ fn exec_trace(
     };
     let (result, lanes, condensed) = {
         // 2. Gather trace inputs: read chunks from `local`, everything else
-        // borrowed from the environment (condensing pending selections).
-        let mut from_env: Vec<Option<Cow<'_, Array>>> = Vec::with_capacity(trace.ir.inputs.len());
+        // borrowed from the environment. A pending selection on an incoming
+        // flow puts the whole trace into that flow's condensed lane space —
+        // the flow is condensed, and so is every dense input of the flow's
+        // physical length (the interpreter's common-selection rule: dense
+        // operands ride along with the flow's selection).
+        let mut sources: Vec<(&Array, Option<&SelVec>)> = Vec::with_capacity(trace.ir.inputs.len());
         for name in &trace.ir.inputs {
-            if local.contains_key(name.as_str()) {
-                from_env.push(None);
+            if let Some(chunk) = local.get(name.as_str()) {
+                sources.push((chunk, None));
                 continue;
             }
             match env.get(name).map_err(TraceFailure::Fatal)? {
-                Value::Vector(v) => from_env.push(Some(match &v.sel {
-                    None => Cow::Borrowed(&v.data),
-                    Some(sel) => Cow::Owned(
-                        v.data
-                            .take(sel.indices())
-                            .map_err(|e| TraceFailure::Fatal(e.into()))?,
-                    ),
-                })),
+                Value::Vector(v) => sources.push((&v.data, v.sel.as_ref())),
                 Value::Scalar(_) => {
                     return Err(TraceFailure::Recoverable(JitError::Unsupported(format!(
                         "trace input {name} is a scalar"
@@ -774,16 +950,24 @@ fn exec_trace(
                 }
             }
         }
-        let inputs: Vec<&Array> = trace
-            .ir
-            .inputs
+        let flow = sources
             .iter()
-            .zip(&from_env)
-            .map(|(name, gathered)| match gathered {
-                Some(a) => &**a,
-                None => &local[name.as_str()],
+            .find_map(|(data, sel)| sel.map(|s| (s, data.len())));
+        let gathered = sources
+            .iter()
+            .map(|&(data, own)| {
+                let sel = own.or_else(|| match flow {
+                    Some((s, physical)) if data.len() == physical => Some(s),
+                    _ => None,
+                });
+                match sel {
+                    Some(s) => data.take(s.indices()).map(Cow::Owned),
+                    None => Ok(Cow::Borrowed(data)),
+                }
             })
-            .collect();
+            .collect::<Result<Vec<Cow<'_, Array>>, _>>()
+            .map_err(|e| TraceFailure::Fatal(e.into()))?;
+        let inputs: Vec<&Array> = gathered.iter().map(|a| &**a).collect();
 
         // 3. Run (with placement when devices are registered). Placement
         // runs stay on the interpreted tier — the device cost model meters
@@ -815,27 +999,30 @@ fn exec_trace(
             }
         };
         // A condensed input is what a selection output of this trace
-        // indexes: keep it beside the read chunks for step 4.
+        // indexes: keep it for step 4.
         let condensed: Vec<(&str, Array)> = trace
             .ir
             .inputs
             .iter()
-            .zip(from_env)
+            .zip(gathered)
             .filter_map(|(name, gathered)| match gathered {
-                Some(Cow::Owned(a)) => Some((name.as_str(), a)),
-                _ => None,
+                Cow::Owned(a) => Some((name.as_str(), a)),
+                Cow::Borrowed(_) => None,
             })
             .collect();
         (result, lanes, condensed)
     };
-    local.extend(condensed);
 
     // 4. Bind outputs (arrays first — selections may reference them).
     for (name, data) in result.arrays {
         env.set(&name, Value::dense(data));
     }
     for ((name, flow, sel), site) in result.sels.into_iter().zip(&inj.sel_sites) {
-        let data = match local.get(flow.as_str()) {
+        let carrier = condensed
+            .iter()
+            .find_map(|(name, a)| (*name == flow).then_some(a))
+            .or_else(|| local.get(flow.as_str()));
+        let data = match carrier {
             Some(a) => a.clone(),
             None => match env.get(&flow).map_err(TraceFailure::Fatal)? {
                 Value::Vector(v) => v.data.clone(),
@@ -898,7 +1085,15 @@ struct FlatBody {
 }
 
 enum FlatItem {
-    Node { id: NodeId, stmt: Stmt },
+    /// A dataflow node (a body-less `let` or a sink statement). `site` is
+    /// the node's filter site id, derived once here instead of once per
+    /// chunk.
+    Node {
+        id: NodeId,
+        stmt: Stmt,
+        site: Option<String>,
+    },
+    /// A scalar statement (assignments, `if`/`break`).
     Scalar(Stmt),
 }
 
@@ -933,6 +1128,10 @@ fn flatten_into(stmts: &[Stmt], items: &mut Vec<FlatItem>, next_id: &mut usize) 
                     *next_id += 1;
                     items.push(FlatItem::Node {
                         id,
+                        site: match expr {
+                            Expr::Filter { p, .. } => Some(filter_site(p)),
+                            _ => None,
+                        },
                         stmt: Stmt::Let {
                             name: name.clone(),
                             expr: expr.clone(),
@@ -956,6 +1155,7 @@ fn flatten_into(stmts: &[Stmt], items: &mut Vec<FlatItem>, next_id: &mut usize) 
                 items.push(FlatItem::Node {
                     id,
                     stmt: s.clone(),
+                    site: None,
                 });
             }
             Stmt::Loop(_) => return false, // nested loops stay interpreted
@@ -971,81 +1171,14 @@ fn flatten_into(stmts: &[Stmt], items: &mut Vec<FlatItem>, next_id: &mut usize) 
     true
 }
 
-/// Build the executable plan from the flat body and current injections.
-fn build_plan(flat: &FlatBody, injections: &[Injection]) -> Vec<Step> {
-    let mut plan = Vec::with_capacity(flat.items.len());
-    for item in &flat.items {
-        match item {
-            FlatItem::Scalar(s) => plan.push(Step::Scalar(s.clone())),
-            FlatItem::Node { id, stmt } => {
-                match injections.iter().position(|inj| inj.covered.contains(id)) {
-                    Some(k) if injections[k].anchor == *id => plan.push(Step::Trace(k)),
-                    Some(_) => {} // covered, non-anchor: skipped
-                    None => plan.push(Step::Node {
-                        stmt: stmt.clone(),
-                        site: match stmt {
-                            Stmt::Let {
-                                expr: Expr::Filter { p, .. },
-                                ..
-                            } => Some(filter_site(p)),
-                            _ => None,
-                        },
-                    }),
-                }
-            }
-        }
-    }
-    plan
-}
-
-/// Register an injection: the anchor is the *first* covered node in
-/// document order, so the trace runs at the region's original position.
-fn inject(
-    injections: &mut Vec<Injection>,
-    _graph: &DepGraph,
-    flat: &FlatBody,
-    nodes: Vec<NodeId>,
-    trace: Arc<CompiledTrace>,
-    native: bool,
-) {
-    let covered: HashSet<NodeId> = nodes.iter().copied().collect();
-    let mut anchor = None;
-    for item in &flat.items {
-        if let FlatItem::Node { id, .. } = item {
-            if covered.contains(id) && anchor.is_none() {
-                anchor = Some(*id);
-            }
-        }
-    }
-    let Some(anchor) = anchor else { return };
-    if native && trace.has_native() && trace.tier_verdict() != Some(TraceTier::Interpreted) {
-        // The injected trace carries an executable machine-code body the
-        // engine will dispatch to (unless its own measurements already
-        // found the packed tier faster).
-        crate::obs::jit_event(crate::obs::JitEvent::NativeInstall);
-    }
-    injections.push(Injection {
-        site: format!("trace@{anchor}"),
-        sel_sites: trace
-            .ir
-            .outputs
-            .iter()
-            .filter_map(|o| match o {
-                OutputSpec::Sel { name, .. } => Some(format!("trace-sel@{name}")),
-                _ => None,
-            })
-            .collect(),
-        anchor,
-        covered,
-        trace,
-    });
-}
-
 /// Infer element types of `let` bindings (best effort) — the JIT's
 /// type hints for output narrowing and lane selection.
-fn binding_types(program: &Program, buffers: &Buffers) -> HashMap<String, ScalarType> {
+fn binding_types<'s>(
+    program: &Program,
+    schema: impl IntoIterator<Item = (&'s str, ScalarType)>,
+) -> HashMap<String, ScalarType> {
     let mut env = TypeEnv::new();
-    for (name, ty) in buffers.input_types() {
+    for (name, ty) in schema {
         env = env.with_buffer(name, ty);
     }
     let mut hints = HashMap::new();
@@ -1367,9 +1500,10 @@ mod tests {
         };
         let (out1, _) = run_fig2(config.clone(), 200_000, 150_000);
         check_fig2(&out1, 200_000, 150_000);
-        // Give the background compiles time to publish.
+        // Give the background compiles (Fig. 3: two regions) time to
+        // publish.
         let deadline = Instant::now() + std::time::Duration::from_secs(10);
-        while cache.stats().entries == 0 && Instant::now() < deadline {
+        while cache.stats().entries < 2 && Instant::now() < deadline {
             std::thread::yield_now();
         }
         assert!(cache.stats().entries > 0, "server must publish to cache");
@@ -1431,17 +1565,7 @@ mod tests {
             writes: vec![],
             node_ids: vec![0],
         };
-        let mut injections = Vec::new();
-        let flat = FlatBody {
-            items: vec![FlatItem::Node {
-                id: 0,
-                stmt: Stmt::Break,
-            }],
-        };
-        inject(
-            &mut injections,
-            &DepGraph::from_stmts(&[]),
-            &flat,
+        let injection = Injection::new(
             vec![0],
             Arc::new(compile(fragment, &CostModel::untimed())),
             false,
@@ -1459,7 +1583,7 @@ mod tests {
         let mut policy = FixedPolicy::default();
         let mut interp = Interpreter::new(1024, &mut profile, &mut policy);
         exec_trace(
-            &injections[0],
+            &injection,
             &mut interp,
             &mut env,
             1024,
@@ -1476,6 +1600,72 @@ mod tests {
             .condense()
             .unwrap();
         assert_eq!(u.data, Array::from(vec![3i64, 5]));
+    }
+
+    #[test]
+    fn dense_trace_inputs_ride_along_with_the_incoming_flows_selection() {
+        // `r = map (\p d -> p * d) t disc` compiled apart from the filter
+        // that produced `t` (Q6, when the map out-costs the filter and
+        // seeds first): `t` arrives with a pending selection, `disc` dense
+        // over the same physical chunk. The trace must see both in the
+        // flow's condensed lane space, as the interpreter's map would.
+        use adaptvm_dsl::ast::{FoldFn, ScalarOp};
+        use adaptvm_jit::ir::{LaneType, Src, TraceIr, TraceOp};
+        use adaptvm_storage::scalar::Scalar;
+        let ir = TraceIr {
+            lane: LaneType::I64,
+            inputs: vec!["t".into(), "disc".into()],
+            n_regs: 1,
+            pre_ops: vec![TraceOp {
+                op: ScalarOp::Mul,
+                dst: 0,
+                args: vec![Src::Input(0), Src::Input(1)],
+            }],
+            filter: None,
+            post_ops: vec![],
+            outputs: vec![OutputSpec::Fold {
+                name: "s".into(),
+                f: FoldFn::Sum,
+                init: Scalar::I64(0),
+                src: Src::Reg(0),
+                guarded: false,
+            }],
+        };
+        let fragment = Fragment {
+            ir,
+            reads: vec![],
+            writes: vec![],
+            node_ids: vec![0],
+        };
+        let injection = Injection::new(
+            vec![0],
+            Arc::new(compile(fragment, &CostModel::untimed())),
+            false,
+        );
+        let mut env = Env::new(Buffers::new());
+        env.set(
+            "t",
+            Value::Vector(Vector::selected(
+                Array::from(vec![1i64, 20, 3, 30, 5]),
+                adaptvm_storage::sel::SelVec::new(vec![1, 2, 4]),
+            )),
+        );
+        env.set("disc", Value::dense(Array::from(vec![7i64, 2, 10, 9, 100])));
+        let mut profile = Profile::new();
+        let mut policy = FixedPolicy::default();
+        let mut interp = Interpreter::new(1024, &mut profile, &mut policy);
+        exec_trace(
+            &injection,
+            &mut interp,
+            &mut env,
+            1024,
+            None,
+            &mut [],
+            false,
+        )
+        .unwrap_or_else(|_| panic!("trace step failed"));
+        // 20*2 + 3*10 + 5*100.
+        assert_eq!(env.get("s").unwrap().as_i64(), Some(570));
     }
 
     #[test]

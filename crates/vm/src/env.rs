@@ -80,6 +80,13 @@ impl Buffers {
             .map(|(n, a)| (n.as_str(), a.scalar_type()))
     }
 
+    /// Drop the input buffers, keeping the outputs: a finished run's
+    /// inputs are dead weight to whoever only merges its results.
+    pub fn without_inputs(mut self) -> Buffers {
+        self.inputs = HashMap::new();
+        self
+    }
+
     /// Consume into the output map.
     pub fn into_outputs(self) -> HashMap<String, Array> {
         self.outputs

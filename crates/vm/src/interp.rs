@@ -14,7 +14,7 @@ use std::time::Instant;
 use adaptvm_dsl::ast::{Expr, Lambda, Program, ScalarOp, Stmt};
 use adaptvm_dsl::value::{Value, Vector};
 use adaptvm_kernels::movement;
-use adaptvm_kernels::{filter_cmp, fold_apply, map_apply, FilterFlavor, Operand};
+use adaptvm_kernels::{filter_cmp, fold_apply, map_apply, scalar_apply, FilterFlavor, Operand};
 use adaptvm_storage::array::Array;
 use adaptvm_storage::scalar::Scalar;
 use adaptvm_storage::sel::SelVec;
@@ -288,23 +288,12 @@ impl<'p> Interpreter<'p> {
     }
 
     /// Scalar ops over mixed scalar/vector operands: pure-scalar operands
-    /// compute directly; any vector operand lifts the op element-wise
-    /// (the DSL's "scalars are length-1 arrays" rule).
+    /// compute directly ([`scalar_apply`]); any vector operand lifts the
+    /// op element-wise (the DSL's "scalars are length-1 arrays" rule).
     fn eval_apply(&mut self, op: ScalarOp, values: &[Value]) -> Result<Value, VmError> {
-        let any_vector = values.iter().any(|v| matches!(v, Value::Vector(_)));
-        if !any_vector {
-            // Scalar fast path via a length-1 kernel call.
-            let scalars: Vec<Scalar> = values
-                .iter()
-                .map(|v| v.as_scalar().cloned().expect("checked"))
-                .collect();
-            let first = Array::splat(&scalars[0], 1);
-            let mut operands = vec![Operand::Col(&first)];
-            for s in &scalars[1..] {
-                operands.push(Operand::Const(s.clone()));
-            }
-            let result = map_apply(op, &operands, None, adaptvm_kernels::MapMode::Full)?;
-            return Ok(Value::Scalar(result.get(0)?));
+        let scalars: Option<Vec<&Scalar>> = values.iter().map(Value::as_scalar).collect();
+        if let Some(scalars) = scalars {
+            return Ok(Value::Scalar(scalar_apply(op, &scalars)?));
         }
         // Lifted path: common selection from the vector operands.
         let sel = common_sel(values)?;

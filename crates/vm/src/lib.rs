@@ -29,7 +29,7 @@ pub mod reorder;
 
 pub use adaptive::{BanditPolicy, FixedPolicy, FlavorPolicy};
 pub use adaptvm_jit::exec::native_available;
-pub use engine::{RunReport, Strategy, Vm, VmConfig, VmState};
+pub use engine::{Prepared, RunReport, Strategy, Vm, VmConfig, VmState};
 pub use env::{Buffers, Env};
 pub use error::VmError;
 pub use obs::{install_jit_hook, jit_counters, JitCounters, JitEvent};

@@ -638,3 +638,85 @@ fn folds_match_the_left_to_right_reference() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// scalar statements
+// ---------------------------------------------------------------------
+
+/// Every operator (casts to every type included).
+fn all_ops() -> Vec<ScalarOp> {
+    use ScalarOp::*;
+    let mut ops = vec![
+        Add, Sub, Mul, Div, Rem, Sqrt, Abs, Neg, Min, Max, Eq, Ne, Lt, Le, Gt, Ge, And, Or, Not,
+        Hash, StrLen, Concat,
+    ];
+    ops.extend(NUMERIC.iter().map(|&ty| Cast(ty)));
+    ops.extend([Cast(ScalarType::Bool), Cast(ScalarType::Str)]);
+    ops
+}
+
+/// Edge values of every scalar type.
+fn edge_scalars() -> Vec<Scalar> {
+    let mut out = Vec::new();
+    for x in [0i64, 1, -1, 7, i64::MIN, i64::MAX] {
+        out.push(Scalar::I64(x));
+        for narrow in [ScalarType::I8, ScalarType::I16, ScalarType::I32] {
+            out.push(Scalar::int_of_type(x, narrow));
+        }
+    }
+    out.extend(
+        [
+            0.0,
+            -0.0,
+            0.75,
+            -2.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            9.007199254740993e15,
+        ]
+        .map(Scalar::F64),
+    );
+    out.extend([Scalar::Bool(true), Scalar::Bool(false)]);
+    out.extend([Scalar::Str("ab".into()), Scalar::Str(String::new())]);
+    out
+}
+
+/// The all-scalar evaluator of loop statements (`rev := rev + s`,
+/// `i >= rows`) is, value for value and error for error, the length-1
+/// kernel call it replaced — wrapping, total division, int→float
+/// promotion, NaN comparisons and `-0.0` included, `f64` by bit pattern.
+#[test]
+fn scalar_apply_is_lane_zero_of_the_length_one_kernel_call() {
+    use adaptvm::kernels::{scalar_apply, KernelError};
+    // The old path: the first operand as a one-lane column, the rest
+    // broadcast, lane 0 read back.
+    let kernel_call = |op: ScalarOp, args: &[&Scalar]| -> Result<Scalar, KernelError> {
+        let first = Array::splat(args[0], 1);
+        let mut operands = vec![Operand::Col(&first)];
+        operands.extend(args[1..].iter().map(|&s| Operand::Const(s.clone())));
+        Ok(map_apply(op, &operands, None, MapMode::Full)?.get(0)?)
+    };
+    let canon = |r: Result<Scalar, KernelError>| match r {
+        Ok(s) => Ok((s.scalar_type(), canon_scalars(&[s]).1)),
+        Err(e) => Err(format!("{e:?}")),
+    };
+    let values = edge_scalars();
+    let mut computed = 0usize;
+    for op in all_ops() {
+        // Every operand count, so arity errors are compared too.
+        for a in &values {
+            let got = canon(scalar_apply(op, &[a]));
+            assert_eq!(got, canon(kernel_call(op, &[a])), "{op:?} {a:?}");
+            computed += got.is_ok() as usize;
+            for b in &values {
+                let got = canon(scalar_apply(op, &[a, b]));
+                assert_eq!(got, canon(kernel_call(op, &[a, b])), "{op:?} {a:?} {b:?}");
+                computed += got.is_ok() as usize;
+            }
+        }
+    }
+    assert!(computed > 10_000, "only {computed} combinations evaluated");
+}
