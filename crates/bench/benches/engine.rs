@@ -12,11 +12,9 @@
 //! * a **five-query perf snapshot**: Q1/Q3/Q6/Q18/Q9 through the
 //!   parallel relational entry points — Q6 and Q18's HAVING leg through
 //!   the adaptive VM (JIT activity), Q18 under a spill-forcing 4 kB
-//!   budget (spill traffic) — each query timed under both JIT tiers
-//!   (interpreted-trace pinned vs native allowed), recording
-//!   queries/sec per tier, p50/p99 latency, spill bytes, JIT
-//!   compile/cache-hit deltas, and native install/deopt/execution
-//!   counts per query. The run is written to `BENCH_engine.json` at the
+//!   budget (spill traffic) — recording queries/sec, p50/p99 latency,
+//!   spill bytes and JIT compile/cache-hit deltas per query. The run is
+//!   written to `BENCH_engine.json` at the
 //!   workspace root alongside `BENCH_serving.json`: the
 //!   ROADMAP-item-5 trajectory point.
 //!
@@ -61,16 +59,12 @@ struct QueryReport {
     rows: usize,
     reps: usize,
     qps: f64,
-    qps_interpreted: f64,
     p50: Duration,
     p99: Duration,
     spill_bytes_written: u64,
     spill_bytes_read: u64,
     jit_compiles: u64,
     jit_cache_hits: u64,
-    native_installs: u64,
-    native_deopts: u64,
-    native_trace_executions: u64,
 }
 
 fn percentile(sorted: &[Duration], p: f64) -> Duration {
@@ -78,36 +72,18 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Run `f` under both JIT tiers: a warmup plus `reps` timed repetitions
-/// with the interpreted-trace tier pinned (`f(false)`), then the same
-/// with the native tier allowed (`f(true)`), bracketing the native block
+/// Run `f` once as a warmup, then `reps` timed repetitions bracketed
 /// with the process-wide JIT and spill-I/O counters so each query's
-/// engine activity is attributed to it. `f` returns the run's native
-/// trace executions (0 for queries that never enter the VM). On hosts
-/// without the native backend both passes run interpreted and the
-/// native counters stay zero.
-fn snapshot<F: FnMut(bool) -> u64>(
-    name: &'static str,
-    rows: usize,
-    reps: usize,
-    mut f: F,
-) -> QueryReport {
-    f(false);
-    let wall = Instant::now();
-    for _ in 0..reps {
-        f(false);
-    }
-    let qps_interpreted = reps as f64 / wall.elapsed().as_secs_f64().max(1e-9);
-
-    f(true);
+/// engine activity is attributed to it.
+fn snapshot<F: FnMut()>(name: &'static str, rows: usize, reps: usize, mut f: F) -> QueryReport {
+    f();
     let jit0 = adaptvm_vm::jit_counters();
     let io0 = adaptvm_storage::spill::io_counters();
     let mut times = Vec::with_capacity(reps);
-    let mut native_trace_executions = 0u64;
     let wall = Instant::now();
     for _ in 0..reps {
         let t0 = Instant::now();
-        native_trace_executions += f(true);
+        f();
         times.push(t0.elapsed());
     }
     let wall = wall.elapsed().as_secs_f64();
@@ -119,16 +95,12 @@ fn snapshot<F: FnMut(bool) -> u64>(
         rows,
         reps,
         qps: reps as f64 / wall.max(1e-9),
-        qps_interpreted,
         p50: percentile(&times, 0.50),
         p99: percentile(&times, 0.99),
         spill_bytes_written: io1.bytes_written - io0.bytes_written,
         spill_bytes_read: io1.bytes_read - io0.bytes_read,
         jit_compiles: jit1.compiles - jit0.compiles,
         jit_cache_hits: jit1.cache_hits - jit0.cache_hits,
-        native_installs: jit1.native_installs - jit0.native_installs,
-        native_deopts: jit1.native_deopts - jit0.native_deopts,
-        native_trace_executions,
     }
 }
 
@@ -179,19 +151,18 @@ fn bench(c: &mut Criterion) {
     // Q1: vectorized scan-aggregate, chunk-ordered merge.
     let li_q1 = tpch::lineitem(40_000 * scale, 42);
     let q1_rows = li_q1.rows();
-    reports.push(snapshot("q1", q1_rows, reps, |_native| {
+    reports.push(snapshot("q1", q1_rows, reps, || {
         let rows = q1_parallel_vectorized(&li_q1, DEFAULT_CHUNK, ParallelOpts::new(workers, 8_192))
             .expect("q1 runs");
         assert!(!rows.is_empty());
         black_box(rows);
-        0
     }));
 
     // Q3: partitioned-build hash join with a Bloom pre-filter.
     let ord_q3 = tpch::orders(4_000 * scale, 77);
     let li_q3 = tpch::lineitem_q3(30_000 * scale, 4_000 * scale, 77);
     let date = tpch::SHIPDATE_MAX / 2;
-    reports.push(snapshot("q3", li_q3.rows(), reps, |_native| {
+    reports.push(snapshot("q3", li_q3.rows(), reps, || {
         let (rev, _) = q3_parallel(
             &li_q3,
             &ord_q3,
@@ -203,26 +174,23 @@ fn bench(c: &mut Criterion) {
         )
         .expect("q3 runs");
         black_box(rev);
-        0
     }));
 
-    // Q6: the full adaptive VM per morsel — exercises the JIT tier.
+    // Q6: the full adaptive VM per morsel — exercises the JIT.
     let li_q6 = tpch::lineitem(40_000 * scale, 7);
     let q6_reference = tpch::q6_reference(&li_q6, 1000);
-    reports.push(snapshot("q6", li_q6.rows(), reps, |native| {
+    reports.push(snapshot("q6", li_q6.rows(), reps, || {
         let config = VmConfig {
             strategy: Strategy::Adaptive,
-            native,
             ..VmConfig::default()
         };
-        let (rev, report) =
+        let (rev, _) =
             q6_parallel(&li_q6, 1000, config, ParallelOpts::new(workers, 8_192)).expect("q6 runs");
         assert!(
             (rev - q6_reference).abs() / q6_reference.abs().max(1.0) < 1e-9,
             "q6 diverged: {rev} vs {q6_reference}"
         );
         black_box(rev);
-        report.native_trace_executions
     }));
 
     // Q18: spillable group-by under a 4 kB budget + the HAVING clause
@@ -230,12 +198,11 @@ fn bench(c: &mut Criterion) {
     let ord_q18 = tpch::orders(256, 7);
     let li_q18 = tpch::lineitem_q18(30_000 * scale, 256, KeyDist::Zipf, 11);
     let budget = MemoryBudget::bytes(4_000);
-    reports.push(snapshot("q18", li_q18.rows(), reps, |native| {
+    reports.push(snapshot("q18", li_q18.rows(), reps, || {
         let config = VmConfig {
             chunk_size: 64,
             strategy: Strategy::Adaptive,
             hot_threshold: 2,
-            native,
             ..VmConfig::default()
         };
         let (rows, spill) = q18_parallel_vm(
@@ -248,19 +215,17 @@ fn bench(c: &mut Criterion) {
         .expect("q18 runs");
         assert!(spill.spilled(), "the 4 kB budget must force spilling");
         black_box(rows);
-        0
     }));
 
     // Q9: three-way mixed-key adaptive join chain under the reorder
     // controller.
     let q9 = tpch::q9_data(16_000 * scale, 200, 64, 8, KeyDist::Zipf, 23);
     let q9_rows = q9.l_partkey.len();
-    reports.push(snapshot("q9", q9_rows, reps, |_native| {
+    reports.push(snapshot("q9", q9_rows, reps, || {
         let (rows, _) =
             q9_parallel(&q9, 2_048, true, 2, ParallelOpts::new(workers, 8_192)).expect("q9 runs");
         assert!(!rows.is_empty());
         black_box(rows);
-        0
     }));
 
     let q18_report = reports.iter().find(|r| r.name == "q18").unwrap();
@@ -272,60 +237,34 @@ fn bench(c: &mut Criterion) {
         q18_report.jit_compiles + q18_report.jit_cache_hits > 0,
         "q18's VM HAVING leg must show JIT activity"
     );
-    if adaptvm_vm::native_available() {
-        let q6_report = reports.iter().find(|r| r.name == "q6").unwrap();
-        assert!(
-            q6_report.native_installs + q6_report.native_trace_executions > 0,
-            "native tier is available but q6 shows no native activity"
-        );
-    }
-
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let native_host = adaptvm_vm::native_available();
+    println!("\n-- engine: five-query perf snapshot ({workers} workers requested, {cores} cores)");
     println!(
-        "\n-- engine: five-query perf snapshot ({workers} workers requested, {cores} cores, \
-         native tier {})",
-        if native_host {
-            "available"
-        } else {
-            "unavailable"
-        }
-    );
-    println!(
-        "   {:<5} {:>9} {:>5} {:>9} {:>9} {:>9} {:>9}  {:>11} {:>11} {:>5} {:>5} {:>6} {:>6} {:>8}",
+        "   {:<5} {:>9} {:>5} {:>9} {:>9} {:>9}  {:>11} {:>11} {:>5} {:>5}",
         "query",
         "rows",
         "reps",
         "q/s",
-        "int q/s",
         "p50 ms",
         "p99 ms",
         "spill out B",
         "spill in B",
         "jit",
-        "hits",
-        "ninst",
-        "ndeop",
-        "nexec"
+        "hits"
     );
     for r in &reports {
         println!(
-            "   {:<5} {:>9} {:>5} {:>9.2} {:>9.2} {:>9.2} {:>9.2}  {:>11} {:>11} {:>5} {:>5} \
-             {:>6} {:>6} {:>8}",
+            "   {:<5} {:>9} {:>5} {:>9.2} {:>9.2} {:>9.2}  {:>11} {:>11} {:>5} {:>5}",
             r.name,
             r.rows,
             r.reps,
             r.qps,
-            r.qps_interpreted,
             r.p50.as_secs_f64() * 1e3,
             r.p99.as_secs_f64() * 1e3,
             r.spill_bytes_written,
             r.spill_bytes_read,
             r.jit_compiles,
             r.jit_cache_hits,
-            r.native_installs,
-            r.native_deopts,
-            r.native_trace_executions,
         );
     }
 
@@ -337,32 +276,26 @@ fn bench(c: &mut Criterion) {
         json,
         "  \"disabled_emit_bound_ns\": {DISABLED_EMIT_BOUND_NS:.1},"
     );
-    let _ = writeln!(json, "  \"native_available\": {native_host},");
     json.push_str("  \"queries\": [\n");
     let rows: Vec<String> = reports
         .iter()
         .map(|r| {
             format!(
                 "{{\"name\":\"{}\",\"rows\":{},\"reps\":{},\
-                 \"queries_per_second\":{:.2},\"queries_per_second_interpreted\":{:.2},\
+                 \"queries_per_second\":{:.2},\
                  \"p50_ms\":{:.3},\"p99_ms\":{:.3},\
                  \"spill_bytes_written\":{},\"spill_bytes_read\":{},\
-                 \"jit_compiles\":{},\"jit_cache_hits\":{},\
-                 \"native_installs\":{},\"native_deopts\":{},\"native_trace_executions\":{}}}",
+                 \"jit_compiles\":{},\"jit_cache_hits\":{}}}",
                 r.name,
                 r.rows,
                 r.reps,
                 r.qps,
-                r.qps_interpreted,
                 r.p50.as_secs_f64() * 1e3,
                 r.p99.as_secs_f64() * 1e3,
                 r.spill_bytes_written,
                 r.spill_bytes_read,
                 r.jit_compiles,
                 r.jit_cache_hits,
-                r.native_installs,
-                r.native_deopts,
-                r.native_trace_executions,
             )
         })
         .collect();

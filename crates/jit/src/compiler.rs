@@ -15,7 +15,7 @@
 //! *injected* on the next poll.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -24,7 +24,6 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use crate::builder::{Fragment, ReadSpec, WriteSpec};
 use crate::cache::{CodeCache, TraceKey};
 use crate::error::JitError;
-use crate::exec::{self, NativeTrace};
 use crate::ir::{self, PackedProgram, TraceIr, TraceResult};
 use crate::passes::{optimize, PassStats};
 
@@ -95,123 +94,6 @@ pub struct CompiledTrace {
     /// so execution never re-validates. A pack error is surfaced on the
     /// first run and triggers the VM's interpretation fallback.
     packed: Result<PackedProgram, JitError>,
-    /// Native machine code for the trace, when the host supports it and
-    /// the trace is eligible (see [`exec::compile_native`]). `None` means
-    /// the interpreted-trace tier serves every run — never an error.
-    native: Option<Arc<NativeTrace>>,
-    /// Measured cost of each tier, shared by every run of this trace.
-    tiers: TierStats,
-}
-
-/// Which tier produced a trace result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceTier {
-    /// Generated x86-64 machine code.
-    Native,
-    /// The packed trace interpreter.
-    Interpreted,
-}
-
-/// How one tiered trace execution went.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TierRun {
-    /// The tier whose result was returned.
-    pub tier: TraceTier,
-    /// True when native code started the chunk but deopted, so the result
-    /// came from the interpreter re-run.
-    pub native_deopt: bool,
-}
-
-/// Executions each tier is timed for before the verdict.
-const TIER_SAMPLES: u32 = 3;
-/// Chunks shorter than this are not timed: their cost is the per-call
-/// set-up, not the loop the tiers differ in.
-const SAMPLE_MIN_LANES: usize = 256;
-
-/// Per-tier timing of one trace: how many executions were sampled and the
-/// best nanoseconds per 1024 lanes among them (the minimum — a neighbour
-/// on the box only ever slows a sample down). Relaxed atomics: these are
-/// statistics, they publish no other data, and a lost race costs at most
-/// one extra sample.
-#[derive(Debug)]
-struct TierStats {
-    samples: [AtomicU32; 2],
-    best: [AtomicU64; 2],
-}
-
-impl TierStats {
-    fn new() -> TierStats {
-        TierStats {
-            samples: [AtomicU32::new(0), AtomicU32::new(0)],
-            best: [AtomicU64::new(u64::MAX), AtomicU64::new(u64::MAX)],
-        }
-    }
-
-    fn slot(tier: TraceTier) -> usize {
-        match tier {
-            TraceTier::Native => 0,
-            TraceTier::Interpreted => 1,
-        }
-    }
-
-    /// The measured-faster tier once both have their samples (ties go to
-    /// native), `None` while sampling.
-    fn verdict(&self) -> Option<TraceTier> {
-        let done = |t: usize| self.samples[t].load(Ordering::Relaxed) >= TIER_SAMPLES;
-        if !(done(0) && done(1)) {
-            return None;
-        }
-        let (native, packed) = (
-            self.best[0].load(Ordering::Relaxed),
-            self.best[1].load(Ordering::Relaxed),
-        );
-        Some(if native <= packed {
-            TraceTier::Native
-        } else {
-            TraceTier::Interpreted
-        })
-    }
-
-    /// The tier the next sampled execution should time: the one with fewer
-    /// samples, native first.
-    fn next_sample(&self) -> TraceTier {
-        if self.samples[0].load(Ordering::Relaxed) <= self.samples[1].load(Ordering::Relaxed) {
-            TraceTier::Native
-        } else {
-            TraceTier::Interpreted
-        }
-    }
-
-    fn record(&self, tier: TraceTier, elapsed: Duration, lanes: usize) {
-        let per_1024 = (elapsed.as_nanos() as u64).saturating_mul(1024) / lanes as u64;
-        let t = TierStats::slot(tier);
-        self.best[t].fetch_min(per_1024, Ordering::Relaxed);
-        self.samples[t].fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Forced verdict for tests: 0 = none, 1 = native, 2 = interpreted.
-static FORCED_VERDICT: AtomicU8 = AtomicU8::new(0);
-
-/// Test hook: make every trace behave as if the given tier had won its
-/// sampling (process-wide); `None` restores measurement.
-#[doc(hidden)]
-pub fn force_tier_verdict(tier: Option<TraceTier>) {
-    let v = match tier {
-        None => 0,
-        Some(TraceTier::Native) => 1,
-        Some(TraceTier::Interpreted) => 2,
-    };
-    // Relaxed: the flag publishes no other data.
-    FORCED_VERDICT.store(v, Ordering::Relaxed);
-}
-
-fn forced_verdict() -> Option<TraceTier> {
-    match FORCED_VERDICT.load(Ordering::Relaxed) {
-        1 => Some(TraceTier::Native),
-        2 => Some(TraceTier::Interpreted),
-        _ => None,
-    }
 }
 
 impl CompiledTrace {
@@ -227,84 +109,21 @@ impl CompiledTrace {
         }
     }
 
-    /// Whether native machine code was generated for this trace.
+    // Frozen compatibility surface: the `benchmark/` crate still names
+    // these two; they carry no logic and nothing in the engine calls them.
+    #[doc(hidden)]
     pub fn has_native(&self) -> bool {
-        self.native.is_some()
+        false
     }
 
-    /// Emitted native code size in bytes, when a native body exists.
-    pub fn native_code_len(&self) -> Option<usize> {
-        self.native.as_ref().map(|n| n.code_len())
-    }
-
-    /// The tier this trace's own measurements chose, once its first
-    /// executions have timed both (`None` before that, and for traces
-    /// without a native body).
-    pub fn tier_verdict(&self) -> Option<TraceTier> {
-        self.native.as_ref().and(self.tiers.verdict())
-    }
-
-    /// Execute on the measured-faster tier. A trace with a native body
-    /// times its first executions on both tiers — three each,
-    /// alternating, native first, full-size chunks only — and afterwards
-    /// dispatches every chunk to whichever was faster per lane; the
-    /// measurements live on the (shared) trace, so every run and worker
-    /// using it contributes to and follows one verdict.
-    ///
-    /// Native code runs only for the packed (no pending selection) path it
-    /// was compiled for; any guard deopt discards the native attempt and
-    /// re-runs the interpreter over the same chunk, so the returned result
-    /// is always bit-identical to [`CompiledTrace::run`], whichever tier is
-    /// chosen. `allow_native: false` pins the interpreted tier (engine
-    /// config / non-x86-64 hosts).
+    #[doc(hidden)]
     pub fn run_tiered(
         &self,
         inputs: &[&Array],
         candidates: Option<&SelVec>,
-        allow_native: bool,
-    ) -> Result<(TraceResult, TierRun), JitError> {
-        let interpreted = TierRun {
-            tier: TraceTier::Interpreted,
-            native_deopt: false,
-        };
-        let native = match &self.native {
-            Some(nt) if allow_native && candidates.is_none() && self.packed.is_ok() => nt,
-            _ => return Ok((self.run(inputs, candidates)?, interpreted)),
-        };
-        let lanes = inputs.first().map_or(0, |a| a.len());
-        let verdict = forced_verdict().or_else(|| self.tiers.verdict());
-        let sampling = verdict.is_none() && lanes >= SAMPLE_MIN_LANES;
-        let tier = match verdict {
-            Some(t) => t,
-            None if sampling => self.tiers.next_sample(),
-            None => TraceTier::Native,
-        };
-        let started = sampling.then(Instant::now);
-        let run = match tier {
-            TraceTier::Interpreted => (self.run(inputs, candidates)?, interpreted),
-            TraceTier::Native => match exec::run_native(&self.ir, native, inputs) {
-                Ok(r) => (
-                    r,
-                    TierRun {
-                        tier: TraceTier::Native,
-                        native_deopt: false,
-                    },
-                ),
-                Err(_) => (
-                    self.run(inputs, candidates)?,
-                    TierRun {
-                        tier: TraceTier::Interpreted,
-                        native_deopt: true,
-                    },
-                ),
-            },
-        };
-        if let Some(t0) = started {
-            // A deopted attempt is charged to native, re-run included:
-            // that is what choosing native costs on this input.
-            self.tiers.record(tier, t0.elapsed(), lanes);
-        }
-        Ok(run)
+        _allow_native: bool,
+    ) -> Result<TraceResult, JitError> {
+        self.run(inputs, candidates)
     }
 }
 
@@ -323,14 +142,6 @@ pub fn compile(fragment: Fragment, model: &CostModel) -> CompiledTrace {
         }
     }
     let packed = ir.pack();
-    // Lower to machine code only for traces the interpreter validated;
-    // ineligible traces (or non-x86-64 hosts) keep `native: None` and are
-    // served by the interpreted tier.
-    let native = if packed.is_ok() {
-        exec::compile_native(&ir).map(Arc::new)
-    } else {
-        None
-    };
     CompiledTrace {
         ir,
         reads: fragment.reads,
@@ -339,8 +150,6 @@ pub fn compile(fragment: Fragment, model: &CostModel) -> CompiledTrace {
         cost_ns: model.cost_ns(n_ops),
         fingerprint,
         packed,
-        native,
-        tiers: TierStats::new(),
     }
 }
 
@@ -636,26 +445,12 @@ mod tests {
     }
 
     #[test]
-    fn tiered_run_matches_interpreted_run() {
-        let _g = crate::exec::test_hook_guard();
+    fn run_tiered_forwards_to_run() {
         let trace = compile(fig2_whole_fragment(), &CostModel::untimed());
         let x = Array::from(vec![1i64, -2, 3, 40, -5, 6]);
         let reference = trace.run(&[&x], None).unwrap();
-        let (tiered, tr) = trace.run_tiered(&[&x], None, true).unwrap();
+        let tiered = trace.run_tiered(&[&x], None, true).unwrap();
         assert_eq!(format!("{reference:?}"), format!("{tiered:?}"));
-        if crate::exec::native_available() {
-            assert!(trace.has_native(), "fig2 fragment should lower natively");
-            assert_eq!(tr.tier, TraceTier::Native);
-            assert!(!tr.native_deopt);
-            assert!(trace.native_code_len().unwrap() > 0);
-        } else {
-            assert_eq!(tr.tier, TraceTier::Interpreted);
-        }
-        // Pinning the interpreter always works.
-        let (pinned, tr2) = trace.run_tiered(&[&x], None, false).unwrap();
-        assert_eq!(format!("{reference:?}"), format!("{pinned:?}"));
-        assert_eq!(tr2.tier, TraceTier::Interpreted);
-        assert!(!tr2.native_deopt);
     }
 
     #[test]

@@ -641,9 +641,19 @@ impl TraceIr {
 #[inline(always)]
 fn rd<T: LaneNum>(views: &[&[T]], regs: &[T], i: usize, s: PSrc<T>) -> T {
     match s {
-        // SAFETY: see contract above.
-        PSrc::In(k) => unsafe { *views.get_unchecked(k as usize).get_unchecked(i) },
-        PSrc::Reg(r) => unsafe { *regs.get_unchecked(r as usize) },
+        PSrc::In(k) => {
+            debug_assert!((k as usize) < views.len() && i < views[k as usize].len());
+            // SAFETY: `pack_src` bounds every input operand by the program's
+            // input count, `run_packed` checks one view per input, all of
+            // the chunk length, and every lane index is below that length.
+            unsafe { *views.get_unchecked(k as usize).get_unchecked(i) }
+        }
+        PSrc::Reg(r) => {
+            debug_assert!((r as usize) < regs.len());
+            // SAFETY: `pack_src` bounds every register operand by `n_regs`,
+            // the length `regs` is allocated with.
+            unsafe { *regs.get_unchecked(r as usize) }
+        }
         PSrc::Const(c) => c,
     }
 }
@@ -882,7 +892,7 @@ fn run_blocks_body<T: LaneNum>(
 /// Blockwise fold update, strictly in lane order.
 ///
 /// A masked sum is *defined* as adding the lane type's zero for every
-/// non-passing lane (the native tier emits exactly that). Adding zero
+/// non-passing lane, exactly as the per-lane executor does. Adding zero
 /// leaves an accumulator unchanged except that it turns `-0.0` into
 /// `+0.0`, and a sum can only still be `-0.0` while everything added so
 /// far was `-0.0` — so a block adds only its passing lanes (found a word
@@ -961,7 +971,9 @@ fn run_selected<T: LaneNum>(
         for op in &p.pre {
             let a = rd(views, &regs, i, op.a);
             let b = rd(views, &regs, i, op.b);
-            // SAFETY: dst validated against n_regs at pack time.
+            debug_assert!((op.dst as usize) < regs.len());
+            // SAFETY: `pack_ops` bounds every destination by `n_regs`, the
+            // length `regs` is allocated with.
             unsafe { *regs.get_unchecked_mut(op.dst as usize) = T::apply(op.k, a, b) };
         }
         let passes = match p.filter {
@@ -984,7 +996,9 @@ fn run_selected<T: LaneNum>(
             for op in &p.post {
                 let a = rd(views, &regs, i, op.a);
                 let b = rd(views, &regs, i, op.b);
-                // SAFETY: dst validated against n_regs at pack time.
+                debug_assert!((op.dst as usize) < regs.len());
+                // SAFETY: `pack_ops` bounds every destination by `n_regs`,
+                // the length `regs` is allocated with.
                 unsafe { *regs.get_unchecked_mut(op.dst as usize) = T::apply(op.k, a, b) };
             }
             for &(slot, src) in &p.compact {

@@ -31,20 +31,13 @@
 pub mod builder;
 pub mod cache;
 pub mod compiler;
-mod emit;
 pub mod error;
-pub mod exec;
 pub mod ir;
 pub mod passes;
 pub mod pipeline;
-pub mod regalloc;
-mod ssa;
 
 pub use builder::build_fragment;
 pub use cache::CodeCache;
-pub use compiler::{
-    compile, force_tier_verdict, CompileServer, CompiledTrace, CostModel, TierRun, TraceTier,
-};
+pub use compiler::{compile, CompileServer, CompiledTrace, CostModel};
 pub use error::JitError;
-pub use exec::{native_available, set_native_capacity_limit, set_native_guard_budget, NativeDeopt};
 pub use ir::{LaneType, TraceIr, TraceResult};

@@ -69,12 +69,10 @@ pub struct ParallelRunReport {
     pub compile_ns_total: u64,
     /// Trace-step executions across morsels.
     pub trace_executions: u64,
-    /// Trace-step executions served by native machine code across morsels
-    /// (a subset of `trace_executions`).
+    /// Always 0. Frozen compatibility field: the `benchmark/` crate still
+    /// reads it; nothing in the engine writes it.
+    #[doc(hidden)]
     pub native_trace_executions: u64,
-    /// Native guard deopts across morsels (chunk re-run on the
-    /// interpreted tier; not counted under `fallbacks`).
-    pub native_deopts: u64,
     /// Interpretation fallbacks across morsels.
     pub fallbacks: u64,
     /// Morsels stolen across worker queues.
@@ -305,8 +303,6 @@ fn assemble_report(
         report.trace_cache_hits += run.trace_cache_hits;
         report.compile_ns_total += run.compile_ns_total;
         report.trace_executions += run.trace_executions;
-        report.native_trace_executions += run.native_trace_executions;
-        report.native_deopts += run.native_deopts;
         report.fallbacks += run.fallbacks;
     }
     report.steals = dispatch.steals;

@@ -110,10 +110,6 @@ pub enum EventKind {
     },
     /// A fragment failed to build/compile/run: trace-fallback deopt.
     JitDeopt,
-    /// An injected trace carries a native machine-code body.
-    JitNativeInstall,
-    /// A native execution guard-deopted; the chunk re-ran interpreted.
-    JitNativeDeopt,
     /// One frame written to a spill run.
     SpillWrite {
         /// Operator label (`join-build`, `agg`, `sort`, …).
@@ -218,8 +214,6 @@ impl EventKind {
             EventKind::JitSubmit => "jit-submit",
             EventKind::JitPublish { .. } => "jit-publish",
             EventKind::JitDeopt => "jit-deopt",
-            EventKind::JitNativeInstall => "jit-native-install",
-            EventKind::JitNativeDeopt => "jit-native-deopt",
             EventKind::SpillWrite { .. } => "spill-write",
             EventKind::SpillRead { .. } => "spill-read",
             EventKind::BudgetCharge { .. } => "budget-charge",
@@ -243,9 +237,7 @@ impl EventKind {
             | EventKind::JitCompile { .. }
             | EventKind::JitSubmit
             | EventKind::JitPublish { .. }
-            | EventKind::JitDeopt
-            | EventKind::JitNativeInstall
-            | EventKind::JitNativeDeopt => "jit",
+            | EventKind::JitDeopt => "jit",
             EventKind::SpillWrite { .. } | EventKind::SpillRead { .. } => "spill",
             EventKind::BudgetCharge { .. }
             | EventKind::BudgetRefused { .. }
@@ -676,8 +668,6 @@ fn install_hooks() {
                 adaptvm_vm::JitEvent::AsyncSubmit => EventKind::JitSubmit,
                 adaptvm_vm::JitEvent::Publish { cost_ns } => EventKind::JitPublish { cost_ns },
                 adaptvm_vm::JitEvent::Deopt => EventKind::JitDeopt,
-                adaptvm_vm::JitEvent::NativeInstall => EventKind::JitNativeInstall,
-                adaptvm_vm::JitEvent::NativeDeopt => EventKind::JitNativeDeopt,
             })
         }));
         adaptvm_storage::spill::install_io_hook(Box::new(|ev| {
@@ -743,10 +733,6 @@ pub struct ProfileRollup {
     pub jit_submits: u64,
     /// Trace-fallback deopts.
     pub jit_deopts: u64,
-    /// Traces injected with a native machine-code body.
-    pub jit_native_installs: u64,
-    /// Native guard deopts (chunk re-run on the interpreted tier).
-    pub jit_native_deopts: u64,
     /// Total modeled compile cost, nanoseconds.
     pub compile_ns: u64,
     /// Spill frames written.
@@ -813,8 +799,6 @@ impl QueryProfile {
                     r.compile_ns += cost_ns;
                 }
                 EventKind::JitDeopt => r.jit_deopts += 1,
-                EventKind::JitNativeInstall => r.jit_native_installs += 1,
-                EventKind::JitNativeDeopt => r.jit_native_deopts += 1,
                 EventKind::SpillWrite { bytes, .. } => {
                     r.spill_writes += 1;
                     r.spill_bytes_written += bytes;
@@ -927,15 +911,12 @@ impl QueryProfile {
         );
         let _ = writeln!(
             out,
-            "  jit: {} compiles ({:.3} ms modeled), {} cache hits, {} submits, {} deopts, \
-             {} native installs, {} native deopts",
+            "  jit: {} compiles ({:.3} ms modeled), {} cache hits, {} submits, {} deopts",
             r.jit_compiles,
             r.compile_ns as f64 / 1e6,
             r.jit_cache_hits,
             r.jit_submits,
-            r.jit_deopts,
-            r.jit_native_installs,
-            r.jit_native_deopts
+            r.jit_deopts
         );
         let _ = writeln!(
             out,
@@ -1034,15 +1015,12 @@ impl QueryProfile {
                     lines.push(format!("refused {priority} {reason}"))
                 }
                 EventKind::Completed { outcome, .. } => lines.push(format!("completed {outcome}")),
-                // Masked: timing-dependent or cross-query state (native
-                // install/deopt additionally depends on the host arch).
+                // Masked: timing-dependent or cross-query state.
                 EventKind::JitCacheHit
                 | EventKind::JitCompile { .. }
                 | EventKind::JitSubmit
                 | EventKind::JitPublish { .. }
                 | EventKind::JitDeopt
-                | EventKind::JitNativeInstall
-                | EventKind::JitNativeDeopt
                 | EventKind::ScratchAcquire { .. }
                 | EventKind::MorselResize { .. }
                 | EventKind::Dispatched { .. } => {}
@@ -1094,11 +1072,7 @@ fn write_args(out: &mut String, kind: &EventKind) {
         EventKind::JitCompile { cost_ns } | EventKind::JitPublish { cost_ns } => {
             let _ = write!(out, ",\"cost_ns\":{cost_ns}");
         }
-        EventKind::JitCacheHit
-        | EventKind::JitSubmit
-        | EventKind::JitDeopt
-        | EventKind::JitNativeInstall
-        | EventKind::JitNativeDeopt => {}
+        EventKind::JitCacheHit | EventKind::JitSubmit | EventKind::JitDeopt => {}
         EventKind::SpillWrite {
             op,
             partition,

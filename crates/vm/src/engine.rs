@@ -51,7 +51,7 @@ use adaptvm_dsl::value::{Value, Vector};
 use adaptvm_hetsim::exec::run_trace_on;
 use adaptvm_jit::builder::{build_fragment, Fragment};
 use adaptvm_jit::cache::{CodeCache, TraceKey, GENERIC_SITUATION};
-use adaptvm_jit::compiler::{compile, CompileServer, CompiledTrace, CostModel, TierRun, TraceTier};
+use adaptvm_jit::compiler::{compile, CompileServer, CompiledTrace, CostModel};
 use adaptvm_jit::ir::OutputSpec;
 use adaptvm_jit::JitError;
 use adaptvm_storage::array::Array;
@@ -137,12 +137,6 @@ pub struct VmConfig {
     /// morsel runs. A non-publishing server is ignored (the run falls back
     /// to a private server), because unclaimed finishes would be lost.
     pub compile_server: Option<Arc<CompileServer>>,
-    /// Dispatch injected traces to their native machine-code bodies when
-    /// the host supports it (x86-64 Linux, not disabled via
-    /// `ADAPTVM_NATIVE=0`). `false` pins every trace to the interpreted
-    /// tier; results are bit-identical either way — a native guard deopt
-    /// transparently re-runs the chunk on the interpreter.
-    pub native: bool,
 }
 
 impl Default for VmConfig {
@@ -157,7 +151,6 @@ impl Default for VmConfig {
             devices: Vec::new(),
             code_cache: None,
             compile_server: None,
-            native: adaptvm_jit::exec::native_available(),
         }
     }
 }
@@ -181,13 +174,10 @@ pub struct RunReport {
     pub fallbacks: u64,
     /// Traces injected straight from the shared code cache (no compile).
     pub trace_cache_hits: u64,
-    /// Trace-step executions served by native machine code (a subset of
-    /// `trace_executions`).
+    /// Always 0. Frozen compatibility field: the `benchmark/` crate still
+    /// reads it; nothing in the engine writes it.
+    #[doc(hidden)]
     pub native_trace_executions: u64,
-    /// Native executions that hit a guard and re-ran on the interpreted
-    /// tier (counted under `trace_executions`, not `fallbacks` — the
-    /// trace stays injected and the answer is unchanged).
-    pub native_deopts: u64,
     /// The run profile.
     pub profile: Profile,
     /// Virtual nanoseconds charged per device (placement runs).
@@ -334,17 +324,11 @@ struct Injection {
 }
 
 impl Injection {
-    fn new(nodes: Vec<NodeId>, trace: Arc<CompiledTrace>, native: bool) -> Injection {
+    fn new(nodes: Vec<NodeId>, trace: Arc<CompiledTrace>) -> Injection {
         let anchor = *nodes
             .iter()
             .min()
             .expect("a built fragment covers at least one node");
-        if native && trace.has_native() && trace.tier_verdict() != Some(TraceTier::Interpreted) {
-            // The injected trace carries an executable machine-code body the
-            // engine will dispatch to (unless its own measurements already
-            // found the packed tier faster).
-            crate::obs::jit_event(crate::obs::JitEvent::NativeInstall);
-        }
         Injection {
             site: format!("trace@{anchor}"),
             sel_sites: trace
@@ -621,10 +605,6 @@ impl<'a> LoopRun<'a> {
         crate::obs::jit_event(crate::obs::JitEvent::Deopt);
     }
 
-    fn inject(&self, nodes: Vec<NodeId>, trace: Arc<CompiledTrace>) -> Injection {
-        Injection::new(nodes, trace, self.config.native)
-    }
-
     /// Compile a fragment, going through the shared code cache when one is
     /// configured. Returns the trace; accounts compile cost vs. cache hit
     /// in the report.
@@ -664,7 +644,7 @@ impl<'a> LoopRun<'a> {
         match build_fragment(&body.graph, &region, &body.uses, &body.hints) {
             Ok(frag) => {
                 let trace = self.compile_cached(frag);
-                let injection = self.inject(region.nodes, trace);
+                let injection = Injection::new(region.nodes, trace);
                 self.install(vec![injection], 0);
             }
             Err(_) => self.fallback(),
@@ -690,7 +670,7 @@ impl<'a> LoopRun<'a> {
             };
             if !self.config.async_compile {
                 let trace = self.compile_cached(frag);
-                fresh.push(self.inject(region.nodes, trace));
+                fresh.push(Injection::new(region.nodes, trace));
                 continue;
             }
             // A cached trace needs no compile round-trip even on the
@@ -709,7 +689,7 @@ impl<'a> LoopRun<'a> {
             if let Some(trace) = cached {
                 self.report.trace_cache_hits += 1;
                 crate::obs::jit_event(crate::obs::JitEvent::CacheHit);
-                fresh.push(self.inject(region.nodes, trace));
+                fresh.push(Injection::new(region.nodes, trace));
             } else if let Some(shared) = self.shared_server {
                 // Shared publishing server: dedup by fingerprint, pick the
                 // trace up from the publish cache once it lands.
@@ -764,7 +744,7 @@ impl<'a> LoopRun<'a> {
                     self.report.trace_cache_hits += 1;
                     crate::obs::jit_event(crate::obs::JitEvent::CacheHit);
                 }
-                landed.push(self.inject(nodes, trace));
+                landed.push(Injection::new(nodes, trace));
             }
         }
         // Private server: claim finished tickets, publish to the cache.
@@ -786,7 +766,7 @@ impl<'a> LoopRun<'a> {
                     f.trace.clone(),
                 );
             }
-            landed.push(self.inject(nodes, f.trace));
+            landed.push(Injection::new(nodes, f.trace));
         }
         if !landed.is_empty() {
             self.install(landed, iteration);
@@ -819,18 +799,8 @@ impl<'a> LoopRun<'a> {
                         self.config.chunk_size,
                         self.placement.as_mut(),
                         &mut self.device_clocks,
-                        self.config.native,
                     ) {
-                        Ok(tier) => {
-                            self.report.trace_executions += 1;
-                            if tier.tier == TraceTier::Native {
-                                self.report.native_trace_executions += 1;
-                            }
-                            if tier.native_deopt {
-                                self.report.native_deopts += 1;
-                                crate::obs::jit_event(crate::obs::JitEvent::NativeDeopt);
-                            }
-                        }
+                        Ok(()) => self.report.trace_executions += 1,
                         Err(TraceFailure::Recoverable(_)) => {
                             // Drop the injection from this run's plan for
                             // good — a private copy; a published plan stays
@@ -900,8 +870,7 @@ fn exec_trace(
     chunk_size: usize,
     placement: Option<&mut PlacementPolicy>,
     device_clocks: &mut [u64],
-    allow_native: bool,
-) -> Result<TierRun, TraceFailure> {
+) -> Result<(), TraceFailure> {
     let trace = &inj.trace;
     let t0 = Instant::now();
 
@@ -924,10 +893,6 @@ fn exec_trace(
         local.insert(&spec.var, chunk);
     }
 
-    let mut tier = TierRun {
-        tier: TraceTier::Interpreted,
-        native_deopt: false,
-    };
     let (result, lanes, condensed) = {
         // 2. Gather trace inputs: read chunks from `local`, everything else
         // borrowed from the environment. A pending selection on an incoming
@@ -969,9 +934,7 @@ fn exec_trace(
             .map_err(|e| TraceFailure::Fatal(e.into()))?;
         let inputs: Vec<&Array> = gathered.iter().map(|a| &**a).collect();
 
-        // 3. Run (with placement when devices are registered). Placement
-        // runs stay on the interpreted tier — the device cost model meters
-        // that path; only the plain host dispatch goes native.
+        // 3. Run (with placement when devices are registered).
         let lanes = inputs.first().map_or(0, |a| a.len());
         let result = match placement {
             Some(policy) => {
@@ -990,13 +953,9 @@ fn exec_trace(
                 );
                 run.result
             }
-            None => {
-                let (r, t) = trace
-                    .run_tiered(&inputs, None, allow_native)
-                    .map_err(TraceFailure::Recoverable)?;
-                tier = t;
-                r
-            }
+            None => trace
+                .run(&inputs, None)
+                .map_err(TraceFailure::Recoverable)?,
         };
         // A condensed input is what a selection output of this trace
         // indexes: keep it for step 4.
@@ -1076,7 +1035,7 @@ fn exec_trace(
     interp
         .profile
         .record(&inj.site, t0.elapsed().as_nanos() as u64, lanes);
-    Ok(tier)
+    Ok(())
 }
 
 /// A flattened loop body: document-ordered items.
@@ -1565,11 +1524,7 @@ mod tests {
             writes: vec![],
             node_ids: vec![0],
         };
-        let injection = Injection::new(
-            vec![0],
-            Arc::new(compile(fragment, &CostModel::untimed())),
-            false,
-        );
+        let injection = Injection::new(vec![0], Arc::new(compile(fragment, &CostModel::untimed())));
         let mut env = Env::new(Buffers::new());
         // Physical chunk [1, 20, 3, 30, 5]; lanes 1, 2, 4 selected.
         env.set(
@@ -1582,16 +1537,8 @@ mod tests {
         let mut profile = Profile::new();
         let mut policy = FixedPolicy::default();
         let mut interp = Interpreter::new(1024, &mut profile, &mut policy);
-        exec_trace(
-            &injection,
-            &mut interp,
-            &mut env,
-            1024,
-            None,
-            &mut [],
-            false,
-        )
-        .unwrap_or_else(|_| panic!("trace step failed"));
+        exec_trace(&injection, &mut interp, &mut env, 1024, None, &mut [])
+            .unwrap_or_else(|_| panic!("trace step failed"));
         let u = env
             .get("u")
             .unwrap()
@@ -1637,11 +1584,7 @@ mod tests {
             writes: vec![],
             node_ids: vec![0],
         };
-        let injection = Injection::new(
-            vec![0],
-            Arc::new(compile(fragment, &CostModel::untimed())),
-            false,
-        );
+        let injection = Injection::new(vec![0], Arc::new(compile(fragment, &CostModel::untimed())));
         let mut env = Env::new(Buffers::new());
         env.set(
             "t",
@@ -1654,16 +1597,8 @@ mod tests {
         let mut profile = Profile::new();
         let mut policy = FixedPolicy::default();
         let mut interp = Interpreter::new(1024, &mut profile, &mut policy);
-        exec_trace(
-            &injection,
-            &mut interp,
-            &mut env,
-            1024,
-            None,
-            &mut [],
-            false,
-        )
-        .unwrap_or_else(|_| panic!("trace step failed"));
+        exec_trace(&injection, &mut interp, &mut env, 1024, None, &mut [])
+            .unwrap_or_else(|_| panic!("trace step failed"));
         // 20*2 + 3*10 + 5*100.
         assert_eq!(env.get("s").unwrap().as_i64(), Some(570));
     }

@@ -28,9 +28,15 @@ pub mod profile;
 pub mod reorder;
 
 pub use adaptive::{BanditPolicy, FixedPolicy, FlavorPolicy};
-pub use adaptvm_jit::exec::native_available;
 pub use engine::{Prepared, RunReport, Strategy, Vm, VmConfig, VmState};
 pub use env::{Buffers, Env};
 pub use error::VmError;
 pub use obs::{install_jit_hook, jit_counters, JitCounters, JitEvent};
 pub use profile::Profile;
+
+/// Always `false`. Frozen compatibility function: the `benchmark/` crate
+/// still calls it; nothing in the engine does.
+#[doc(hidden)]
+pub fn native_available() -> bool {
+    false
+}

@@ -36,12 +36,6 @@ pub enum JitEvent {
     /// A fragment failed to build/compile/run and execution fell back to
     /// the interpreter (the adaptive strategy's deopt path).
     Deopt,
-    /// An injected trace carries native machine code (the x86-64 tier);
-    /// chunk dispatches will prefer it.
-    NativeInstall,
-    /// A native execution hit a guard (budget, output capacity, or input
-    /// type) and the chunk was re-run on the interpreted-trace tier.
-    NativeDeopt,
 }
 
 /// A snapshot of the process-wide JIT counters.
@@ -55,9 +49,11 @@ pub struct JitCounters {
     pub async_submits: u64,
     /// Build/compile/run failures that fell back to interpretation.
     pub deopts: u64,
-    /// Traces injected with a native machine-code body.
+    /// Always 0. Frozen compatibility fields: the `benchmark/` crate still
+    /// reads them; nothing in the engine increments them.
+    #[doc(hidden)]
     pub native_installs: u64,
-    /// Native executions that guard-deopted back to the interpreted tier.
+    #[doc(hidden)]
     pub native_deopts: u64,
 }
 
@@ -65,8 +61,6 @@ static COMPILES: AtomicU64 = AtomicU64::new(0);
 static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
 static ASYNC_SUBMITS: AtomicU64 = AtomicU64::new(0);
 static DEOPTS: AtomicU64 = AtomicU64::new(0);
-static NATIVE_INSTALLS: AtomicU64 = AtomicU64::new(0);
-static NATIVE_DEOPTS: AtomicU64 = AtomicU64::new(0);
 
 type JitHook = Box<dyn Fn(JitEvent) + Send + Sync>;
 
@@ -85,8 +79,8 @@ pub fn jit_counters() -> JitCounters {
         cache_hits: CACHE_HITS.load(Ordering::Relaxed),
         async_submits: ASYNC_SUBMITS.load(Ordering::Relaxed),
         deopts: DEOPTS.load(Ordering::Relaxed),
-        native_installs: NATIVE_INSTALLS.load(Ordering::Relaxed),
-        native_deopts: NATIVE_DEOPTS.load(Ordering::Relaxed),
+        native_installs: 0,
+        native_deopts: 0,
     }
 }
 
@@ -99,8 +93,6 @@ pub(crate) fn jit_event(ev: JitEvent) {
         }
         JitEvent::AsyncSubmit => ASYNC_SUBMITS.fetch_add(1, Ordering::Relaxed),
         JitEvent::Deopt => DEOPTS.fetch_add(1, Ordering::Relaxed),
-        JitEvent::NativeInstall => NATIVE_INSTALLS.fetch_add(1, Ordering::Relaxed),
-        JitEvent::NativeDeopt => NATIVE_DEOPTS.fetch_add(1, Ordering::Relaxed),
     };
     if let Some(hook) = HOOK.get() {
         hook(ev);
@@ -119,14 +111,10 @@ mod tests {
         jit_event(JitEvent::Publish { cost_ns: 20 });
         jit_event(JitEvent::AsyncSubmit);
         jit_event(JitEvent::Deopt);
-        jit_event(JitEvent::NativeInstall);
-        jit_event(JitEvent::NativeDeopt);
         let after = jit_counters();
         assert_eq!(after.cache_hits - before.cache_hits, 1);
         assert_eq!(after.compiles - before.compiles, 2);
         assert_eq!(after.async_submits - before.async_submits, 1);
         assert_eq!(after.deopts - before.deopts, 1);
-        assert_eq!(after.native_installs - before.native_installs, 1);
-        assert_eq!(after.native_deopts - before.native_deopts, 1);
     }
 }

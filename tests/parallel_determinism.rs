@@ -824,10 +824,9 @@ fn q18_order_by_total_desc_top_k_matches_oracle() {
 }
 
 /// Order-by over a **DSL-computed** column: the chunked-loop workload
-/// computes `3x + 1` per row (through whatever tier the host supports —
-/// native machine code where available), and the computed column feeds
-/// the external sort. End to end the ranking must be bit-identical at
-/// every worker count, with and without the native tier.
+/// computes `3x + 1` per row (through an injected trace once the loop is
+/// hot), and the computed column feeds the external sort. End to end the
+/// ranking must be bit-identical at every worker count.
 #[test]
 fn dsl_computed_column_order_by_is_worker_and_tier_invariant() {
     const SCHEMA: &[(&str, ScalarType)] = &[("xs", ScalarType::I64), ("oi", ScalarType::I64)];
@@ -849,39 +848,25 @@ loop {
     let inputs = [("xs", Array::from(xs.clone()))];
     let payloads: Vec<i64> = (0..xs.len() as i64).collect();
     let mut reference: Option<(Vec<i64>, Vec<i64>)> = None;
-    for native in [false, true] {
-        for workers in WORKER_COUNTS {
-            let config = VmConfig {
-                strategy: Strategy::Adaptive,
-                hot_threshold: 2,
-                native,
-                ..VmConfig::default()
-            };
-            let opts = ParallelOpts::new(workers, 1_000);
-            let (out, _report) = workload.run(&inputs, config, opts).unwrap();
-            let keys = out["oi"].to_i64_vec().expect("oi is i64");
-            assert_eq!(keys.len(), xs.len(), "native={native} workers={workers}");
-            let sorted = sort_rows(&keys, &payloads);
-            let ((gk, gp), _) =
-                external_top_k(&keys, &payloads, 64, ParallelOpts::new(workers, 1_000)).unwrap();
-            assert_eq!(
-                gk.as_slice(),
-                &sorted.0[..64],
-                "native={native} workers={workers}"
-            );
-            assert_eq!(
-                gp.as_slice(),
-                &sorted.1[..64],
-                "native={native} workers={workers}"
-            );
-            match &reference {
-                None => reference = Some(sorted),
-                Some(r) => {
-                    assert_eq!(
-                        &sorted, r,
-                        "native={native} workers={workers}: ranking diverged"
-                    )
-                }
+    for workers in WORKER_COUNTS {
+        let config = VmConfig {
+            strategy: Strategy::Adaptive,
+            hot_threshold: 2,
+            ..VmConfig::default()
+        };
+        let opts = ParallelOpts::new(workers, 1_000);
+        let (out, _report) = workload.run(&inputs, config, opts).unwrap();
+        let keys = out["oi"].to_i64_vec().expect("oi is i64");
+        assert_eq!(keys.len(), xs.len(), "workers={workers}");
+        let sorted = sort_rows(&keys, &payloads);
+        let ((gk, gp), _) =
+            external_top_k(&keys, &payloads, 64, ParallelOpts::new(workers, 1_000)).unwrap();
+        assert_eq!(gk.as_slice(), &sorted.0[..64], "workers={workers}");
+        assert_eq!(gp.as_slice(), &sorted.1[..64], "workers={workers}");
+        match &reference {
+            None => reference = Some(sorted),
+            Some(r) => {
+                assert_eq!(&sorted, r, "workers={workers}: ranking diverged")
             }
         }
     }

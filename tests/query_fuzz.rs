@@ -740,17 +740,6 @@ const STRATEGIES: [Strategy; 3] = [
     Strategy::Adaptive,
 ];
 
-/// JIT tiers to sweep: on hosts with the native x86-64 backend, every
-/// cell runs both natively-dispatched and pinned to the interpreted
-/// trace tier (they must be bit-identical); elsewhere only interpreted.
-fn native_axis() -> &'static [bool] {
-    if adaptvm::vm::native_available() {
-        &[true, false]
-    } else {
-        &[false]
-    }
-}
-
 /// Run `text` against `data` on oracle and engine matrix. `Ok(())` when
 /// every cell agrees with the oracle; `Err(description)` on the first
 /// divergence.
@@ -775,39 +764,36 @@ fn compare_all(text: &str, data: &[(String, Array)]) -> Result<(), String> {
     let zero = MemoryBudget::bytes(0);
     let tight = MemoryBudget::bytes(256);
     for strategy in STRATEGIES {
-        for &native in native_axis() {
-            let config = VmConfig {
-                strategy,
-                native,
-                ..VmConfig::default()
-            };
-            for workers in WORKER_COUNTS {
-                for budget in [None, Some(&zero), Some(&tight)] {
-                    let mut opts = ParallelOpts {
-                        workers,
-                        ..ParallelOpts::default()
-                    };
-                    if let Some(b) = budget {
-                        opts = opts.with_budget(b);
+        let config = VmConfig {
+            strategy,
+            ..VmConfig::default()
+        };
+        for workers in WORKER_COUNTS {
+            for budget in [None, Some(&zero), Some(&tight)] {
+                let mut opts = ParallelOpts {
+                    workers,
+                    ..ParallelOpts::default()
+                };
+                if let Some(b) = budget {
+                    opts = opts.with_budget(b);
+                }
+                let engine = workload.run(&inputs, config.clone(), opts);
+                let cell = format!(
+                    "strategy={strategy:?} workers={workers} budget={:?}",
+                    budget.map(|b| b.limit())
+                );
+                match (&oracle_out, engine) {
+                    (Err(_), Err(_)) => {}
+                    (Ok(o), Ok((e, _))) => {
+                        if let Some(diff) = maps_bit_eq(o.outputs(), &e) {
+                            return Err(format!("[{cell}] {diff}"));
+                        }
                     }
-                    let engine = workload.run(&inputs, config.clone(), opts);
-                    let cell = format!(
-                        "strategy={strategy:?} native={native} workers={workers} budget={:?}",
-                        budget.map(|b| b.limit())
-                    );
-                    match (&oracle_out, engine) {
-                        (Err(_), Err(_)) => {}
-                        (Ok(o), Ok((e, _))) => {
-                            if let Some(diff) = maps_bit_eq(o.outputs(), &e) {
-                                return Err(format!("[{cell}] {diff}"));
-                            }
-                        }
-                        (Ok(_), Err(e)) => {
-                            return Err(format!("[{cell}] engine errored ({e}), oracle succeeded"))
-                        }
-                        (Err(e), Ok(_)) => {
-                            return Err(format!("[{cell}] oracle errored ({e}), engine succeeded"))
-                        }
+                    (Ok(_), Err(e)) => {
+                        return Err(format!("[{cell}] engine errored ({e}), oracle succeeded"))
+                    }
+                    (Err(e), Ok(_)) => {
+                        return Err(format!("[{cell}] oracle errored ({e}), engine succeeded"))
                     }
                 }
             }
@@ -1274,38 +1260,35 @@ let base = read 0 xs in {
     let zero = MemoryBudget::bytes(0);
     let tight = MemoryBudget::bytes(256);
     for strategy in STRATEGIES {
-        for &native in native_axis() {
-            let config = VmConfig {
-                strategy,
-                native,
-                ..VmConfig::default()
-            };
-            for workers in [1usize, 4] {
-                for executor in ["scoped", "scheduler", "service"] {
-                    for budget in [None, Some(&zero), Some(&tight)] {
-                        let mut opts = ParallelOpts {
-                            workers,
-                            ..ParallelOpts::default()
-                        };
-                        opts = match executor {
-                            "scoped" => opts,
-                            "scheduler" => opts.with_scheduler(&scheduler),
-                            _ => opts.with_service(&service, Priority::Normal),
-                        };
-                        if let Some(b) = budget {
-                            opts = opts.with_budget(b);
-                        }
-                        let cell = format!(
-                            "strategy={strategy:?} native={native} workers={workers} \
-                             executor={executor} budget={:?}",
-                            budget.map(|b| b.limit())
-                        );
-                        let (out, _) = workload
-                            .run(&inputs, config.clone(), opts)
-                            .unwrap_or_else(|e| panic!("[{cell}] engine errored: {e}"));
-                        if let Some(diff) = maps_bit_eq(oracle.outputs(), &out) {
-                            panic!("[{cell}] diverged from oracle: {diff}");
-                        }
+        let config = VmConfig {
+            strategy,
+            ..VmConfig::default()
+        };
+        for workers in [1usize, 4] {
+            for executor in ["scoped", "scheduler", "service"] {
+                for budget in [None, Some(&zero), Some(&tight)] {
+                    let mut opts = ParallelOpts {
+                        workers,
+                        ..ParallelOpts::default()
+                    };
+                    opts = match executor {
+                        "scoped" => opts,
+                        "scheduler" => opts.with_scheduler(&scheduler),
+                        _ => opts.with_service(&service, Priority::Normal),
+                    };
+                    if let Some(b) = budget {
+                        opts = opts.with_budget(b);
+                    }
+                    let cell = format!(
+                        "strategy={strategy:?} workers={workers} \
+                         executor={executor} budget={:?}",
+                        budget.map(|b| b.limit())
+                    );
+                    let (out, _) = workload
+                        .run(&inputs, config.clone(), opts)
+                        .unwrap_or_else(|e| panic!("[{cell}] engine errored: {e}"));
+                    if let Some(diff) = maps_bit_eq(oracle.outputs(), &out) {
+                        panic!("[{cell}] diverged from oracle: {diff}");
                     }
                 }
             }

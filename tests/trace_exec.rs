@@ -1,74 +1,25 @@
-//! Native x86-64 JIT tier: deopt stress and bit-identity.
+//! The trace executor: bit-identity of injected traces.
 //!
-//! The native tier's contract is that it is **invisible** except for
-//! speed: every query answer must be bit-identical to the interpreted
-//! trace tier, whether native code runs a chunk to completion or guard-
-//! deopts half-way through (type guards, output-capacity guards, and the
-//! test-only "fail after N lanes" budget hook). These tests drive whole
-//! DSL workloads through the engine at 1/2/4/8 workers with the deopt
-//! hooks armed and compare against the interpreted tier bit-for-bit,
-//! plus a proptest of the linear-scan allocator invariant (two live
-//! intervals never share a register).
-//!
-//! Which tier serves a trace is the trace's own measurement (its first
-//! full-size executions time both, then the faster one runs): the tier
-//! tests force each verdict in turn and check that nothing but speed
-//! depends on it. The packed tier's block executor is checked opcode by
-//! opcode against the per-lane executor at lengths around its block size.
-//!
-//! On hosts without the native backend (non-x86-64, or
-//! `ADAPTVM_NATIVE=0`) the engine silently pins the interpreted tier;
-//! every test still passes through the fallback path.
+//! An injected trace runs on the packed `jit::ir` executor, which has two
+//! loops: a block-at-a-time loop for chunks without a pending selection
+//! and a per-lane loop over candidate lanes. The block loop is checked
+//! opcode by opcode, operand shape by operand shape, against the per-lane
+//! loop at lengths around its block size, together with filtered outputs,
+//! every fold kind and the masked-sum `-0.0` contract. A whole DSL
+//! workload driven through the engine at 1/2/4/8 workers pins that traced
+//! execution is bit-identical whatever the parallelism.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 use adaptvm::dsl::{FoldFn, ScalarOp};
 use adaptvm::jit::ir::{self, FilterCheck, OutputSpec, Src, TraceIr, TraceOp};
-use adaptvm::jit::regalloc::{allocate, Interval, Loc};
-use adaptvm::jit::{
-    force_tier_verdict, set_native_capacity_limit, set_native_guard_budget, LaneType, TraceTier,
-};
+use adaptvm::jit::LaneType;
 use adaptvm::relational::parallel::ParallelOpts;
 use adaptvm::relational::workload::Workload;
 use adaptvm::storage::{Array, Scalar, ScalarType, SelVec};
-use adaptvm::vm::{native_available, Strategy, VmConfig};
-use proptest::prelude::*;
+use adaptvm::vm::{Strategy, VmConfig};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// The native deopt hooks are process-global; serialize every test that
-/// arms them (or depends on them being disarmed).
-static HOOKS: Mutex<()> = Mutex::new(());
-
-/// RAII disarm: a panicking assertion must not leave a poisoned budget
-/// behind for the next test.
-struct Armed;
-
-impl Armed {
-    fn guard_budget(lanes: u64) -> Armed {
-        set_native_guard_budget(Some(lanes));
-        Armed
-    }
-
-    fn capacity(limit: u64) -> Armed {
-        set_native_capacity_limit(Some(limit));
-        Armed
-    }
-
-    fn verdict(tier: TraceTier) -> Armed {
-        force_tier_verdict(Some(tier));
-        Armed
-    }
-}
-
-impl Drop for Armed {
-    fn drop(&mut self) {
-        set_native_guard_budget(None);
-        set_native_capacity_limit(None);
-        force_tier_verdict(None);
-    }
-}
 
 // ---------------------------------------------------------------------
 // Workload fixture: i64 + f64 maps, a filter with compaction, folds.
@@ -86,10 +37,8 @@ const SCHEMA: &[(&str, ScalarType)] = &[
 const ROWS: usize = 4096;
 
 /// Chunked-loop shape (the fig2 / TPC-H Q6 idiom) so the loop body gets
-/// hot, is traced, and — with `native: true` on a capable host — runs as
-/// machine code: i64 map + filter + condense (array outputs exercise the
-/// capacity guard), a guarded fold over the filtered flow (exercises the
-/// guard budget), and an f64 map + fold.
+/// hot and is traced: i64 map + filter + condense, a guarded fold over the
+/// filtered flow, and an f64 map + fold.
 const SRC: &str = "\
 mut i
 mut k
@@ -139,30 +88,15 @@ fn fixture_inputs(n: usize, seed: i64) -> Vec<(String, Array)> {
     ]
 }
 
-fn run_fixture(
-    native: bool,
-    workers: usize,
-) -> (HashMap<String, Array>, adaptvm::parallel::ParallelRunReport) {
-    run_fixture_chunked(native, workers, 64, 256)
-}
-
-/// The fixture at a given chunk / morsel size. Chunks of 64 lanes are
-/// below the tier-sampling minimum, so every trace execution goes native
-/// (what the deopt tests need); chunks of 256 and up are sampled.
-fn run_fixture_chunked(
-    native: bool,
-    workers: usize,
-    chunk_size: usize,
-    morsel_rows: usize,
-) -> (HashMap<String, Array>, adaptvm::parallel::ParallelRunReport) {
+/// The fixture in 64-lane chunks and 256-row morsels.
+fn run_fixture(workers: usize) -> (HashMap<String, Array>, adaptvm::parallel::ParallelRunReport) {
     let workload = Workload::compile(SRC, SCHEMA).unwrap();
     let data = fixture_inputs(ROWS, 5);
     let inputs: Vec<(&str, Array)> = data.iter().map(|(n, a)| (n.as_str(), a.clone())).collect();
     let config = VmConfig {
         strategy: Strategy::Adaptive,
         hot_threshold: 2,
-        chunk_size,
-        native,
+        chunk_size: 64,
         ..VmConfig::default()
     };
     workload
@@ -171,7 +105,7 @@ fn run_fixture_chunked(
             config,
             ParallelOpts {
                 workers,
-                morsel_rows,
+                morsel_rows: 256,
                 ..ParallelOpts::default()
             },
         )
@@ -199,110 +133,28 @@ fn bits_of(out: &HashMap<String, Array>) -> Vec<(String, Vec<u64>)> {
 }
 
 // ---------------------------------------------------------------------
-// Bit-identity: native vs interpreted tier across worker counts.
+// Bit-identity of traced execution across worker counts.
 // ---------------------------------------------------------------------
 
 #[test]
-fn native_tier_bit_identical_across_worker_counts() {
-    let _lock = HOOKS.lock().unwrap_or_else(|e| e.into_inner());
-    let (reference, _) = run_fixture(false, 1);
+fn traced_execution_bit_identical_across_worker_counts() {
+    let (reference, _) = run_fixture(1);
     for workers in WORKER_COUNTS {
-        let (interp, _) = run_fixture(false, workers);
-        assert_eq!(
-            bits_of(&reference),
-            bits_of(&interp),
-            "interpreted tier not deterministic at {workers} workers"
-        );
-        let (native, report) = run_fixture(true, workers);
-        assert_eq!(
-            bits_of(&reference),
-            bits_of(&native),
-            "native tier diverged at {workers} workers"
-        );
-        if native_available() {
-            assert!(
-                report.native_trace_executions > 0,
-                "native tier never dispatched at {workers} workers: {report:?}"
-            );
-            assert_eq!(report.native_deopts, 0, "unexpected deopt: {report:?}");
-        } else {
-            assert_eq!(report.native_trace_executions, 0);
-        }
-    }
-}
-
-#[test]
-fn interpreted_pin_reports_no_native_activity() {
-    let _lock = HOOKS.lock().unwrap_or_else(|e| e.into_inner());
-    let (_, report) = run_fixture(false, 4);
-    assert_eq!(report.native_trace_executions, 0);
-    assert_eq!(report.native_deopts, 0);
-}
-
-// ---------------------------------------------------------------------
-// Tier choice: whichever tier wins the sampling, only speed may change.
-// ---------------------------------------------------------------------
-
-/// Full-size chunks are sampled: the first execution of every trace still
-/// goes native, and the answer is the interpreted tier's.
-#[test]
-fn sampled_runs_start_native_and_stay_bit_identical() {
-    let _lock = HOOKS.lock().unwrap_or_else(|e| e.into_inner());
-    let (reference, _) = run_fixture_chunked(false, 1, 256, 2048);
-    for workers in WORKER_COUNTS {
-        let (out, report) = run_fixture_chunked(true, workers, 256, 2048);
+        let (out, report) = run_fixture(workers);
         assert_eq!(
             bits_of(&reference),
             bits_of(&out),
-            "sampling changed results at {workers} workers"
+            "traced execution diverged at {workers} workers"
         );
-        assert!(report.trace_executions > 0, "{report:?}");
-        if native_available() {
-            assert!(
-                report.native_trace_executions > 0,
-                "the first sample of a trace must be native: {report:?}"
-            );
-        } else {
-            assert_eq!(report.native_trace_executions, 0);
-        }
-        assert_eq!(report.native_deopts, 0, "{report:?}");
-    }
-}
-
-/// Force each verdict in turn: outputs and the report's answers are
-/// bit-identical, and the executions land on the forced tier.
-#[test]
-fn either_tier_verdict_is_bit_identical() {
-    let _lock = HOOKS.lock().unwrap_or_else(|e| e.into_inner());
-    let (reference, base) = run_fixture_chunked(false, 1, 256, 2048);
-    for tier in [TraceTier::Native, TraceTier::Interpreted] {
-        for workers in WORKER_COUNTS {
-            let armed = Armed::verdict(tier);
-            let (out, report) = run_fixture_chunked(true, workers, 256, 2048);
-            drop(armed);
-            assert_eq!(
-                bits_of(&reference),
-                bits_of(&out),
-                "{tier:?} verdict changed results at {workers} workers"
-            );
-            assert_eq!(report.iterations, base.iterations, "{tier:?}: {report:?}");
-            assert_eq!(report.native_deopts, 0, "{tier:?}: {report:?}");
-            match tier {
-                TraceTier::Native if native_available() => assert!(
-                    report.native_trace_executions > 0,
-                    "a native verdict must dispatch native code: {report:?}"
-                ),
-                _ => assert_eq!(
-                    report.native_trace_executions, 0,
-                    "{tier:?} verdict must not run native code: {report:?}"
-                ),
-            }
-        }
+        assert!(
+            report.trace_executions > 0,
+            "no trace ever ran at {workers} workers: {report:?}"
+        );
     }
 }
 
 // ---------------------------------------------------------------------
-// Packed tier: the block executor against the per-lane executor.
+// The block executor against the per-lane executor.
 // ---------------------------------------------------------------------
 
 /// Lengths around the executor's 256-lane block.
@@ -608,9 +460,9 @@ fn filtered_block_execution_matches_per_lane() {
 }
 
 /// The one place the block and per-lane executors are *meant* to differ:
-/// a masked sum adds the lane type's zero for a non-passing lane (as the
-/// native loop does), so a skipped lane turns a `-0.0` accumulator into
-/// `+0.0`; the per-lane executor only ever visits candidates. The block
+/// a masked sum adds the lane type's zero for a non-passing lane, so a
+/// skipped lane turns a `-0.0` accumulator into `+0.0`; the per-lane
+/// executor only ever visits candidates. The block
 /// executor adds just the passing lanes and one zero — this pins that the
 /// shortcut keeps the defined bits, at every mask density.
 #[test]
@@ -666,165 +518,6 @@ fn masked_sum_from_negative_zero_adds_a_zero_per_skipped_lane() {
                     0.0f64.to_bits(),
                     "n={n} {what}"
                 );
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Deopt stress: every guard fires, the answer never changes.
-// ---------------------------------------------------------------------
-
-/// The "fail after N lanes" hook: every native chunk run aborts after 7
-/// lanes and re-runs interpreted. Results stay bit-identical at every
-/// worker count and the deopts are visible in the report.
-#[test]
-fn guard_budget_deopt_is_bit_identical_across_worker_counts() {
-    let _lock = HOOKS.lock().unwrap_or_else(|e| e.into_inner());
-    let (reference, _) = run_fixture(false, 1);
-    for workers in WORKER_COUNTS {
-        let armed = Armed::guard_budget(7);
-        let (out, report) = run_fixture(true, workers);
-        drop(armed);
-        assert_eq!(
-            bits_of(&reference),
-            bits_of(&out),
-            "guard-budget deopt changed results at {workers} workers"
-        );
-        if native_available() {
-            assert!(
-                report.native_deopts > 0,
-                "a 7-lane budget must deopt guarded chunks: {report:?}"
-            );
-        }
-    }
-}
-
-/// Output-capacity guards: native buffers are capped at 3 entries, so
-/// every chunk whose filter passes more than 3 lanes deopts mid-write.
-/// The partial native buffers are discarded; results stay bit-identical.
-#[test]
-fn capacity_guard_deopt_is_bit_identical_across_worker_counts() {
-    let _lock = HOOKS.lock().unwrap_or_else(|e| e.into_inner());
-    let (reference, _) = run_fixture(false, 1);
-    for workers in WORKER_COUNTS {
-        let armed = Armed::capacity(3);
-        let (out, report) = run_fixture(true, workers);
-        drop(armed);
-        assert_eq!(
-            bits_of(&reference),
-            bits_of(&out),
-            "capacity deopt changed results at {workers} workers"
-        );
-        if native_available() {
-            assert!(
-                report.native_deopts > 0,
-                "3-entry capacity must deopt compacting chunks: {report:?}"
-            );
-        }
-    }
-}
-
-/// A budget larger than any chunk never fires: full native service, zero
-/// deopts, and bit-identity with the armed-but-idle hook in place.
-#[test]
-fn oversized_guard_budget_never_fires() {
-    let _lock = HOOKS.lock().unwrap_or_else(|e| e.into_inner());
-    let (reference, _) = run_fixture(false, 1);
-    let armed = Armed::guard_budget(1 << 40);
-    let (out, report) = run_fixture(true, 2);
-    drop(armed);
-    assert_eq!(bits_of(&reference), bits_of(&out));
-    if native_available() {
-        assert_eq!(report.native_deopts, 0, "{report:?}");
-        assert!(report.native_trace_executions > 0, "{report:?}");
-    }
-}
-
-/// Type guards: inputs the native code cannot consume deopt *before* the
-/// call and fall back to the interpreter — which reproduces the exact
-/// interpreted outcome (here: an error), never a wrong answer.
-#[test]
-fn type_guard_falls_back_to_interpreted_outcome() {
-    let _lock = HOOKS.lock().unwrap_or_else(|e| e.into_inner());
-    use adaptvm::dsl::depgraph::{scalar_uses, DepGraph};
-    use adaptvm::dsl::partition::Region;
-    use adaptvm::dsl::programs;
-    use adaptvm::jit::build_fragment;
-    use adaptvm::jit::compiler::{compile, CostModel};
-
-    let p = programs::fig2_example();
-    let body = programs::loop_body(&p).unwrap();
-    let g = DepGraph::from_stmts(body);
-    let region = Region {
-        nodes: (0..g.len()).collect(),
-        seed: 0,
-        cost: 0.0,
-    };
-    let frag = build_fragment(&g, &region, &scalar_uses(body), &HashMap::new()).unwrap();
-    let trace = compile(frag, &CostModel::untimed());
-
-    // Numeric input: tiered and interpreted agree bit-for-bit.
-    let xs = Array::from(vec![3i64, -7, 12, 0, 44]);
-    let interp = trace.run(&[&xs], None).unwrap();
-    let (tiered, _) = trace.run_tiered(&[&xs], None, true).unwrap();
-    assert_eq!(format!("{interp:?}"), format!("{tiered:?}"));
-
-    // String input: the native tier type-deopts and the interpreter's
-    // error surfaces unchanged.
-    let ss = Array::from(vec!["a".to_string(), "b".to_string()]);
-    let ie = trace.run(&[&ss], None).unwrap_err();
-    let te = trace.run_tiered(&[&ss], None, true).unwrap_err();
-    assert_eq!(format!("{ie}"), format!("{te}"));
-}
-
-// ---------------------------------------------------------------------
-// Linear-scan allocator invariant.
-// ---------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Whatever the interval shapes and pool size: two simultaneously
-    /// live intervals never share a register, and call-crossing
-    /// (`needs_stack`) intervals always land on the stack.
-    #[test]
-    fn linear_scan_never_double_books_a_register(
-        pool in 1u8..8,
-        raw in prop::collection::vec((0u32..80, 1u32..12, any::<bool>()), 0..60),
-    ) {
-        let intervals: Vec<Interval> = raw
-            .iter()
-            .map(|&(start, len, needs_stack)| Interval {
-                start,
-                end: start + len,
-                needs_stack,
-            })
-            .collect();
-        let alloc = allocate(&intervals, pool);
-        prop_assert_eq!(alloc.locs.len(), intervals.len());
-        for (iv, loc) in intervals.iter().zip(&alloc.locs) {
-            if iv.needs_stack {
-                prop_assert!(
-                    matches!(loc, Loc::Stack(_)),
-                    "call-crossing interval {:?} got {:?}", iv, loc
-                );
-            }
-            if let Loc::Reg(r) = loc {
-                prop_assert!(*r < pool, "register {} out of pool {}", r, pool);
-            }
-        }
-        for i in 0..intervals.len() {
-            for j in i + 1..intervals.len() {
-                if let (Loc::Reg(ri), Loc::Reg(rj)) = (alloc.locs[i], alloc.locs[j]) {
-                    if intervals[i].overlaps(&intervals[j]) {
-                        prop_assert!(
-                            ri != rj,
-                            "{:?} and {:?} overlap but share r{}",
-                            intervals[i], intervals[j], ri
-                        );
-                    }
-                }
             }
         }
     }
