@@ -107,10 +107,7 @@ pub use scheduler::{
     CancelReason, CancelToken, ElasticityConfig, MorselElasticity, ProfileWindow, QueryError,
     QueryHandle, QueryOutcomeKind, RunError, Scheduler, SchedulerStats, SubmitError, SubmitOptions,
 };
-pub use scratch::{
-    acquire_partition, acquire_str, scratch_stats, PartitionScratch, PartitionScratchLease,
-    ScratchStats, StrScratch, StrScratchLease,
-};
+pub use scratch::{acquire_scratch, scratch_stats, Scratch, ScratchLease, ScratchStats};
 pub use serve::{
     render_text, AdmissionError, DrainReport, GateError, Priority, PriorityStats, QueryService,
     ServeConfig, ServeHandle, ServiceStats, SubmitOpts, TenantId, TenantQuota, TenantRegistry,

@@ -13,13 +13,25 @@
 //! can also be assembled from per-morsel [`JoinPartition`]s (see
 //! [`HashTable::from_partitions`]), which is what the morsel-parallel
 //! partitioned build in `crate::parallel` uses.
+//!
+//! The table, its partitions, and every join built on them exist once,
+//! generic over a [`JoinKey`]: `i64` keys ([`HashTable`], the default)
+//! keep a direct key → slot map, Utf8 keys ([`StrHashTable`]) a byte
+//! arena bucketed by string hash.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::fmt::Debug;
+use std::hash::Hash;
 use std::ops::Range;
 use std::time::Instant;
 
+use adaptvm_kernels::map::{hash_i64, hash_str};
+use adaptvm_storage::spill::{Run, RunBatch, RunSchema};
 use adaptvm_storage::Array;
 use adaptvm_vm::reorder::ReorderController;
+
+use crate::spill::{INT_BUILD_ROW_BYTES, STR_BUILD_ROW_BYTES};
 
 /// Bloom-style pre-filter: a bitmask sized from build cardinality
 /// (~8 bits per distinct key, rounded up to a power of two), with two
@@ -42,51 +54,309 @@ impl Bloom {
         }
     }
 
-    /// The two probe positions for `key` (Kirsch–Mitzenmacher double
-    /// hashing over the halves of the 64-bit multiplicative hash; the
-    /// high half leads because multiplicative hashing mixes high bits
-    /// best).
+    /// The two probe positions for a key's [`JoinKey::word`]
+    /// (Kirsch–Mitzenmacher double hashing over the halves of the 64-bit
+    /// multiplicative hash; the high half leads because multiplicative
+    /// hashing mixes high bits best).
     #[inline]
-    fn positions(&self, key: i64) -> (u64, u64) {
-        let h = adaptvm_kernels::map::hash_i64(key) as u64;
+    fn positions(&self, word: i64) -> (u64, u64) {
+        let h = hash_i64(word) as u64;
         let h1 = h >> 32;
         let h2 = (h & 0xffff_ffff) | 1; // odd: never a no-op step
         (h1 & self.mask, h1.wrapping_add(h2) & self.mask)
     }
 
-    fn insert(&mut self, key: i64) {
-        let (a, b) = self.positions(key);
+    fn insert(&mut self, word: i64) {
+        let (a, b) = self.positions(word);
         self.bits[(a / 64) as usize] |= 1 << (a % 64);
         self.bits[(b / 64) as usize] |= 1 << (b % 64);
     }
 
     #[inline]
-    fn maybe_contains(&self, key: i64) -> bool {
-        let (a, b) = self.positions(key);
+    fn maybe_contains(&self, word: i64) -> bool {
+        let (a, b) = self.positions(word);
         self.bits[(a / 64) as usize] & (1 << (a % 64)) != 0
             && self.bits[(b / 64) as usize] & (1 << (b % 64)) != 0
     }
 }
 
-/// A build-side hash table from join key to payloads (a multimap).
+/// What the one hash join needs to know about a key type; implemented
+/// for `i64` and `String` (Utf8). The table ([`HashTable`]), its
+/// morsel-parallel build, and the grace-hash spill operator
+/// ([`crate::spill::parallel_hash_join_spill`]) are written once over
+/// `K: JoinKey`, and each is monomorphized per key type, so no inner loop
+/// dispatches on the kind.
+pub trait JoinKey: Clone + Eq + Hash + Debug + Send + Sync + 'static {
+    /// A borrowed key as probes pass it: `i64` by value, `&str` for Utf8.
+    type Ref<'a>: Copy
+    where
+        Self: 'a;
+    /// The built table's key storage, mapping a key to its `(start, len)`
+    /// payload slot.
+    type Index: Clone + Debug + Send + Sync;
+
+    /// What the build key column must hold, for precondition errors.
+    const COLUMN: &'static str;
+    /// Observability label of the in-memory join stage, and of the spill
+    /// join's settle scope.
+    const STAGE: &'static str;
+    /// Observability label of the spilling join's stage.
+    const SPILL_STAGE: &'static str;
+    /// Observability label of a level-0 build-partition spill.
+    const BUILD_SPILL_OP: &'static str;
+    /// File-name prefix of this key type's spill runs.
+    const RUN_LABEL: &'static str;
+    /// Schema of the `(key, value)` rows a spilled partition writes.
+    const RUN_SCHEMA: RunSchema;
+    /// Estimated resident bytes per build row, charged against the memory
+    /// budget before a partition builds (Utf8 key bytes come on top).
+    const BUILD_ROW_BYTES: usize;
+
+    /// Borrow the key.
+    fn borrowed(&self) -> Self::Ref<'_>;
+    /// The build key column of `array`, or `None` for the wrong type.
+    fn column(array: &Array) -> Option<Cow<'_, [Self]>>;
+    /// The 64-bit hash whose windows pick grace-hash partitions.
+    fn partition_hash(key: Self::Ref<'_>) -> i64;
+    /// The word the Bloom filter and the index are keyed by.
+    fn word(key: Self::Ref<'_>) -> i64;
+    /// An empty index sized for `distinct` keys.
+    fn index_with_capacity(distinct: usize) -> Self::Index;
+    /// Record `key`'s payload slot.
+    fn insert(index: &mut Self::Index, key: Self, slot: (u32, u32));
+    /// The payload slot of `key` (`word` is `Self::word(key)`).
+    fn find(index: &Self::Index, word: i64, key: Self::Ref<'_>) -> Option<(u32, u32)>;
+    /// Distinct keys in the index.
+    fn distinct(index: &Self::Index) -> usize;
+    /// The distinct words of the index (what the Bloom filter holds).
+    fn words(index: &Self::Index) -> impl Iterator<Item = i64> + '_;
+    /// Append `payload` to `key`'s list, copying the key only when new.
+    fn merge(map: &mut HashMap<Self, Vec<i64>>, key: Self::Ref<'_>, payload: i64);
+    /// The key of row `row` of a `(key, value)` spill frame.
+    fn key_at(batch: &RunBatch, row: usize) -> Self::Ref<'_>;
+    /// Append a `(key, value)` row to a spill frame.
+    fn push(batch: &mut RunBatch, key: Self::Ref<'_>, value: i64);
+    /// Budget charge for rebuilding a spilled partition from `run`.
+    fn settle_charge(run: &Run) -> usize;
+}
+
+/// The value column of a `(key, value)` spill frame: the last `i64`
+/// column under either key type's schema.
+pub(crate) fn run_values(batch: &RunBatch) -> &[i64] {
+    batch.cols.last().map_or(&[], Vec::as_slice)
+}
+
+impl JoinKey for i64 {
+    type Ref<'a> = i64;
+    /// Direct lookup: key → payload slot.
+    type Index = HashMap<i64, (u32, u32)>;
+
+    const COLUMN: &'static str = "integer";
+    const STAGE: &'static str = "join";
+    const SPILL_STAGE: &'static str = "join-spill";
+    const BUILD_SPILL_OP: &'static str = "join-build";
+    const RUN_LABEL: &'static str = "int";
+    const RUN_SCHEMA: RunSchema = RunSchema::ints(2);
+    const BUILD_ROW_BYTES: usize = INT_BUILD_ROW_BYTES;
+
+    fn borrowed(&self) -> i64 {
+        *self
+    }
+
+    fn column(array: &Array) -> Option<Cow<'_, [i64]>> {
+        array.to_i64_vec().map(Cow::Owned)
+    }
+
+    #[inline]
+    fn partition_hash(key: i64) -> i64 {
+        hash_i64(key)
+    }
+
+    #[inline]
+    fn word(key: i64) -> i64 {
+        key
+    }
+
+    fn index_with_capacity(distinct: usize) -> Self::Index {
+        HashMap::with_capacity(distinct)
+    }
+
+    fn insert(index: &mut Self::Index, key: i64, slot: (u32, u32)) {
+        index.insert(key, slot);
+    }
+
+    #[inline]
+    fn find(index: &Self::Index, _word: i64, key: i64) -> Option<(u32, u32)> {
+        index.get(&key).copied()
+    }
+
+    fn distinct(index: &Self::Index) -> usize {
+        index.len()
+    }
+
+    fn words(index: &Self::Index) -> impl Iterator<Item = i64> + '_ {
+        index.keys().copied()
+    }
+
+    #[inline]
+    fn merge(map: &mut HashMap<i64, Vec<i64>>, key: i64, payload: i64) {
+        map.entry(key).or_default().push(payload);
+    }
+
+    #[inline]
+    fn key_at(batch: &RunBatch, row: usize) -> i64 {
+        batch.cols[0][row]
+    }
+
+    #[inline]
+    fn push(batch: &mut RunBatch, key: i64, value: i64) {
+        batch.push(None, &[key, value]);
+    }
+
+    fn settle_charge(run: &Run) -> usize {
+        run.rows() as usize * INT_BUILD_ROW_BYTES
+    }
+}
+
+/// The Utf8 [`JoinKey::Index`]: key bytes live contiguously in one
+/// **arena** (no per-key allocation in the built table), and the map goes
+/// from the 64-bit string hash ([`hash_str`]) to the entries sharing that
+/// hash. A probe confirms a candidate by comparing key bytes — hash
+/// collisions cost an extra memcmp, never a wrong join result.
 #[derive(Debug, Clone)]
-pub struct HashTable {
+pub struct StrIndex {
+    map: HashMap<i64, Vec<StrEntry>>,
+    keys: Vec<u8>,
+}
+
+/// One distinct key: where its bytes and payloads live.
+#[derive(Debug, Clone, Copy)]
+struct StrEntry {
+    key_start: u32,
+    key_len: u32,
+    slot: (u32, u32),
+}
+
+impl JoinKey for String {
+    type Ref<'a> = &'a str;
+    type Index = StrIndex;
+
+    const COLUMN: &'static str = "strings";
+    const STAGE: &'static str = "join-str";
+    const SPILL_STAGE: &'static str = "join-str-spill";
+    const BUILD_SPILL_OP: &'static str = "join-str-build";
+    const RUN_LABEL: &'static str = "str";
+    const RUN_SCHEMA: RunSchema = RunSchema::utf8_plus_ints(1);
+    const BUILD_ROW_BYTES: usize = STR_BUILD_ROW_BYTES;
+
+    fn borrowed(&self) -> &str {
+        self
+    }
+
+    fn column(array: &Array) -> Option<Cow<'_, [String]>> {
+        array.as_str().map(Cow::Borrowed)
+    }
+
+    #[inline]
+    fn partition_hash(key: &str) -> i64 {
+        hash_str(key)
+    }
+
+    #[inline]
+    fn word(key: &str) -> i64 {
+        hash_str(key)
+    }
+
+    fn index_with_capacity(distinct: usize) -> StrIndex {
+        StrIndex {
+            map: HashMap::with_capacity(distinct),
+            keys: Vec::new(),
+        }
+    }
+
+    fn insert(index: &mut StrIndex, key: String, slot: (u32, u32)) {
+        assert!(
+            index.keys.len() + key.len() <= u32::MAX as usize,
+            "string hash-table key arena exceeds u32 addressing ({} + {} bytes)",
+            index.keys.len(),
+            key.len()
+        );
+        let entry = StrEntry {
+            key_start: index.keys.len() as u32,
+            key_len: key.len() as u32,
+            slot,
+        };
+        index.keys.extend_from_slice(key.as_bytes());
+        index.map.entry(hash_str(&key)).or_default().push(entry);
+    }
+
+    #[inline]
+    fn find(index: &StrIndex, word: i64, key: &str) -> Option<(u32, u32)> {
+        index.map.get(&word)?.iter().find_map(|e| {
+            let bytes = &index.keys[e.key_start as usize..(e.key_start + e.key_len) as usize];
+            (bytes == key.as_bytes()).then_some(e.slot)
+        })
+    }
+
+    fn distinct(index: &StrIndex) -> usize {
+        index.map.values().map(Vec::len).sum()
+    }
+
+    fn words(index: &StrIndex) -> impl Iterator<Item = i64> + '_ {
+        index.map.keys().copied()
+    }
+
+    #[inline]
+    fn merge(map: &mut HashMap<String, Vec<i64>>, key: &str, payload: i64) {
+        match map.get_mut(key) {
+            Some(payloads) => payloads.push(payload),
+            None => {
+                map.insert(key.to_owned(), vec![payload]);
+            }
+        }
+    }
+
+    #[inline]
+    fn key_at(batch: &RunBatch, row: usize) -> &str {
+        batch.key(row)
+    }
+
+    #[inline]
+    fn push(batch: &mut RunBatch, key: &str, value: i64) {
+        batch.push(Some(key), &[value]);
+    }
+
+    fn settle_charge(run: &Run) -> usize {
+        // Key bytes are inside the frames, so approximate with the
+        // encoded size plus per-row overhead.
+        run.bytes() as usize + run.rows() as usize * STR_BUILD_ROW_BYTES
+    }
+}
+
+/// A build-side hash table from join key to payloads (a multimap), over
+/// `i64` keys by default or Utf8 keys ([`StrHashTable`]).
+#[derive(Debug, Clone)]
+pub struct HashTable<K: JoinKey = i64> {
     /// key → `(start, len)` into [`Self::payloads`]: every payload for a
     /// key is contiguous, in build-row order.
-    map: HashMap<i64, (u32, u32)>,
+    index: K::Index,
     /// The payload arena.
     payloads: Vec<i64>,
-    /// Optional Bloom-style pre-filter.
+    /// Optional Bloom-style pre-filter over the index's words.
     bloom: Option<Bloom>,
 }
 
-impl HashTable {
+/// The Utf8-keyed [`HashTable`]: keys in one byte arena, bucketed by
+/// string hash (see [`StrIndex`]).
+pub type StrHashTable = HashTable<String>;
+
+impl<K: JoinKey> HashTable<K> {
     /// Build from parallel key/payload arrays. Duplicate keys keep every
     /// payload (in build-row order): probing emits one output row per
-    /// build match. Returns `None` on non-integer columns or a length
-    /// mismatch.
-    pub fn build(keys: &Array, payloads: &Array) -> Option<HashTable> {
-        let k = keys.to_i64_vec()?;
+    /// build match. Returns `None` on a key column of the wrong type,
+    /// non-integer payloads, or a length mismatch.
+    pub fn build(keys: &Array, payloads: &Array) -> Option<HashTable<K>> {
+        let k = K::column(keys)?;
         let p = payloads.to_i64_vec()?;
         if k.len() != p.len() {
             return None;
@@ -96,7 +366,7 @@ impl HashTable {
 
     /// Build from key/payload slices (infallible form of [`Self::build`]).
     /// Panics if the slices differ in length.
-    pub fn from_rows(keys: &[i64], payloads: &[i64]) -> HashTable {
+    pub fn from_rows(keys: &[K], payloads: &[i64]) -> HashTable<K> {
         HashTable::from_partitions([JoinPartition::from_rows(keys, payloads)])
     }
 
@@ -107,11 +377,11 @@ impl HashTable {
     /// observably identical to a sequential [`Self::build`] over the whole
     /// column — the contract the morsel-parallel partitioned build relies
     /// on.
-    pub fn from_partitions<I>(partitions: I) -> HashTable
+    pub fn from_partitions<I>(partitions: I) -> HashTable<K>
     where
-        I: IntoIterator<Item = JoinPartition>,
+        I: IntoIterator<Item = JoinPartition<K>>,
     {
-        let mut merged: HashMap<i64, Vec<i64>> = HashMap::new();
+        let mut merged: HashMap<K, Vec<i64>> = HashMap::new();
         for partition in partitions {
             for (key, payloads) in partition.map {
                 merged.entry(key).or_default().extend(payloads);
@@ -122,14 +392,14 @@ impl HashTable {
             total <= u32::MAX as usize,
             "hash-table payload arena exceeds u32 addressing ({total} rows)"
         );
-        let mut map = HashMap::with_capacity(merged.len());
+        let mut index = K::index_with_capacity(merged.len());
         let mut arena = Vec::with_capacity(total);
         for (key, payloads) in merged {
-            map.insert(key, (arena.len() as u32, payloads.len() as u32));
+            K::insert(&mut index, key, (arena.len() as u32, payloads.len() as u32));
             arena.extend(payloads);
         }
         HashTable {
-            map,
+            index,
             payloads: arena,
             bloom: None,
         }
@@ -139,10 +409,10 @@ impl HashTable {
     /// "the applicability of Bloom-filters in selective hash-joins").
     /// The bitmask is sized from the build cardinality (~8 bits per
     /// distinct key) and probes two derived bits per key.
-    pub fn with_bloom(mut self) -> HashTable {
-        let mut bloom = Bloom::sized_for(self.map.len());
-        for &k in self.map.keys() {
-            bloom.insert(k);
+    pub fn with_bloom(mut self) -> HashTable<K> {
+        let mut bloom = Bloom::sized_for(self.distinct_keys());
+        for word in K::words(&self.index) {
+            bloom.insert(word);
         }
         self.bloom = Some(bloom);
         self
@@ -160,7 +430,7 @@ impl HashTable {
 
     /// Number of distinct build-side keys.
     pub fn distinct_keys(&self) -> usize {
-        self.map.len()
+        K::distinct(&self.index)
     }
 
     /// Bits in the attached Bloom filter (0 when none is attached).
@@ -168,23 +438,24 @@ impl HashTable {
         self.bloom.as_ref().map_or(0, |b| (b.mask + 1) as usize)
     }
 
+    /// `key`'s payload slot, behind the Bloom pre-filter.
     #[inline]
-    fn maybe_contains(&self, key: i64) -> bool {
-        match &self.bloom {
-            None => true,
-            Some(bloom) => bloom.maybe_contains(key),
+    fn slot(&self, key: K::Ref<'_>) -> Option<(u32, u32)> {
+        let word = K::word(key);
+        if let Some(bloom) = &self.bloom {
+            if !bloom.maybe_contains(word) {
+                return None;
+            }
         }
+        K::find(&self.index, word, key)
     }
 
     /// All build payloads matching `key`, in build-row order (empty when
     /// the key misses).
     #[inline]
-    pub fn matches(&self, key: i64) -> &[i64] {
-        if !self.maybe_contains(key) {
-            return &[];
-        }
-        match self.map.get(&key) {
-            Some(&(start, len)) => &self.payloads[start as usize..(start + len) as usize],
+    pub fn matches(&self, key: K::Ref<'_>) -> &[i64] {
+        match self.slot(key) {
+            Some((start, len)) => &self.payloads[start as usize..(start + len) as usize],
             None => &[],
         }
     }
@@ -192,11 +463,11 @@ impl HashTable {
     /// Probe with a key column: one output row **per build match** — the
     /// probe index repeats for duplicate build keys, paired with each
     /// matching payload in build-row order.
-    pub fn probe(&self, keys: &[i64]) -> (Vec<u32>, Vec<i64>) {
+    pub fn probe(&self, keys: &[K]) -> (Vec<u32>, Vec<i64>) {
         let mut idx = Vec::new();
         let mut payload = Vec::new();
-        for (i, &k) in keys.iter().enumerate() {
-            for &p in self.matches(k) {
+        for (i, k) in keys.iter().enumerate() {
+            for &p in self.matches(k.borrowed()) {
                 idx.push(i as u32);
                 payload.push(p);
             }
@@ -205,253 +476,14 @@ impl HashTable {
     }
 
     /// Membership check for one key (Bloom pre-filter + table lookup).
-    pub fn contains(&self, key: i64) -> bool {
-        self.maybe_contains(key) && self.map.contains_key(&key)
-    }
-
-    /// Semi-join: which probe keys match at all.
-    pub fn semi(&self, keys: &[i64]) -> Vec<bool> {
-        keys.iter().map(|&k| self.contains(k)).collect()
-    }
-}
-
-/// A hash table over **byte/string keys**: the Utf8 sibling of
-/// [`HashTable`], with the same multimap semantics (duplicate build keys
-/// keep every payload in build-row order; probing emits one output row
-/// per build match).
-///
-/// Layout: keys live contiguously in one byte **arena** (no per-key
-/// allocation in the built table) and payloads in another; the map goes
-/// from the 64-bit string hash ([`adaptvm_kernels::map::hash_str`]) to
-/// the entries sharing that hash, and a probe confirms a candidate by
-/// comparing key bytes — hash collisions cost an extra memcmp, never a
-/// wrong join result. The same Bloom pre-filter as the integer table sits
-/// in front (fed with the string hash).
-#[derive(Debug, Clone)]
-pub struct StrHashTable {
-    /// `hash_str(key)` → entries whose key has that hash.
-    map: HashMap<i64, Vec<StrEntry>>,
-    /// The key-bytes arena.
-    keys: Vec<u8>,
-    /// The payload arena.
-    payloads: Vec<i64>,
-    /// Optional Bloom-style pre-filter over the key hashes.
-    bloom: Option<Bloom>,
-}
-
-/// One distinct key's slot: where its bytes and payloads live.
-#[derive(Debug, Clone, Copy)]
-struct StrEntry {
-    key_start: u32,
-    key_len: u32,
-    pay_start: u32,
-    pay_len: u32,
-}
-
-impl StrHashTable {
-    /// Build from a Utf8 key column and an integer payload column.
-    /// Returns `None` on non-string keys, non-integer payloads, or a
-    /// length mismatch.
-    pub fn build(keys: &Array, payloads: &Array) -> Option<StrHashTable> {
-        let k = keys.as_str()?;
-        let p = payloads.to_i64_vec()?;
-        if k.len() != p.len() {
-            return None;
-        }
-        Some(StrHashTable::from_rows(k, &p))
-    }
-
-    /// Build from key/payload slices (infallible form of [`Self::build`]).
-    /// Panics if the slices differ in length.
-    pub fn from_rows(keys: &[String], payloads: &[i64]) -> StrHashTable {
-        StrHashTable::from_partitions([StrJoinPartition::from_rows(keys, payloads)])
-    }
-
-    /// Build from `(key, payload)` row pairs with **borrowed** keys (the
-    /// table copies the bytes into its arena) — the allocation-light path
-    /// the out-of-core join uses when rebuilding a spilled partition from
-    /// an arena-backed run batch. Same multimap semantics as
-    /// [`Self::from_rows`]: duplicate keys keep every payload in row
-    /// order.
-    pub fn from_pairs<'a, I>(rows: I) -> StrHashTable
-    where
-        I: IntoIterator<Item = (&'a str, i64)>,
-    {
-        let mut merged: HashMap<String, Vec<i64>> = HashMap::new();
-        for (k, p) in rows {
-            match merged.get_mut(k) {
-                Some(v) => v.push(p),
-                None => {
-                    merged.insert(k.to_owned(), vec![p]);
-                }
-            }
-        }
-        StrHashTable::from_merged(merged)
-    }
-
-    /// Merge per-morsel partitions (in iteration order) into one table —
-    /// the same morsel-order contract as [`HashTable::from_partitions`]:
-    /// feeding partitions in morsel order concatenates each key's payload
-    /// list in global build-row order.
-    pub fn from_partitions<I>(partitions: I) -> StrHashTable
-    where
-        I: IntoIterator<Item = StrJoinPartition>,
-    {
-        let mut merged: HashMap<String, Vec<i64>> = HashMap::new();
-        for partition in partitions {
-            for (key, payloads) in partition.map {
-                merged.entry(key).or_default().extend(payloads);
-            }
-        }
-        StrHashTable::from_merged(merged)
-    }
-
-    /// Lay a merged key → payloads multimap out into the arena form.
-    fn from_merged(merged: HashMap<String, Vec<i64>>) -> StrHashTable {
-        let total_pay: usize = merged.values().map(Vec::len).sum();
-        let total_key: usize = merged.keys().map(String::len).sum();
-        assert!(
-            total_pay <= u32::MAX as usize && total_key <= u32::MAX as usize,
-            "string hash-table arenas exceed u32 addressing \
-             ({total_pay} payload rows, {total_key} key bytes)"
-        );
-        let mut map: HashMap<i64, Vec<StrEntry>> = HashMap::with_capacity(merged.len());
-        let mut key_arena = Vec::with_capacity(total_key);
-        let mut pay_arena = Vec::with_capacity(total_pay);
-        for (key, payloads) in merged {
-            let entry = StrEntry {
-                key_start: key_arena.len() as u32,
-                key_len: key.len() as u32,
-                pay_start: pay_arena.len() as u32,
-                pay_len: payloads.len() as u32,
-            };
-            key_arena.extend_from_slice(key.as_bytes());
-            pay_arena.extend(payloads);
-            map.entry(adaptvm_kernels::map::hash_str(&key))
-                .or_default()
-                .push(entry);
-        }
-        StrHashTable {
-            map,
-            keys: key_arena,
-            payloads: pay_arena,
-            bloom: None,
-        }
-    }
-
-    /// Attach a Bloom pre-filter over the key hashes (sized from build
-    /// cardinality, like the integer table's).
-    pub fn with_bloom(mut self) -> StrHashTable {
-        let mut bloom = Bloom::sized_for(self.distinct_keys());
-        for &h in self.map.keys() {
-            bloom.insert(h);
-        }
-        self.bloom = Some(bloom);
-        self
-    }
-
-    /// Number of build-side rows (counting duplicates).
-    pub fn len(&self) -> usize {
-        self.payloads.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.payloads.is_empty()
-    }
-
-    /// Number of distinct build-side keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.values().map(Vec::len).sum()
-    }
-
-    /// Bits in the attached Bloom filter (0 when none is attached).
-    pub fn bloom_bits(&self) -> usize {
-        self.bloom.as_ref().map_or(0, |b| (b.mask + 1) as usize)
-    }
-
-    fn entry_key(&self, e: &StrEntry) -> &[u8] {
-        &self.keys[e.key_start as usize..(e.key_start + e.key_len) as usize]
-    }
-
-    /// All build payloads matching `key`, in build-row order (empty when
-    /// the key misses).
     #[inline]
-    pub fn matches(&self, key: &str) -> &[i64] {
-        let h = adaptvm_kernels::map::hash_str(key);
-        if let Some(bloom) = &self.bloom {
-            if !bloom.maybe_contains(h) {
-                return &[];
-            }
-        }
-        let Some(entries) = self.map.get(&h) else {
-            return &[];
-        };
-        for e in entries {
-            if self.entry_key(e) == key.as_bytes() {
-                return &self.payloads[e.pay_start as usize..(e.pay_start + e.pay_len) as usize];
-            }
-        }
-        &[]
-    }
-
-    /// Probe with a key column: one output row **per build match**, probe
-    /// indices ascending, payloads in build-row order per probe row —
-    /// exactly [`HashTable::probe`]'s contract over strings.
-    pub fn probe<S: AsRef<str>>(&self, keys: &[S]) -> (Vec<u32>, Vec<i64>) {
-        let mut idx = Vec::new();
-        let mut payload = Vec::new();
-        for (i, k) in keys.iter().enumerate() {
-            for &p in self.matches(k.as_ref()) {
-                idx.push(i as u32);
-                payload.push(p);
-            }
-        }
-        (idx, payload)
-    }
-
-    /// Membership check for one key.
-    pub fn contains(&self, key: &str) -> bool {
-        !self.matches(key).is_empty()
+    pub fn contains(&self, key: K::Ref<'_>) -> bool {
+        self.slot(key).is_some()
     }
 
     /// Semi-join: which probe keys match at all.
-    pub fn semi<S: AsRef<str>>(&self, keys: &[S]) -> Vec<bool> {
-        keys.iter().map(|k| self.contains(k.as_ref())).collect()
-    }
-}
-
-/// A build-side partition over one morsel's **string-keyed** rows — the
-/// Utf8 sibling of [`JoinPartition`], merged in morsel order by
-/// [`StrHashTable::from_partitions`].
-#[derive(Debug, Clone, Default)]
-pub struct StrJoinPartition {
-    map: HashMap<String, Vec<i64>>,
-    rows: usize,
-}
-
-impl StrJoinPartition {
-    /// Hash one morsel's key/payload rows into a local multimap. Panics
-    /// if the slices differ in length.
-    pub fn from_rows(keys: &[String], payloads: &[i64]) -> StrJoinPartition {
-        assert_eq!(
-            keys.len(),
-            payloads.len(),
-            "build keys and payloads must have equal lengths"
-        );
-        let mut map: HashMap<String, Vec<i64>> = HashMap::new();
-        for (k, &p) in keys.iter().zip(payloads) {
-            map.entry(k.clone()).or_default().push(p);
-        }
-        StrJoinPartition {
-            map,
-            rows: keys.len(),
-        }
-    }
-
-    /// Build rows hashed into this partition.
-    pub fn rows(&self) -> usize {
-        self.rows
+    pub fn semi(&self, keys: &[K]) -> Vec<bool> {
+        keys.iter().map(|k| self.contains(k.borrowed())).collect()
     }
 }
 
@@ -460,29 +492,45 @@ impl StrJoinPartition {
 /// shared, read-only probe table. Partitions are cheap to build
 /// independently — that is the parallel half of "partitioned build,
 /// shared probe".
-#[derive(Debug, Clone, Default)]
-pub struct JoinPartition {
-    map: HashMap<i64, Vec<i64>>,
+#[derive(Debug, Clone)]
+pub struct JoinPartition<K: JoinKey = i64> {
+    map: HashMap<K, Vec<i64>>,
     rows: usize,
 }
 
-impl JoinPartition {
+impl<K: JoinKey> Default for JoinPartition<K> {
+    fn default() -> Self {
+        JoinPartition {
+            map: HashMap::new(),
+            rows: 0,
+        }
+    }
+}
+
+impl<K: JoinKey> JoinPartition<K> {
     /// Hash one morsel's key/payload rows into a local multimap. Panics if
     /// the slices differ in length.
-    pub fn from_rows(keys: &[i64], payloads: &[i64]) -> JoinPartition {
+    pub fn from_rows(keys: &[K], payloads: &[i64]) -> JoinPartition<K> {
         assert_eq!(
             keys.len(),
             payloads.len(),
             "build keys and payloads must have equal lengths"
         );
-        let mut map: HashMap<i64, Vec<i64>> = HashMap::new();
-        for (&k, &p) in keys.iter().zip(payloads) {
-            map.entry(k).or_default().push(p);
+        let mut partition = JoinPartition::default();
+        for (k, &p) in keys.iter().zip(payloads) {
+            K::merge(&mut partition.map, k.borrowed(), p);
         }
-        JoinPartition {
-            map,
-            rows: keys.len(),
+        partition.rows = keys.len();
+        partition
+    }
+
+    /// Add every `(key, value)` row of a spill frame (borrowed keys: only
+    /// new keys are copied).
+    pub(crate) fn push_batch(&mut self, batch: &RunBatch) {
+        for (row, &payload) in run_values(batch).iter().enumerate() {
+            K::merge(&mut self.map, K::key_at(batch, row), payload);
         }
+        self.rows += batch.rows();
     }
 
     /// Build rows hashed into this partition.
@@ -763,7 +811,7 @@ mod tests {
         // Key 7 appears three times, key 8 once.
         let keys = Array::from(vec![7i64, 8, 7, 7]);
         let pays = Array::from(vec![70i64, 80, 71, 72]);
-        let t = HashTable::build(&keys, &pays).unwrap();
+        let t: HashTable = HashTable::build(&keys, &pays).unwrap();
         assert_eq!(t.len(), 4, "all build rows retained");
         assert_eq!(t.distinct_keys(), 2);
         assert_eq!(t.matches(7), &[70, 71, 72], "build-row order");
@@ -810,8 +858,9 @@ mod tests {
         let misses: Vec<i64> = (1_000_000..1_100_000).collect();
         let passed = misses.iter().filter(|&&k| big.contains(k)).count();
         assert_eq!(passed, 0, "contains() consults the table after the bloom");
-        let fp =
-            misses.iter().filter(|&&k| big.maybe_contains(k)).count() as f64 / misses.len() as f64;
+        let bloom = big.bloom.as_ref().expect("attached");
+        let fp = misses.iter().filter(|&&k| bloom.maybe_contains(k)).count() as f64
+            / misses.len() as f64;
         assert!(fp < 0.25, "false-positive rate collapsed: {fp}");
     }
 
@@ -851,8 +900,8 @@ mod tests {
         let pays: Vec<i64> = (0..500).collect();
         let whole = StrHashTable::from_rows(&keys, &pays);
         let parts = [0..123, 123..200, 200..500]
-            .map(|r: Range<usize>| StrJoinPartition::from_rows(&keys[r.clone()], &pays[r.clone()]));
-        assert_eq!(parts.iter().map(StrJoinPartition::rows).sum::<usize>(), 500);
+            .map(|r: Range<usize>| JoinPartition::from_rows(&keys[r.clone()], &pays[r.clone()]));
+        assert_eq!(parts.iter().map(JoinPartition::rows).sum::<usize>(), 500);
         let merged = StrHashTable::from_partitions(parts);
         let probes = str_keys(&(-5..45).collect::<Vec<_>>());
         assert_eq!(whole.probe(&probes), merged.probe(&probes));
@@ -888,8 +937,9 @@ mod tests {
 
     #[test]
     fn build_rejects_mismatch() {
-        assert!(HashTable::build(&Array::from(vec![1i64]), &Array::from(vec![1i64, 2])).is_none());
-        assert!(HashTable::build(&Array::from(vec![1.5f64]), &Array::from(vec![1i64])).is_none());
+        let mismatch = HashTable::<i64>::build(&Array::from(vec![1i64]), &Array::from(vec![1, 2]));
+        assert!(mismatch.is_none());
+        assert!(HashTable::<i64>::build(&Array::from(vec![1.5]), &Array::from(vec![1])).is_none());
     }
 
     #[test]
@@ -964,16 +1014,25 @@ mod tests {
     }
 
     #[test]
-    fn str_from_pairs_matches_from_rows() {
+    fn spill_frames_build_the_same_table_as_rows() {
         let keys = str_keys(&[7, 8, 7, 7]);
         let pays = [70i64, 80, 71, 72];
         let by_rows = StrHashTable::from_rows(&keys, &pays);
-        let by_pairs =
-            StrHashTable::from_pairs(keys.iter().map(String::as_str).zip(pays.iter().copied()));
+        // The same rows as two arena-backed spill frames.
+        let mut partition = JoinPartition::<String>::default();
+        for rows in [0..1, 1..4] {
+            let mut frame = RunBatch::new(String::RUN_SCHEMA);
+            for i in rows {
+                <String as JoinKey>::push(&mut frame, &keys[i], pays[i]);
+            }
+            partition.push_batch(&frame);
+        }
+        assert_eq!(partition.rows(), 4);
+        let by_frames = StrHashTable::from_partitions([partition]);
         let probes = str_keys(&(0..12).collect::<Vec<_>>());
-        assert_eq!(by_pairs.probe(&probes), by_rows.probe(&probes));
-        assert_eq!(by_pairs.len(), by_rows.len());
-        assert_eq!(by_pairs.distinct_keys(), by_rows.distinct_keys());
+        assert_eq!(by_frames.probe(&probes), by_rows.probe(&probes));
+        assert_eq!(by_frames.len(), by_rows.len());
+        assert_eq!(by_frames.distinct_keys(), by_rows.distinct_keys());
     }
 
     #[test]

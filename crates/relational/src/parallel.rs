@@ -38,6 +38,7 @@
 //! and only then does the reorder controller see them — one coherent
 //! observation per join per batch, scheduling-independent results.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::convert::Infallible;
 
@@ -56,8 +57,8 @@ use adaptvm_vm::{Prepared, Vm, VmConfig, VmError};
 
 use crate::agg::{AdaptiveAggregator, GroupState, PreAgg};
 use crate::join::{
-    probe_chunk_with_order_mixed, validate_mixed_columns, ChainResult, HashTable, JoinPartition,
-    JoinSide, KeyColumn, StrHashTable, StrJoinPartition,
+    probe_chunk_with_order_mixed, validate_mixed_columns, ChainResult, HashTable, JoinKey,
+    JoinPartition, JoinSide, KeyColumn, StrHashTable,
 };
 use crate::ops::{self, DenseScan, OpResult};
 use crate::tpch::{self, CompactLineitem, JoinStrategy, Q1Row, Q1_GROUPS};
@@ -421,18 +422,21 @@ pub fn parallel_hash_aggregate(
     Ok(out)
 }
 
-/// Extract equal-length integer build columns (the shared precondition of
-/// every partitioned build entry point).
-pub(crate) fn build_rows(keys: &Array, payloads: &Array) -> OpResult<(Vec<i64>, Vec<i64>)> {
-    let int_rows = |array: &Array, what: &str| {
-        array.to_i64_vec().ok_or_else(|| {
-            adaptvm_kernels::KernelError::Precondition(format!("{what} must be integer"))
-        })
-    };
-    let k = int_rows(keys, "join build keys")?;
-    let p = int_rows(payloads, "join build payloads")?;
+/// Extract equal-length build key and integer payload columns (the
+/// shared precondition of every partitioned build entry point). Utf8 keys
+/// are borrowed, integer keys widened to `i64`.
+pub(crate) fn build_rows<'a, K: JoinKey>(
+    keys: &'a Array,
+    payloads: &Array,
+) -> OpResult<(Cow<'a, [K]>, Vec<i64>)> {
+    let precondition = adaptvm_kernels::KernelError::Precondition;
+    let k = K::column(keys)
+        .ok_or_else(|| precondition(format!("join build keys must be {}", K::COLUMN)))?;
+    let p = payloads
+        .to_i64_vec()
+        .ok_or_else(|| precondition("join build payloads must be integer".into()))?;
     if k.len() != p.len() {
-        return Err(adaptvm_kernels::KernelError::Precondition(format!(
+        return Err(precondition(format!(
             "build keys and payloads must have equal lengths ({} vs {})",
             k.len(),
             p.len()
@@ -454,7 +458,7 @@ pub fn parallel_build_hash_table(
     opts: ParallelOpts<'_>,
 ) -> OpResult<HashTable> {
     let _stage = opts.stage("build");
-    let (k, p) = build_rows(keys, payloads)?;
+    let (k, p) = build_rows::<i64>(keys, payloads)?;
     let plan = MorselPlan::new(k.len(), opts.effective_morsel_rows());
     let run = opts.runner().run_with(&plan, opts.cancel, |_, m| {
         Ok::<_, Infallible>(JoinPartition::from_rows(
@@ -463,8 +467,16 @@ pub fn parallel_build_hash_table(
         ))
     });
     let (partitions, _) = run.map_err(infallible_run_err)?;
-    let table = HashTable::from_partitions(partitions);
-    Ok(if bloom { table.with_bloom() } else { table })
+    Ok(bloomed(HashTable::from_partitions(partitions), bloom))
+}
+
+/// Attach a Bloom pre-filter to `table` iff `bloom`.
+pub(crate) fn bloomed<K: JoinKey>(table: HashTable<K>, bloom: bool) -> HashTable<K> {
+    if bloom {
+        table.with_bloom()
+    } else {
+        table
+    }
 }
 
 /// A materialized morsel-parallel hash join: probe indices (global row
@@ -481,22 +493,24 @@ pub struct ParallelJoinOutput {
     pub stats: BuildProbeStats,
 }
 
-/// Full morsel-parallel hash join over integer key/payload columns:
-/// partitioned build (each worker over its build morsels, partitions
-/// merged in morsel order into one shared [`HashTable`]) followed by a
-/// shared probe over probe-side morsels, outputs merged in morsel order.
-/// Returns the shared table and the materialized join output —
-/// bit-identical across 1/2/4/8/… workers, and equal to the sequential
-/// build + [`HashTable::probe`].
-pub fn parallel_hash_join(
+/// Full morsel-parallel hash join over an integer payload column and a
+/// key column of either [`JoinKey`] type — `K` follows the probe keys
+/// (`&[i64]` or Utf8 `&[String]`): partitioned build (each worker over
+/// its build morsels, partitions merged in morsel order into one shared
+/// [`HashTable`]) followed by a shared probe over probe-side morsels,
+/// outputs merged in morsel order. Returns the shared table and the
+/// materialized join output — bit-identical across 1/2/4/8/… workers,
+/// and equal to the sequential [`HashTable::build`] +
+/// [`HashTable::probe`].
+pub fn parallel_hash_join<K: JoinKey>(
     build_keys: &Array,
     build_payloads: &Array,
-    probe_keys: &[i64],
+    probe_keys: &[K],
     bloom: bool,
     opts: ParallelOpts<'_>,
-) -> OpResult<(HashTable, ParallelJoinOutput)> {
-    let _stage = opts.stage("join");
-    let (bk, bp) = build_rows(build_keys, build_payloads)?;
+) -> OpResult<(HashTable<K>, ParallelJoinOutput)> {
+    let _stage = opts.stage(K::STAGE);
+    let (bk, bp) = build_rows::<K>(build_keys, build_payloads)?;
     let build_plan = MorselPlan::new(bk.len(), opts.effective_morsel_rows());
     let probe_plan = MorselPlan::new(probe_keys.len(), opts.effective_morsel_rows());
     let (table, per_morsel, stats) = build_then_probe_with(
@@ -510,86 +524,8 @@ pub fn parallel_hash_join(
                 &bp[m.start..m.end()],
             ))
         },
-        |partitions| {
-            let t = HashTable::from_partitions(partitions);
-            if bloom {
-                t.with_bloom()
-            } else {
-                t
-            }
-        },
-        |_, m, table: &HashTable| {
-            let (idx, pay) = table.probe(&probe_keys[m.start..m.end()]);
-            Ok((m.start as u32, idx, pay))
-        },
-    )
-    .map_err(infallible_run_err)?;
-    let mut indices = Vec::new();
-    let mut payloads = Vec::new();
-    for (base, idx, pay) in per_morsel {
-        indices.extend(idx.into_iter().map(|i| i + base));
-        payloads.extend(pay);
-    }
-    Ok((
-        table,
-        ParallelJoinOutput {
-            indices,
-            payloads,
-            stats,
-        },
-    ))
-}
-
-/// Full morsel-parallel hash join over a **Utf8 key column** (string
-/// keys, integer payloads): the same partitioned-build / shared-probe
-/// shape as [`parallel_hash_join`], with per-morsel
-/// [`StrJoinPartition`]s merged — in morsel order — into one arena-backed
-/// [`StrHashTable`] (keys hashed via `adaptvm_kernels` string hashing).
-/// Bit-identical across 1/2/4/8/… workers and equal to the sequential
-/// [`StrHashTable::build`] + [`StrHashTable::probe`].
-pub fn parallel_hash_join_str(
-    build_keys: &Array,
-    build_payloads: &Array,
-    probe_keys: &[String],
-    bloom: bool,
-    opts: ParallelOpts<'_>,
-) -> OpResult<(StrHashTable, ParallelJoinOutput)> {
-    let _stage = opts.stage("join-str");
-    let bk = build_keys.as_str().ok_or_else(|| {
-        adaptvm_kernels::KernelError::Precondition("join build keys must be strings".into())
-    })?;
-    let bp = build_payloads.to_i64_vec().ok_or_else(|| {
-        adaptvm_kernels::KernelError::Precondition("join build payloads must be integer".into())
-    })?;
-    if bk.len() != bp.len() {
-        return Err(adaptvm_kernels::KernelError::Precondition(format!(
-            "build keys and payloads must have equal lengths ({} vs {})",
-            bk.len(),
-            bp.len()
-        )));
-    }
-    let build_plan = MorselPlan::new(bk.len(), opts.effective_morsel_rows());
-    let probe_plan = MorselPlan::new(probe_keys.len(), opts.effective_morsel_rows());
-    let (table, per_morsel, stats) = build_then_probe_with(
-        opts.runner(),
-        opts.cancel,
-        &build_plan,
-        &probe_plan,
-        |_, m| {
-            Ok::<_, Infallible>(StrJoinPartition::from_rows(
-                &bk[m.start..m.end()],
-                &bp[m.start..m.end()],
-            ))
-        },
-        |partitions| {
-            let t = StrHashTable::from_partitions(partitions);
-            if bloom {
-                t.with_bloom()
-            } else {
-                t
-            }
-        },
-        |_, m, table: &StrHashTable| {
+        |partitions| bloomed(HashTable::from_partitions(partitions), bloom),
+        |_, m, table: &HashTable<K>| {
             let (idx, pay) = table.probe(&probe_keys[m.start..m.end()]);
             Ok((m.start as u32, idx, pay))
         },
@@ -766,14 +702,7 @@ pub fn q3_parallel(
             }
             Ok::<_, Infallible>(JoinPartition::from_rows(&keys, &payloads))
         },
-        |partitions| {
-            let t = HashTable::from_partitions(partitions);
-            if bloom {
-                t.with_bloom()
-            } else {
-                t
-            }
-        },
+        |partitions| bloomed(HashTable::from_partitions(partitions), bloom),
         |_, m, table: &HashTable| {
             Ok(tpch::q3_probe_range(
                 &cols, table, date, strategy, m.start, m.len, chunk_rows,

@@ -15,14 +15,17 @@
 //! force-building only when a partition cannot be split further (all rows
 //! share one hash) or the hash bits run out.
 //!
-//! Three operators live here:
+//! Two operators live here:
 //!
-//! * [`parallel_hash_join_spill`] / [`parallel_hash_join_str_spill`] —
-//!   grace-hash joins with **probe-side spill**: probe rows of a spilled
-//!   partition are deferred as row indices, and when even that index list
-//!   does not fit the budget ([`PROBE_ROW_BYTES`] per row), the deferred
-//!   rows themselves spill to `(key, probe index)` runs that are streamed
-//!   (never resident whole) through recursion and the final probe.
+//! * [`parallel_hash_join_spill`] — the grace-hash join with
+//!   **probe-side spill**, one operator generic over the key type
+//!   ([`JoinKey`]: `i64`, or Utf8 keys kept arena-backed on disk): probe
+//!   rows of a spilled partition are deferred as row indices, and when
+//!   even that index list does not fit the budget ([`PROBE_ROW_BYTES`]
+//!   per row), the deferred rows themselves spill to `(key, probe index)`
+//!   runs that are streamed (never resident whole) through recursion and
+//!   the final probe. The key type contributes only its hash, its run
+//!   schema, its build charge, and its labels.
 //! * [`parallel_hash_aggregate_spill`] — **out-of-core hash aggregation**
 //!   (the TPC-H Q1 family): rows partition by group key, resident
 //!   partitions aggregate immediately, spilled partitions aggregate
@@ -79,21 +82,22 @@
 //! assert_eq!(budget.used(), 0, "all charges released");
 //! ```
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
-use adaptvm_kernels::map::{hash_i64, hash_str};
+use adaptvm_kernels::map::hash_i64;
 use adaptvm_kernels::KernelError;
 use adaptvm_parallel::{
-    acquire_partition, acquire_str, obs, run_spillable, BudgetLease, MemoryBudget, Morsel,
-    MorselPlan, PartitionScratch, RunError, SpillCheckpoint, SpillStats, SpillableOp, StrScratch,
+    acquire_scratch, obs, run_spillable, BudgetLease, MemoryBudget, Morsel, MorselPlan, RunError,
+    Scratch, SpillCheckpoint, SpillStats, SpillableOp,
 };
-use adaptvm_storage::spill::{IntRun, IntRunWriter, SpillDir, StrBatch, StrRun, StrRunWriter};
-use adaptvm_storage::{Array, Table};
+use adaptvm_storage::spill::{Run, RunBatch, RunSchema, RunWriter, SpillDir};
+use adaptvm_storage::{Array, StorageError, Table};
 
 use crate::agg::GroupState;
-use crate::join::{HashTable, StrHashTable};
+use crate::join::{run_values, HashTable, JoinKey, JoinPartition};
 use crate::ops::OpResult;
-use crate::parallel::{kernel_run_err, ParallelJoinOutput, ParallelOpts};
+use crate::parallel::{bloomed, kernel_run_err, ParallelJoinOutput, ParallelOpts};
 
 /// Grace-hash fan-out: partitions per level, consuming four hash bits.
 /// 16 partitions × 4 bits nest up to [`MAX_SPILL_DEPTH`] levels into a
@@ -134,7 +138,7 @@ fn bucket_of(hash: i64, depth: usize) -> usize {
         & (SPILL_FANOUT - 1)
 }
 
-pub(crate) fn storage_err(e: adaptvm_storage::StorageError) -> RunError<KernelError> {
+pub(crate) fn storage_err(e: StorageError) -> RunError<KernelError> {
     RunError::Task(KernelError::Storage(e))
 }
 
@@ -176,17 +180,99 @@ fn merge_output_streams(
 }
 
 // ---------------------------------------------------------------------------
-// Integer keys
+// Shared run plumbing
 // ---------------------------------------------------------------------------
 
-/// The shared probe structure of a budgeted integer join: per partition,
-/// either a resident table or a spilled run. Resident charges are held
-/// as RAII [`BudgetLease`]s so an aborted probe phase (cancellation,
-/// deadline, rejection) returns them on drop; `dir` exists only once a
-/// partition actually spilled.
-struct IntSpillSides<'a> {
-    tables: Vec<Option<HashTable>>,
-    runs: Vec<Option<IntRun>>,
+/// Count one sealed run of `bytes` encoded bytes.
+fn wrote(stats: &mut SpillStats, bytes: u64) {
+    stats.runs_written += 1;
+    stats.bytes_written += bytes;
+}
+
+/// Write `batch` to a fresh run of [`SPILL_FRAME_ROWS`]-row frames.
+fn write_run(
+    dir: &SpillDir,
+    label: &str,
+    schema: RunSchema,
+    batch: &RunBatch,
+) -> Result<Run, StorageError> {
+    let mut w = RunWriter::create(dir.run_path(label), schema)?;
+    let rows = batch.rows();
+    for lo in (0..rows).step_by(SPILL_FRAME_ROWS) {
+        w.append_rows(batch, lo..(lo + SPILL_FRAME_ROWS).min(rows))?;
+    }
+    w.finish()
+}
+
+/// Stream every frame of `run` through `f`, then count the bytes read and
+/// delete the run.
+fn drain_run(
+    run: Run,
+    stats: &mut SpillStats,
+    mut f: impl FnMut(&RunBatch) -> Result<(), RunError<KernelError>>,
+) -> Result<(), RunError<KernelError>> {
+    let mut reader = run.reader().map_err(storage_err)?;
+    while let Some(frame) = reader.next_frame().map_err(storage_err)? {
+        f(&frame)?;
+    }
+    stats.bytes_read += run.bytes();
+    run.delete();
+    Ok(())
+}
+
+/// Re-partition the `(key, value)` rows of `run` on the level-`depth`
+/// hash window into sub-runs `"{label}-d{depth}-b{s}"`, streaming frame
+/// by frame through the pooled scratch arena (nothing beyond one frame is
+/// ever resident). Rows landing in a bucket `keep` rejects are dropped;
+/// sub-runs exist only where a row landed. Deletes `run`.
+fn split_run<K: JoinKey>(
+    run: Run,
+    depth: usize,
+    label: &str,
+    keep: impl Fn(usize) -> bool,
+    dir: &SpillDir,
+    stats: &mut SpillStats,
+    scratch: &mut Scratch,
+) -> Result<Vec<Option<Run>>, RunError<KernelError>> {
+    let mut writers: Vec<Option<RunWriter>> = (0..SPILL_FANOUT).map(|_| None).collect();
+    drain_run(run, stats, |frame| {
+        for (row, &value) in run_values(frame).iter().enumerate() {
+            let key = K::key_at(frame, row);
+            let s = bucket_of(K::partition_hash(key), depth);
+            if keep(s) {
+                K::push(scratch.bucket_mut(s), key, value);
+            }
+        }
+        for &s in scratch.touched() {
+            let s = s as usize;
+            if writers[s].is_none() {
+                let path = dir.run_path(&format!("{label}-d{depth}-b{s}"));
+                writers[s] = Some(RunWriter::create(path, K::RUN_SCHEMA).map_err(storage_err)?);
+            }
+            let w = writers[s].as_mut().expect("just created");
+            w.append(scratch.bucket(s)).map_err(storage_err)?;
+        }
+        scratch.reset();
+        Ok(())
+    })?;
+    writers
+        .into_iter()
+        .map(|w| w.map(RunWriter::finish).transpose().map_err(storage_err))
+        .collect()
+}
+
+// ---------------------------------------------------------------------------
+// Grace-hash join, generic over the key type
+// ---------------------------------------------------------------------------
+
+/// The shared probe structure of a budgeted join: per partition, either a
+/// resident table or a spilled run. Resident charges are held as RAII
+/// [`BudgetLease`]s so an aborted probe phase (cancellation, deadline,
+/// rejection) returns them on drop; `dir` exists only once a partition
+/// actually spilled.
+struct SpillSides<'a, K: JoinKey> {
+    tables: Vec<Option<HashTable<K>>>,
+    runs: Vec<Option<Run>>,
     leases: Vec<BudgetLease<'a>>,
     dir: Option<SpillDir>,
 }
@@ -196,82 +282,43 @@ struct IntSpillSides<'a> {
 /// else spilled to a `(key, probe index)` run that is only ever streamed.
 /// Both forms keep rows in ascending probe-index order, so the settled
 /// output is identical either way.
-enum IntProbe<'a> {
+enum DeferredProbe<'a> {
     Resident(Vec<u32>, Option<BudgetLease<'a>>),
-    Spilled(IntRun),
+    Spilled(Run),
 }
 
-impl IntProbe<'_> {
+impl DeferredProbe<'_> {
     fn is_empty(&self) -> bool {
         match self {
-            IntProbe::Resident(rows, _) => rows.is_empty(),
-            IntProbe::Spilled(run) => run.rows() == 0,
+            DeferredProbe::Resident(rows, _) => rows.is_empty(),
+            DeferredProbe::Spilled(run) => run.rows() == 0,
         }
     }
 
     fn delete(self) {
-        if let IntProbe::Spilled(run) = self {
+        if let DeferredProbe::Spilled(run) = self {
             run.delete();
         }
     }
 }
 
-/// Keep a deferred probe-index list resident under a
-/// [`PROBE_ROW_BYTES`]-per-row lease, or spill it to a
-/// `(key, probe index)` run when the charge fails.
-fn int_probe_of<'a>(
-    rows: Vec<u32>,
-    probe_keys: &[i64],
-    dir: &SpillDir,
-    budget: &'a MemoryBudget,
-    depth: usize,
-    stats: &mut SpillStats,
-) -> Result<IntProbe<'a>, RunError<KernelError>> {
-    if rows.is_empty() {
-        return Ok(IntProbe::Resident(rows, None));
-    }
-    match budget.lease(rows.len() * PROBE_ROW_BYTES) {
-        Ok(lease) => Ok(IntProbe::Resident(rows, Some(lease))),
-        Err(_) => {
-            let mut w = IntRunWriter::create(dir.run_path(&format!("int-probe-d{depth}")))
-                .map_err(storage_err)?;
-            let mut keys = Vec::with_capacity(SPILL_FRAME_ROWS.min(rows.len()));
-            let mut idxs = Vec::with_capacity(SPILL_FRAME_ROWS.min(rows.len()));
-            for chunk in rows.chunks(SPILL_FRAME_ROWS) {
-                keys.clear();
-                idxs.clear();
-                for &pi in chunk {
-                    keys.push(probe_keys[pi as usize]);
-                    idxs.push(pi as i64);
-                }
-                w.append(&keys, &idxs).map_err(storage_err)?;
-            }
-            let run = w.finish().map_err(storage_err)?;
-            stats.probe_partitions_spilled += 1;
-            stats.runs_written += 1;
-            stats.bytes_written += run.bytes();
-            Ok(IntProbe::Spilled(run))
-        }
-    }
-}
-
-/// The integer grace-hash join as a [`SpillableOp`]: partition the build
-/// rows morsel-parallel, charge-or-spill per partition, probe resident
+/// The grace-hash join as a [`SpillableOp`]: partition the build rows
+/// morsel-parallel, charge-or-spill per partition, probe resident
 /// partitions morsel-parallel (deferring the rest), settle spilled
 /// partitions sequentially with probe-side spill.
-struct IntJoinSpillOp<'a> {
-    bk: Vec<i64>,
+struct JoinSpillOp<'a, K: JoinKey> {
+    bk: Cow<'a, [K]>,
     bp: Vec<i64>,
-    probe_keys: &'a [i64],
+    probe_keys: &'a [K],
     bloom: bool,
     budget: &'a MemoryBudget,
     build_plan: MorselPlan,
     probe_plan: MorselPlan,
 }
 
-impl<'a> SpillableOp for IntJoinSpillOp<'a> {
-    type Partition = Vec<(Vec<i64>, Vec<i64>)>;
-    type Shared = IntSpillSides<'a>;
+impl<'a, K: JoinKey> SpillableOp for JoinSpillOp<'a, K> {
+    type Partition = Vec<RunBatch>;
+    type Shared = SpillSides<'a, K>;
     type Out = (Vec<u32>, Vec<i64>, Vec<Vec<u32>>);
     type Settled = (Vec<u32>, Vec<i64>);
     type Error = KernelError;
@@ -285,12 +332,15 @@ impl<'a> SpillableOp for IntJoinSpillOp<'a> {
     }
 
     // Build: partition this morsel's rows on the level-0 hash bits.
-    fn partition_morsel(&self, _w: usize, m: &Morsel) -> Result<Self::Partition, KernelError> {
-        let mut parts: Vec<(Vec<i64>, Vec<i64>)> = vec![Default::default(); SPILL_FANOUT];
+    fn partition_morsel(&self, _w: usize, m: &Morsel) -> Result<Vec<RunBatch>, KernelError> {
+        let mut parts = vec![RunBatch::new(K::RUN_SCHEMA); SPILL_FANOUT];
         for i in m.start..m.end() {
-            let b = bucket_of(hash_i64(self.bk[i]), 0);
-            parts[b].0.push(self.bk[i]);
-            parts[b].1.push(self.bp[i]);
+            let key = self.bk[i].borrowed();
+            K::push(
+                &mut parts[bucket_of(K::partition_hash(key), 0)],
+                key,
+                self.bp[i],
+            );
         }
         Ok(parts)
     }
@@ -301,34 +351,37 @@ impl<'a> SpillableOp for IntJoinSpillOp<'a> {
     // spills to a run file.
     fn charge(
         &mut self,
-        parts: Vec<Self::Partition>,
+        parts: Vec<Vec<RunBatch>>,
         _budget: &MemoryBudget,
         stats: &mut SpillStats,
-    ) -> Result<IntSpillSides<'a>, KernelError> {
-        let mut buckets: Vec<(Vec<i64>, Vec<i64>)> = vec![Default::default(); SPILL_FANOUT];
+    ) -> Result<SpillSides<'a, K>, KernelError> {
+        let mut buckets = vec![RunBatch::new(K::RUN_SCHEMA); SPILL_FANOUT];
         for part in parts {
-            for (b, (k, p)) in part.into_iter().enumerate() {
-                buckets[b].0.extend(k);
-                buckets[b].1.extend(p);
+            for (bucket, batch) in buckets.iter_mut().zip(&part) {
+                for (row, &value) in run_values(batch).iter().enumerate() {
+                    K::push(bucket, K::key_at(batch, row), value);
+                }
             }
         }
         let mut dir: Option<SpillDir> = None;
         let mut tables = Vec::with_capacity(SPILL_FANOUT);
         let mut runs = Vec::with_capacity(SPILL_FANOUT);
         let mut leases = Vec::new();
-        for (b, (keys, pays)) in buckets.into_iter().enumerate() {
-            let cost = keys.len() * INT_BUILD_ROW_BYTES;
+        for (b, batch) in buckets.into_iter().enumerate() {
+            // Utf8 key bytes are charged on top of the per-row estimate
+            // (an i64 batch has no arena).
+            let cost = batch.arena.len() + batch.rows() * K::BUILD_ROW_BYTES;
             // Leases come from the operator's own budget reference (not
             // the driver parameter, whose lifetime is too short) so the
             // sides can hold them across the probe phase and release on
             // any exit path.
             if let Ok(lease) = self.budget.lease(cost) {
-                let table = HashTable::from_rows(&keys, &pays);
-                tables.push(Some(if self.bloom {
-                    table.with_bloom()
-                } else {
-                    table
-                }));
+                let mut partition = JoinPartition::default();
+                partition.push_batch(&batch);
+                tables.push(Some(bloomed(
+                    HashTable::from_partitions([partition]),
+                    self.bloom,
+                )));
                 runs.push(None);
                 leases.push(lease);
             } else {
@@ -336,23 +389,17 @@ impl<'a> SpillableOp for IntJoinSpillOp<'a> {
                     dir = Some(SpillDir::new().map_err(KernelError::Storage)?);
                 }
                 let d = dir.as_ref().expect("just created");
-                let _io = obs::spill_scope("join-build", b as u16, 0);
-                let mut w = IntRunWriter::create(d.run_path(&format!("int-d0-b{b}")))
-                    .map_err(KernelError::Storage)?;
-                for lo in (0..keys.len()).step_by(SPILL_FRAME_ROWS) {
-                    let hi = (lo + SPILL_FRAME_ROWS).min(keys.len());
-                    w.append(&keys[lo..hi], &pays[lo..hi])
-                        .map_err(KernelError::Storage)?;
-                }
-                let run = w.finish().map_err(KernelError::Storage)?;
+                let _io = obs::spill_scope(K::BUILD_SPILL_OP, b as u16, 0);
+                let label = format!("{}-d0-b{b}", K::RUN_LABEL);
+                let run =
+                    write_run(d, &label, K::RUN_SCHEMA, &batch).map_err(KernelError::Storage)?;
                 stats.partitions_spilled += 1;
-                stats.runs_written += 1;
-                stats.bytes_written += run.bytes();
+                wrote(stats, run.bytes());
                 tables.push(None);
                 runs.push(Some(run));
             }
         }
-        Ok(IntSpillSides {
+        Ok(SpillSides {
             tables,
             runs,
             leases,
@@ -366,22 +413,23 @@ impl<'a> SpillableOp for IntJoinSpillOp<'a> {
         &self,
         _w: usize,
         m: &Morsel,
-        shared: &IntSpillSides<'a>,
+        shared: &SpillSides<'a, K>,
     ) -> Result<Self::Out, KernelError> {
         let mut idx = Vec::new();
         let mut pay = Vec::new();
         let mut deferred: Vec<Vec<u32>> = vec![Vec::new(); SPILL_FANOUT];
-        for (i, &k) in self
+        for (i, k) in self
             .probe_keys
             .iter()
             .enumerate()
             .take(m.end())
             .skip(m.start)
         {
-            let b = bucket_of(hash_i64(k), 0);
+            let key = k.borrowed();
+            let b = bucket_of(K::partition_hash(key), 0);
             match &shared.tables[b] {
                 Some(t) => {
-                    for &p in t.matches(k) {
+                    for &p in t.matches(key) {
                         idx.push(i as u32);
                         pay.push(p);
                     }
@@ -398,13 +446,13 @@ impl<'a> SpillableOp for IntJoinSpillOp<'a> {
     // them too when they do not fit.
     fn settle(
         &mut self,
-        shared: IntSpillSides<'a>,
+        shared: SpillSides<'a, K>,
         outs: Vec<Self::Out>,
         _budget: &MemoryBudget,
         stats: &mut SpillStats,
         checkpoint: &SpillCheckpoint<'_>,
     ) -> Result<Self::Settled, RunError<KernelError>> {
-        let IntSpillSides {
+        let SpillSides {
             tables,
             runs,
             leases,
@@ -423,33 +471,24 @@ impl<'a> SpillableOp for IntJoinSpillOp<'a> {
             }
         }
         let mut pairs: Vec<(u32, i64)> = Vec::new();
-        let mut scratch = acquire_partition(SPILL_FANOUT);
-        for (b, run) in runs.into_iter().enumerate() {
-            let Some(run) = run else { continue };
-            let dir = dir.as_ref().expect("spilled partitions imply a spill dir");
-            let _io = obs::spill_scope("join", b as u16, 0);
-            let probe = int_probe_of(
-                std::mem::take(&mut deferred[b]),
-                self.probe_keys,
+        let mut scratch = acquire_scratch(SPILL_FANOUT, K::RUN_SCHEMA);
+        if let Some(dir) = &dir {
+            let mut settle = Settle {
+                probe_keys: self.probe_keys,
                 dir,
-                self.budget,
-                0,
-                stats,
-            )?;
-            settle_int_run(
-                run,
-                probe,
-                self.probe_keys,
-                0,
-                u64::MAX,
-                dir,
-                self.budget,
-                self.bloom,
-                stats,
+                budget: self.budget,
+                bloom: self.bloom,
                 checkpoint,
-                &mut scratch,
-                &mut pairs,
-            )?;
+                stats,
+                scratch: &mut scratch,
+                out: &mut pairs,
+            };
+            for (b, run) in runs.into_iter().enumerate() {
+                let Some(run) = run else { continue };
+                let _io = obs::spill_scope(K::STAGE, b as u16, 0);
+                let probe = settle.defer(std::mem::take(&mut deferred[b]), 0)?;
+                settle.run(run, probe, 0, u64::MAX)?;
+            }
         }
         // Stable by probe index: payload order within a row is the
         // settled partition's build-row order.
@@ -458,25 +497,28 @@ impl<'a> SpillableOp for IntJoinSpillOp<'a> {
     }
 }
 
-/// Memory-governed morsel-parallel hash join over integer keys: the
-/// grace-hash sibling of [`crate::parallel::parallel_hash_join`], charging
-/// [`ParallelOpts::effective_budget`] — an explicit budget, else the
-/// submitting tenant's registered budget, else unlimited — for every
-/// resident build partition, every deferred probe-index list, and
-/// spilling whatever does not fit to disk. Output is bit-identical to the
-/// in-memory join for any budget, worker count, and morsel size;
+/// Memory-governed morsel-parallel hash join over either [`JoinKey`]
+/// type (`K` follows the probe keys: `&[i64]`, or Utf8 `&[String]`): the
+/// grace-hash sibling of [`crate::parallel::parallel_hash_join`],
+/// charging [`ParallelOpts::effective_budget`] — an explicit budget, else
+/// the submitting tenant's registered budget, else unlimited — for every
+/// resident build partition ([`INT_BUILD_ROW_BYTES`] a row; Utf8:
+/// [`STR_BUILD_ROW_BYTES`] a row plus the key bytes), every deferred
+/// probe-index list, and spilling whatever does not fit to disk. Spilled
+/// Utf8 partitions stay arena-backed end to end. Output is bit-identical
+/// to the in-memory join for any budget, worker count, and morsel size;
 /// [`SpillStats`] reports what the out-of-core path did.
-pub fn parallel_hash_join_spill(
+pub fn parallel_hash_join_spill<K: JoinKey>(
     build_keys: &Array,
     build_payloads: &Array,
-    probe_keys: &[i64],
+    probe_keys: &[K],
     bloom: bool,
     opts: ParallelOpts<'_>,
 ) -> OpResult<(ParallelJoinOutput, SpillStats)> {
-    let _stage = opts.stage("join-spill");
-    let (bk, bp) = crate::parallel::build_rows(build_keys, build_payloads)?;
+    let _stage = opts.stage(K::SPILL_STAGE);
+    let (bk, bp) = crate::parallel::build_rows::<K>(build_keys, build_payloads)?;
     let budget = opts.effective_budget().unwrap_or(&UNLIMITED);
-    let mut op = IntJoinSpillOp {
+    let mut op = JoinSpillOp {
         build_plan: MorselPlan::new(bk.len(), opts.effective_morsel_rows()),
         probe_plan: MorselPlan::new(probe_keys.len(), opts.effective_morsel_rows()),
         bk,
@@ -497,719 +539,196 @@ pub fn parallel_hash_join_spill(
     ))
 }
 
-/// Resolve one spilled integer partition: rebuild it if it now fits (or
-/// cannot be split further), else re-partition on the next hash level and
-/// recurse — streaming the probe side too when it spilled. Matches are
-/// appended to `out` as `(probe index, payload)` pairs in build-row order
-/// per probe row.
-#[allow(clippy::too_many_arguments)]
-fn settle_int_run(
-    run: IntRun,
-    probe: IntProbe<'_>,
-    probe_keys: &[i64],
-    depth: usize,
-    parent_rows: u64,
-    dir: &SpillDir,
-    budget: &MemoryBudget,
+/// One spilled join partition's settle recursion: what stays fixed
+/// across levels, plus the accumulators every level appends to.
+struct Settle<'s, 'a, K> {
+    probe_keys: &'s [K],
+    dir: &'s SpillDir,
+    budget: &'a MemoryBudget,
     bloom: bool,
-    stats: &mut SpillStats,
-    checkpoint: &SpillCheckpoint<'_>,
-    scratch: &mut PartitionScratch,
-    out: &mut Vec<(u32, i64)>,
-) -> Result<(), RunError<KernelError>> {
-    checkpoint.check()?;
-    stats.max_recursion_depth = stats.max_recursion_depth.max(depth);
-    if probe.is_empty() {
-        run.delete();
-        probe.delete();
-        return Ok(());
-    }
-    let rows = run.rows();
-    let cost = rows as usize * INT_BUILD_ROW_BYTES;
-    // A further split must both have hash bits left and be able to make
-    // progress (a partition of one repeated hash never shrinks).
-    let splittable = depth < MAX_SPILL_DEPTH && rows < parent_rows;
-    // The RAII lease releases the charge on every exit path, including
-    // an I/O error while re-reading the run.
-    let lease = budget.lease(cost).ok();
-    if lease.is_some() || !splittable {
-        if lease.is_none() {
-            stats.forced_builds += 1;
+    checkpoint: &'s SpillCheckpoint<'s>,
+    stats: &'s mut SpillStats,
+    scratch: &'s mut Scratch,
+    /// Matches as `(probe index, payload)` pairs, in build-row order per
+    /// probe row.
+    out: &'s mut Vec<(u32, i64)>,
+}
+
+impl<'a, K: JoinKey> Settle<'_, 'a, K> {
+    /// Resolve one spilled partition at level `depth`: rebuild it if it
+    /// now fits (or cannot be split further), else re-partition on the
+    /// next hash level and recurse — streaming the probe side too when it
+    /// spilled.
+    fn run(
+        &mut self,
+        run: Run,
+        probe: DeferredProbe<'a>,
+        depth: usize,
+        parent_rows: u64,
+    ) -> Result<(), RunError<KernelError>> {
+        self.checkpoint.check()?;
+        self.stats.max_recursion_depth = self.stats.max_recursion_depth.max(depth);
+        if probe.is_empty() {
+            run.delete();
+            probe.delete();
+            return Ok(());
         }
-        let (keys, pays) = run.read_all().map_err(storage_err)?;
-        stats.bytes_read += run.bytes();
-        run.delete();
-        let table = HashTable::from_rows(&keys, &pays);
-        let table = if bloom { table.with_bloom() } else { table };
-        drop((keys, pays));
+        let rows = run.rows();
+        // A further split must both have hash bits left and be able to
+        // make progress (a partition of one repeated hash never shrinks).
+        let splittable = depth < MAX_SPILL_DEPTH && rows < parent_rows;
+        // The RAII lease releases the charge on every exit path,
+        // including an I/O error while re-reading the run.
+        let lease = self.budget.lease(K::settle_charge(&run)).ok();
+        if lease.is_some() || !splittable {
+            if lease.is_none() {
+                self.stats.forced_builds += 1;
+            }
+            return self.build_and_probe(run, probe);
+        }
+        // Re-partition (grace hash, next 4 bits). The probe side splits
+        // first: its occupancy decides which build sub-partitions can
+        // match at all (build rows without any probe row are dropped).
+        let mut sub_probe: Vec<Option<DeferredProbe>> = (0..SPILL_FANOUT).map(|_| None).collect();
         match probe {
-            IntProbe::Resident(rows_idx, _lease) => {
+            DeferredProbe::Resident(rows_idx, lease) => {
+                let mut subs: Vec<Vec<u32>> = vec![Vec::new(); SPILL_FANOUT];
+                for pi in rows_idx {
+                    let key = self.probe_keys[pi as usize].borrowed();
+                    subs[bucket_of(K::partition_hash(key), depth + 1)].push(pi);
+                }
+                // The parent's charge returns before the children charge
+                // their own shares.
+                drop(lease);
+                for (s, rows_s) in subs.into_iter().enumerate() {
+                    if rows_s.is_empty() {
+                        continue;
+                    }
+                    sub_probe[s] = Some(self.defer(rows_s, depth + 1)?);
+                }
+            }
+            DeferredProbe::Spilled(prun) => {
+                // The list did not fit at the parent level, so children
+                // stay spilled.
+                let label = format!("{}-probe", K::RUN_LABEL);
+                let subs = split_run::<K>(
+                    prun,
+                    depth + 1,
+                    &label,
+                    |_| true,
+                    self.dir,
+                    self.stats,
+                    self.scratch,
+                )?;
+                for (s, sub) in subs.into_iter().enumerate() {
+                    let Some(sub) = sub else { continue };
+                    self.stats.probe_partitions_spilled += 1;
+                    wrote(self.stats, sub.bytes());
+                    sub_probe[s] = Some(DeferredProbe::Spilled(sub));
+                }
+            }
+        }
+        // Build side: only buckets with probe rows.
+        let keep = |s: usize| sub_probe[s].is_some();
+        let subs = split_run::<K>(
+            run,
+            depth + 1,
+            K::RUN_LABEL,
+            keep,
+            self.dir,
+            self.stats,
+            self.scratch,
+        )?;
+        for (s, sub) in subs.into_iter().enumerate() {
+            let Some(probe_s) = sub_probe[s].take() else {
+                continue;
+            };
+            let Some(sub) = sub else {
+                // Probe rows but no build rows: nothing can match.
+                probe_s.delete();
+                continue;
+            };
+            self.stats.partitions_spilled += 1;
+            wrote(self.stats, sub.bytes());
+            let _io = obs::spill_scope(K::STAGE, s as u16, (depth + 1) as u16);
+            self.run(sub, probe_s, depth + 1, rows)?;
+        }
+        Ok(())
+    }
+
+    /// Rebuild the partition's table from `run` and probe it with every
+    /// deferred row.
+    fn build_and_probe(
+        &mut self,
+        run: Run,
+        probe: DeferredProbe<'a>,
+    ) -> Result<(), RunError<KernelError>> {
+        let mut partition = JoinPartition::<K>::default();
+        drain_run(run, self.stats, |frame| {
+            partition.push_batch(frame);
+            Ok(())
+        })?;
+        let table = bloomed(HashTable::from_partitions([partition]), self.bloom);
+        let out = &mut *self.out;
+        match probe {
+            DeferredProbe::Resident(rows_idx, _lease) => {
                 for &pi in &rows_idx {
-                    for &p in table.matches(probe_keys[pi as usize]) {
+                    for &p in table.matches(self.probe_keys[pi as usize].borrowed()) {
                         out.push((pi, p));
                     }
                 }
+                Ok(())
             }
-            IntProbe::Spilled(prun) => {
-                // Stream the spilled probe rows (ascending probe index)
-                // against the rebuilt table — the run carries the keys,
-                // so nothing is ever resident beyond one frame.
-                let mut reader = prun.reader().map_err(storage_err)?;
-                while let Some((pk, pidx)) = reader.next_frame().map_err(storage_err)? {
-                    for (k, pi) in pk.into_iter().zip(pidx) {
-                        for &p in table.matches(k) {
-                            out.push((pi as u32, p));
-                        }
+            // Stream the spilled probe rows (ascending probe index)
+            // against the rebuilt table — the run carries the keys, so
+            // nothing is ever resident beyond one frame.
+            DeferredProbe::Spilled(prun) => drain_run(prun, self.stats, |frame| {
+                for (row, &pi) in run_values(frame).iter().enumerate() {
+                    for &p in table.matches(K::key_at(frame, row)) {
+                        out.push((pi as u32, p));
                     }
                 }
-                stats.bytes_read += prun.bytes();
-                prun.delete();
-            }
-        }
-        return Ok(());
-    }
-    // Re-partition (grace hash, next 4 bits). The probe side splits
-    // first: its occupancy decides which build sub-partitions can match
-    // at all (build rows without any probe row are dropped).
-    let mut sub_probe: Vec<Option<IntProbe>> = (0..SPILL_FANOUT).map(|_| None).collect();
-    match probe {
-        IntProbe::Resident(rows_idx, lease) => {
-            let mut subs: Vec<Vec<u32>> = vec![Vec::new(); SPILL_FANOUT];
-            for pi in rows_idx {
-                subs[bucket_of(hash_i64(probe_keys[pi as usize]), depth + 1)].push(pi);
-            }
-            // The parent's charge returns before the children charge
-            // their own shares.
-            drop(lease);
-            for (s, rows_s) in subs.into_iter().enumerate() {
-                if rows_s.is_empty() {
-                    continue;
-                }
-                sub_probe[s] = Some(int_probe_of(
-                    rows_s,
-                    probe_keys,
-                    dir,
-                    budget,
-                    depth + 1,
-                    stats,
-                )?);
-            }
-        }
-        IntProbe::Spilled(prun) => {
-            // The list did not fit at the parent level, so children stay
-            // spilled: stream the run into per-bucket sub-runs, frame by
-            // frame through the pooled scratch arena.
-            let mut probe_writers: Vec<Option<IntRunWriter>> =
-                (0..SPILL_FANOUT).map(|_| None).collect();
-            let mut reader = prun.reader().map_err(storage_err)?;
-            while let Some((pk, pidx)) = reader.next_frame().map_err(storage_err)? {
-                for (k, pi) in pk.into_iter().zip(pidx) {
-                    scratch.push(bucket_of(hash_i64(k), depth + 1), k, pi);
-                }
-                for &s in scratch.touched() {
-                    let s = s as usize;
-                    if probe_writers[s].is_none() {
-                        probe_writers[s] = Some(
-                            IntRunWriter::create(
-                                dir.run_path(&format!("int-probe-d{}-b{s}", depth + 1)),
-                            )
-                            .map_err(storage_err)?,
-                        );
-                    }
-                    let (k, v) = scratch.bucket(s);
-                    probe_writers[s]
-                        .as_mut()
-                        .expect("just created")
-                        .append(k, v)
-                        .map_err(storage_err)?;
-                }
-                scratch.reset();
-            }
-            stats.bytes_read += prun.bytes();
-            prun.delete();
-            for (s, w) in probe_writers.into_iter().enumerate() {
-                let Some(w) = w else { continue };
-                let sub = w.finish().map_err(storage_err)?;
-                stats.probe_partitions_spilled += 1;
-                stats.runs_written += 1;
-                stats.bytes_written += sub.bytes();
-                sub_probe[s] = Some(IntProbe::Spilled(sub));
-            }
+                Ok(())
+            }),
         }
     }
-    // Build side: stream into sub-runs, only for buckets with probe rows.
-    let mut writers: Vec<Option<IntRunWriter>> = Vec::with_capacity(SPILL_FANOUT);
-    for (s, probe_s) in sub_probe.iter().enumerate() {
-        writers.push(match probe_s {
-            Some(_) => Some(
-                IntRunWriter::create(dir.run_path(&format!("int-d{}-b{s}", depth + 1)))
-                    .map_err(storage_err)?,
-            ),
-            None => None,
-        });
-    }
-    let mut reader = run.reader().map_err(storage_err)?;
-    while let Some((keys, pays)) = reader.next_frame().map_err(storage_err)? {
-        for (k, p) in keys.into_iter().zip(pays) {
-            let s = bucket_of(hash_i64(k), depth + 1);
-            if writers[s].is_some() {
-                scratch.push(s, k, p);
-            }
-        }
-        for &s in scratch.touched() {
-            let s = s as usize;
-            let (k, p) = scratch.bucket(s);
-            writers[s]
-                .as_mut()
-                .expect("writers cover all touched buckets")
-                .append(k, p)
-                .map_err(storage_err)?;
-        }
-        scratch.reset();
-    }
-    stats.bytes_read += run.bytes();
-    run.delete();
-    for (s, writer) in writers.into_iter().enumerate() {
-        let Some(writer) = writer else { continue };
-        let sub_run = writer.finish().map_err(storage_err)?;
-        let probe_s = sub_probe[s].take().expect("writer implies probe rows");
-        if sub_run.rows() == 0 {
-            // Probe rows but no build rows: nothing can match.
-            sub_run.delete();
-            probe_s.delete();
-            continue;
-        }
-        stats.partitions_spilled += 1;
-        stats.runs_written += 1;
-        stats.bytes_written += sub_run.bytes();
-        let _io = obs::spill_scope("join", s as u16, (depth + 1) as u16);
-        settle_int_run(
-            sub_run,
-            probe_s,
-            probe_keys,
-            depth + 1,
-            rows,
-            dir,
-            budget,
-            bloom,
-            stats,
-            checkpoint,
-            scratch,
-            out,
-        )?;
-    }
-    Ok(())
-}
 
-// ---------------------------------------------------------------------------
-// Utf8 keys
-// ---------------------------------------------------------------------------
-
-/// The shared probe structure of a budgeted string join; same lease and
-/// lazy-dir discipline as [`IntSpillSides`].
-struct StrSpillSides<'a> {
-    tables: Vec<Option<StrHashTable>>,
-    runs: Vec<Option<StrRun>>,
-    leases: Vec<BudgetLease<'a>>,
-    dir: Option<SpillDir>,
-}
-
-fn str_batch_cost(batch: &StrBatch) -> usize {
-    batch.arena.len() + batch.len() * STR_BUILD_ROW_BYTES
-}
-
-fn str_table_of(batch: &StrBatch, bloom: bool) -> StrHashTable {
-    let t = StrHashTable::from_pairs((0..batch.len()).map(|i| (batch.key(i), batch.values[i])));
-    if bloom {
-        t.with_bloom()
-    } else {
-        t
-    }
-}
-
-fn append_str_chunked(w: &mut StrRunWriter, batch: &StrBatch) -> Result<(), KernelError> {
-    let mut frame = StrBatch::default();
-    for i in 0..batch.len() {
-        frame.push(batch.key(i), batch.values[i]);
-        if frame.len() == SPILL_FRAME_ROWS {
-            w.append(&frame).map_err(KernelError::Storage)?;
+    /// Keep a level-`depth` deferred probe-index list resident under a
+    /// [`PROBE_ROW_BYTES`]-per-row lease, or spill it to a
+    /// `(key, probe index)` run, one frame at a time, when the charge
+    /// fails.
+    fn defer(
+        &mut self,
+        rows: Vec<u32>,
+        depth: usize,
+    ) -> Result<DeferredProbe<'a>, RunError<KernelError>> {
+        if rows.is_empty() {
+            return Ok(DeferredProbe::Resident(rows, None));
+        }
+        if let Ok(lease) = self.budget.lease(rows.len() * PROBE_ROW_BYTES) {
+            return Ok(DeferredProbe::Resident(rows, Some(lease)));
+        }
+        let path = self
+            .dir
+            .run_path(&format!("{}-probe-d{depth}", K::RUN_LABEL));
+        let mut w = RunWriter::create(path, K::RUN_SCHEMA).map_err(storage_err)?;
+        let mut frame = RunBatch::new(K::RUN_SCHEMA);
+        for chunk in rows.chunks(SPILL_FRAME_ROWS) {
             frame.clear();
-        }
-    }
-    w.append(&frame).map_err(KernelError::Storage)
-}
-
-/// The string sibling of [`IntProbe`]: spilled probe rows go to a
-/// `(key, probe index)` [`StrRun`] whose frames carry one contiguous key
-/// arena.
-enum StrProbe<'a> {
-    Resident(Vec<u32>, Option<BudgetLease<'a>>),
-    Spilled(StrRun),
-}
-
-impl StrProbe<'_> {
-    fn is_empty(&self) -> bool {
-        match self {
-            StrProbe::Resident(rows, _) => rows.is_empty(),
-            StrProbe::Spilled(run) => run.rows() == 0,
-        }
-    }
-
-    fn delete(self) {
-        if let StrProbe::Spilled(run) = self {
-            run.delete();
-        }
-    }
-}
-
-fn str_probe_of<'a>(
-    rows: Vec<u32>,
-    probe_keys: &[String],
-    dir: &SpillDir,
-    budget: &'a MemoryBudget,
-    depth: usize,
-    stats: &mut SpillStats,
-) -> Result<StrProbe<'a>, RunError<KernelError>> {
-    if rows.is_empty() {
-        return Ok(StrProbe::Resident(rows, None));
-    }
-    match budget.lease(rows.len() * PROBE_ROW_BYTES) {
-        Ok(lease) => Ok(StrProbe::Resident(rows, Some(lease))),
-        Err(_) => {
-            let mut w = StrRunWriter::create(dir.run_path(&format!("str-probe-d{depth}")))
-                .map_err(storage_err)?;
-            let mut frame = StrBatch::default();
-            for &pi in &rows {
-                frame.push(&probe_keys[pi as usize], pi as i64);
-                if frame.len() == SPILL_FRAME_ROWS {
-                    w.append(&frame).map_err(storage_err)?;
-                    frame.clear();
-                }
+            for &pi in chunk {
+                K::push(
+                    &mut frame,
+                    self.probe_keys[pi as usize].borrowed(),
+                    pi as i64,
+                );
             }
             w.append(&frame).map_err(storage_err)?;
-            let run = w.finish().map_err(storage_err)?;
-            stats.probe_partitions_spilled += 1;
-            stats.runs_written += 1;
-            stats.bytes_written += run.bytes();
-            Ok(StrProbe::Spilled(run))
         }
+        let run = w.finish().map_err(storage_err)?;
+        self.stats.probe_partitions_spilled += 1;
+        wrote(self.stats, run.bytes());
+        Ok(DeferredProbe::Spilled(run))
     }
-}
-
-/// The Utf8 grace-hash join as a [`SpillableOp`]; mirrors
-/// [`IntJoinSpillOp`] with arena-backed run frames.
-struct StrJoinSpillOp<'a> {
-    bk: &'a [String],
-    bp: Vec<i64>,
-    probe_keys: &'a [String],
-    bloom: bool,
-    budget: &'a MemoryBudget,
-    build_plan: MorselPlan,
-    probe_plan: MorselPlan,
-}
-
-impl<'a> SpillableOp for StrJoinSpillOp<'a> {
-    type Partition = Vec<StrBatch>;
-    type Shared = StrSpillSides<'a>;
-    type Out = (Vec<u32>, Vec<i64>, Vec<Vec<u32>>);
-    type Settled = (Vec<u32>, Vec<i64>);
-    type Error = KernelError;
-
-    fn input_plan(&self) -> &MorselPlan {
-        &self.build_plan
-    }
-
-    fn consume_plan(&self) -> Option<&MorselPlan> {
-        Some(&self.probe_plan)
-    }
-
-    fn partition_morsel(&self, _w: usize, m: &Morsel) -> Result<Self::Partition, KernelError> {
-        let mut parts: Vec<StrBatch> = vec![StrBatch::default(); SPILL_FANOUT];
-        for i in m.start..m.end() {
-            let b = bucket_of(hash_str(&self.bk[i]), 0);
-            parts[b].push(&self.bk[i], self.bp[i]);
-        }
-        Ok(parts)
-    }
-
-    fn charge(
-        &mut self,
-        parts: Vec<Self::Partition>,
-        _budget: &MemoryBudget,
-        stats: &mut SpillStats,
-    ) -> Result<StrSpillSides<'a>, KernelError> {
-        let mut buckets: Vec<StrBatch> = vec![StrBatch::default(); SPILL_FANOUT];
-        for part in parts {
-            for (b, batch) in part.into_iter().enumerate() {
-                for i in 0..batch.len() {
-                    buckets[b].push(batch.key(i), batch.values[i]);
-                }
-            }
-        }
-        let mut dir: Option<SpillDir> = None;
-        let mut tables = Vec::with_capacity(SPILL_FANOUT);
-        let mut runs = Vec::with_capacity(SPILL_FANOUT);
-        let mut leases = Vec::new();
-        for (b, batch) in buckets.into_iter().enumerate() {
-            let cost = str_batch_cost(&batch);
-            // Leases come from the operator's own budget reference so the
-            // sides can hold them across the probe phase (released on any
-            // exit).
-            if let Ok(lease) = self.budget.lease(cost) {
-                tables.push(Some(str_table_of(&batch, self.bloom)));
-                runs.push(None);
-                leases.push(lease);
-            } else {
-                if dir.is_none() {
-                    dir = Some(SpillDir::new().map_err(KernelError::Storage)?);
-                }
-                let d = dir.as_ref().expect("just created");
-                let _io = obs::spill_scope("join-str-build", b as u16, 0);
-                let mut w = StrRunWriter::create(d.run_path(&format!("str-d0-b{b}")))
-                    .map_err(KernelError::Storage)?;
-                append_str_chunked(&mut w, &batch)?;
-                let run = w.finish().map_err(KernelError::Storage)?;
-                stats.partitions_spilled += 1;
-                stats.runs_written += 1;
-                stats.bytes_written += run.bytes();
-                tables.push(None);
-                runs.push(Some(run));
-            }
-        }
-        Ok(StrSpillSides {
-            tables,
-            runs,
-            leases,
-            dir,
-        })
-    }
-
-    fn consume_morsel(
-        &self,
-        _w: usize,
-        m: &Morsel,
-        shared: &StrSpillSides<'a>,
-    ) -> Result<Self::Out, KernelError> {
-        let mut idx = Vec::new();
-        let mut pay = Vec::new();
-        let mut deferred: Vec<Vec<u32>> = vec![Vec::new(); SPILL_FANOUT];
-        for (i, k) in self
-            .probe_keys
-            .iter()
-            .enumerate()
-            .take(m.end())
-            .skip(m.start)
-        {
-            let b = bucket_of(hash_str(k), 0);
-            match &shared.tables[b] {
-                Some(t) => {
-                    for &p in t.matches(k) {
-                        idx.push(i as u32);
-                        pay.push(p);
-                    }
-                }
-                None => deferred[b].push(i as u32),
-            }
-        }
-        Ok((idx, pay, deferred))
-    }
-
-    fn settle(
-        &mut self,
-        shared: StrSpillSides<'a>,
-        outs: Vec<Self::Out>,
-        _budget: &MemoryBudget,
-        stats: &mut SpillStats,
-        checkpoint: &SpillCheckpoint<'_>,
-    ) -> Result<Self::Settled, RunError<KernelError>> {
-        let StrSpillSides {
-            tables,
-            runs,
-            leases,
-            dir,
-        } = shared;
-        drop(tables);
-        drop(leases);
-        let mut res_idx = Vec::new();
-        let mut res_pay = Vec::new();
-        let mut deferred: Vec<Vec<u32>> = vec![Vec::new(); SPILL_FANOUT];
-        for (idx, pay, defs) in outs {
-            res_idx.extend(idx);
-            res_pay.extend(pay);
-            for (b, d) in defs.into_iter().enumerate() {
-                deferred[b].extend(d);
-            }
-        }
-        let mut pairs: Vec<(u32, i64)> = Vec::new();
-        let mut scratch = acquire_str(SPILL_FANOUT);
-        for (b, run) in runs.into_iter().enumerate() {
-            let Some(run) = run else { continue };
-            let dir = dir.as_ref().expect("spilled partitions imply a spill dir");
-            let _io = obs::spill_scope("join-str", b as u16, 0);
-            let probe = str_probe_of(
-                std::mem::take(&mut deferred[b]),
-                self.probe_keys,
-                dir,
-                self.budget,
-                0,
-                stats,
-            )?;
-            settle_str_run(
-                run,
-                probe,
-                self.probe_keys,
-                0,
-                u64::MAX,
-                dir,
-                self.budget,
-                self.bloom,
-                stats,
-                checkpoint,
-                &mut scratch,
-                &mut pairs,
-            )?;
-        }
-        pairs.sort_by_key(|&(i, _)| i);
-        Ok(merge_output_streams(res_idx, res_pay, pairs))
-    }
-}
-
-/// Memory-governed morsel-parallel hash join over a **Utf8 key column**:
-/// the grace-hash sibling of
-/// [`crate::parallel::parallel_hash_join_str`], with spilled partitions
-/// kept arena-backed end to end (run frames store one contiguous key
-/// arena; rebuilding a partition goes through
-/// [`StrHashTable::from_pairs`] without per-key allocation of the spilled
-/// rows) and the same probe-side spill as the integer join. Output is
-/// bit-identical to the in-memory string join for any budget, worker
-/// count, and morsel size.
-pub fn parallel_hash_join_str_spill(
-    build_keys: &Array,
-    build_payloads: &Array,
-    probe_keys: &[String],
-    bloom: bool,
-    opts: ParallelOpts<'_>,
-) -> OpResult<(ParallelJoinOutput, SpillStats)> {
-    let _stage = opts.stage("join-str-spill");
-    let bk = build_keys
-        .as_str()
-        .ok_or_else(|| KernelError::Precondition("join build keys must be strings".to_string()))?;
-    let bp = build_payloads
-        .to_i64_vec()
-        .ok_or_else(|| KernelError::Precondition("join build payloads must be integer".into()))?;
-    if bk.len() != bp.len() {
-        return Err(KernelError::Precondition(format!(
-            "build keys and payloads must have equal lengths ({} vs {})",
-            bk.len(),
-            bp.len()
-        )));
-    }
-    let budget = opts.effective_budget().unwrap_or(&UNLIMITED);
-    let mut op = StrJoinSpillOp {
-        build_plan: MorselPlan::new(bk.len(), opts.effective_morsel_rows()),
-        probe_plan: MorselPlan::new(probe_keys.len(), opts.effective_morsel_rows()),
-        bk,
-        bp,
-        probe_keys,
-        bloom,
-        budget,
-    };
-    let ((indices, payloads), stats, spill) =
-        run_spillable(&mut op, opts.runner(), opts.cancel, budget).map_err(kernel_run_err)?;
-    Ok((
-        ParallelJoinOutput {
-            indices,
-            payloads,
-            stats,
-        },
-        spill,
-    ))
-}
-
-/// The string sibling of [`settle_int_run`].
-#[allow(clippy::too_many_arguments)]
-fn settle_str_run(
-    run: StrRun,
-    probe: StrProbe<'_>,
-    probe_keys: &[String],
-    depth: usize,
-    parent_rows: u64,
-    dir: &SpillDir,
-    budget: &MemoryBudget,
-    bloom: bool,
-    stats: &mut SpillStats,
-    checkpoint: &SpillCheckpoint<'_>,
-    scratch: &mut StrScratch,
-    out: &mut Vec<(u32, i64)>,
-) -> Result<(), RunError<KernelError>> {
-    checkpoint.check()?;
-    stats.max_recursion_depth = stats.max_recursion_depth.max(depth);
-    if probe.is_empty() {
-        run.delete();
-        probe.delete();
-        return Ok(());
-    }
-    let rows = run.rows();
-    let splittable = depth < MAX_SPILL_DEPTH && rows < parent_rows;
-    // Charge by the run's actual footprint: key bytes are inside the
-    // frames, so approximate with the encoded size plus per-row overhead.
-    let cost = run.bytes() as usize + rows as usize * STR_BUILD_ROW_BYTES;
-    // The RAII lease releases the charge on every exit path, including
-    // an I/O error while re-reading the run.
-    let lease = budget.lease(cost).ok();
-    if lease.is_some() || !splittable {
-        if lease.is_none() {
-            stats.forced_builds += 1;
-        }
-        let batch = run.read_all().map_err(storage_err)?;
-        stats.bytes_read += run.bytes();
-        run.delete();
-        let table = str_table_of(&batch, bloom);
-        drop(batch);
-        match probe {
-            StrProbe::Resident(rows_idx, _lease) => {
-                for &pi in &rows_idx {
-                    for &p in table.matches(&probe_keys[pi as usize]) {
-                        out.push((pi, p));
-                    }
-                }
-            }
-            StrProbe::Spilled(prun) => {
-                let mut reader = prun.reader().map_err(storage_err)?;
-                while let Some(frame) = reader.next_frame().map_err(storage_err)? {
-                    for i in 0..frame.len() {
-                        for &p in table.matches(frame.key(i)) {
-                            out.push((frame.values[i] as u32, p));
-                        }
-                    }
-                }
-                stats.bytes_read += prun.bytes();
-                prun.delete();
-            }
-        }
-        return Ok(());
-    }
-    let mut sub_probe: Vec<Option<StrProbe>> = (0..SPILL_FANOUT).map(|_| None).collect();
-    match probe {
-        StrProbe::Resident(rows_idx, lease) => {
-            let mut subs: Vec<Vec<u32>> = vec![Vec::new(); SPILL_FANOUT];
-            for pi in rows_idx {
-                subs[bucket_of(hash_str(&probe_keys[pi as usize]), depth + 1)].push(pi);
-            }
-            drop(lease);
-            for (s, rows_s) in subs.into_iter().enumerate() {
-                if rows_s.is_empty() {
-                    continue;
-                }
-                sub_probe[s] = Some(str_probe_of(
-                    rows_s,
-                    probe_keys,
-                    dir,
-                    budget,
-                    depth + 1,
-                    stats,
-                )?);
-            }
-        }
-        StrProbe::Spilled(prun) => {
-            let mut probe_writers: Vec<Option<StrRunWriter>> =
-                (0..SPILL_FANOUT).map(|_| None).collect();
-            let mut reader = prun.reader().map_err(storage_err)?;
-            while let Some(frame) = reader.next_frame().map_err(storage_err)? {
-                for i in 0..frame.len() {
-                    let key = frame.key(i);
-                    scratch.push(bucket_of(hash_str(key), depth + 1), key, frame.values[i]);
-                }
-                for &s in scratch.touched() {
-                    let s = s as usize;
-                    if probe_writers[s].is_none() {
-                        probe_writers[s] = Some(
-                            StrRunWriter::create(
-                                dir.run_path(&format!("str-probe-d{}-b{s}", depth + 1)),
-                            )
-                            .map_err(storage_err)?,
-                        );
-                    }
-                    probe_writers[s]
-                        .as_mut()
-                        .expect("just created")
-                        .append(scratch.bucket(s))
-                        .map_err(storage_err)?;
-                }
-                scratch.reset();
-            }
-            stats.bytes_read += prun.bytes();
-            prun.delete();
-            for (s, w) in probe_writers.into_iter().enumerate() {
-                let Some(w) = w else { continue };
-                let sub = w.finish().map_err(storage_err)?;
-                stats.probe_partitions_spilled += 1;
-                stats.runs_written += 1;
-                stats.bytes_written += sub.bytes();
-                sub_probe[s] = Some(StrProbe::Spilled(sub));
-            }
-        }
-    }
-    let mut writers: Vec<Option<StrRunWriter>> = Vec::with_capacity(SPILL_FANOUT);
-    for (s, probe_s) in sub_probe.iter().enumerate() {
-        writers.push(match probe_s {
-            Some(_) => Some(
-                StrRunWriter::create(dir.run_path(&format!("str-d{}-b{s}", depth + 1)))
-                    .map_err(storage_err)?,
-            ),
-            None => None,
-        });
-    }
-    let mut reader = run.reader().map_err(storage_err)?;
-    while let Some(frame) = reader.next_frame().map_err(storage_err)? {
-        for i in 0..frame.len() {
-            let key = frame.key(i);
-            let s = bucket_of(hash_str(key), depth + 1);
-            if writers[s].is_some() {
-                scratch.push(s, key, frame.values[i]);
-            }
-        }
-        for &s in scratch.touched() {
-            let s = s as usize;
-            writers[s]
-                .as_mut()
-                .expect("writers cover all touched buckets")
-                .append(scratch.bucket(s))
-                .map_err(storage_err)?;
-        }
-        scratch.reset();
-    }
-    stats.bytes_read += run.bytes();
-    run.delete();
-    for (s, writer) in writers.into_iter().enumerate() {
-        let Some(writer) = writer else { continue };
-        let sub_run = writer.finish().map_err(storage_err)?;
-        let probe_s = sub_probe[s].take().expect("writer implies probe rows");
-        if sub_run.rows() == 0 {
-            sub_run.delete();
-            probe_s.delete();
-            continue;
-        }
-        stats.partitions_spilled += 1;
-        stats.runs_written += 1;
-        stats.bytes_written += sub_run.bytes();
-        let _io = obs::spill_scope("join-str", s as u16, (depth + 1) as u16);
-        settle_str_run(
-            sub_run,
-            probe_s,
-            probe_keys,
-            depth + 1,
-            rows,
-            dir,
-            budget,
-            bloom,
-            stats,
-            checkpoint,
-            scratch,
-            out,
-        )?;
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1221,7 +740,7 @@ fn settle_str_run(
 /// spilled run of raw `(key, f64 bits)` rows.
 struct AggSides<'a> {
     groups: Vec<Option<HashMap<i64, GroupState>>>,
-    runs: Vec<Option<IntRun>>,
+    runs: Vec<Option<Run>>,
     leases: Vec<BudgetLease<'a>>,
     dir: Option<SpillDir>,
 }
@@ -1292,17 +811,14 @@ impl<'a> SpillableOp for AggSpillOp<'a> {
                 }
                 let d = dir.as_ref().expect("just created");
                 let _io = obs::spill_scope("agg", b as u16, 0);
-                let mut w = IntRunWriter::create(d.run_path(&format!("agg-d0-b{b}")))
+                let batch = RunBatch {
+                    cols: vec![keys, bits],
+                    ..RunBatch::default()
+                };
+                let run = write_run(d, &format!("agg-d0-b{b}"), i64::RUN_SCHEMA, &batch)
                     .map_err(KernelError::Storage)?;
-                for lo in (0..keys.len()).step_by(SPILL_FRAME_ROWS) {
-                    let hi = (lo + SPILL_FRAME_ROWS).min(keys.len());
-                    w.append(&keys[lo..hi], &bits[lo..hi])
-                        .map_err(KernelError::Storage)?;
-                }
-                let run = w.finish().map_err(KernelError::Storage)?;
                 stats.partitions_spilled += 1;
-                stats.runs_written += 1;
-                stats.bytes_written += run.bytes();
+                wrote(stats, run.bytes());
                 groups.push(None);
                 runs.push(Some(run));
             }
@@ -1337,7 +853,7 @@ impl<'a> SpillableOp for AggSpillOp<'a> {
             out.extend(map);
         }
         drop(leases);
-        let mut scratch = acquire_partition(SPILL_FANOUT);
+        let mut scratch = acquire_scratch(SPILL_FANOUT, i64::RUN_SCHEMA);
         for (b, run) in runs.into_iter().enumerate() {
             let Some(run) = run else { continue };
             let _io = obs::spill_scope("agg", b as u16, 0);
@@ -1362,17 +878,18 @@ impl<'a> SpillableOp for AggSpillOp<'a> {
 /// group table now fits (or it cannot be split further), else
 /// re-partition on the next hash level and recurse. Rows stay in global
 /// row order throughout, so every group's fold is bit-identical to the
-/// sequential one.
+/// sequential one. Spilled `(i64 key, f64 bits)` rows have the i64 join
+/// key's row shape, so they re-partition through the same [`split_run`].
 #[allow(clippy::too_many_arguments)]
 fn settle_agg_run(
-    run: IntRun,
+    run: Run,
     depth: usize,
     parent_rows: u64,
     dir: &SpillDir,
     budget: &MemoryBudget,
     stats: &mut SpillStats,
     checkpoint: &SpillCheckpoint<'_>,
-    scratch: &mut PartitionScratch,
+    scratch: &mut Scratch,
     out: &mut Vec<(i64, GroupState)>,
 ) -> Result<(), RunError<KernelError>> {
     checkpoint.check()?;
@@ -1385,51 +902,23 @@ fn settle_agg_run(
             stats.forced_builds += 1;
         }
         let mut map: HashMap<i64, GroupState> = HashMap::new();
-        let mut reader = run.reader().map_err(storage_err)?;
-        while let Some((keys, bits)) = reader.next_frame().map_err(storage_err)? {
-            for (k, v) in keys.into_iter().zip(bits) {
+        drain_run(run, stats, |frame| {
+            for (&k, &v) in frame.cols[0].iter().zip(&frame.cols[1]) {
                 map.entry(k).or_default().observe_bits(v);
             }
-        }
-        stats.bytes_read += run.bytes();
-        run.delete();
+            Ok(())
+        })?;
         out.extend(map);
         return Ok(());
     }
-    let mut writers: Vec<Option<IntRunWriter>> = (0..SPILL_FANOUT).map(|_| None).collect();
-    let mut reader = run.reader().map_err(storage_err)?;
-    while let Some((keys, bits)) = reader.next_frame().map_err(storage_err)? {
-        for (k, v) in keys.into_iter().zip(bits) {
-            scratch.push(bucket_of(hash_i64(k), depth + 1), k, v);
-        }
-        for &s in scratch.touched() {
-            let s = s as usize;
-            if writers[s].is_none() {
-                writers[s] = Some(
-                    IntRunWriter::create(dir.run_path(&format!("agg-d{}-b{s}", depth + 1)))
-                        .map_err(storage_err)?,
-                );
-            }
-            let (k, v) = scratch.bucket(s);
-            writers[s]
-                .as_mut()
-                .expect("just created")
-                .append(k, v)
-                .map_err(storage_err)?;
-        }
-        scratch.reset();
-    }
-    stats.bytes_read += run.bytes();
-    run.delete();
-    for (s, writer) in writers.into_iter().enumerate() {
-        let Some(writer) = writer else { continue };
-        let sub_run = writer.finish().map_err(storage_err)?;
+    let subs = split_run::<i64>(run, depth + 1, "agg", |_| true, dir, stats, scratch)?;
+    for (s, sub_run) in subs.into_iter().enumerate() {
+        let Some(sub_run) = sub_run else { continue };
         stats.partitions_spilled += 1;
-        stats.runs_written += 1;
-        stats.bytes_written += sub_run.bytes();
+        wrote(stats, sub_run.bytes());
         let _io = obs::spill_scope("agg", s as u16, (depth + 1) as u16);
         settle_agg_run(
-            sub_run, // non-empty by construction: writers are lazy
+            sub_run, // non-empty by construction: sub-runs are lazy
             depth + 1,
             rows,
             dir,

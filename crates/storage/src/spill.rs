@@ -26,16 +26,16 @@
 //! so a corrupt header can never trigger an unbounded allocation (readers
 //! fail typed instead), and Utf8 key bytes are validated once, on decode.
 //!
-//! Two thin typed wrappers cover the engine's row shapes (their on-disk
-//! format is exactly the generic codec's):
+//! A [`RunBatch`] is both what a reader decodes and what a writer
+//! encodes: operators build frames with [`RunBatch::push`] and write them
+//! whole or in row ranges ([`RunWriter::append_rows`]). Utf8 keys stay
+//! **arena-backed** on both sides of the disk — one contiguous buffer
+//! per frame, no per-key allocation. The hash join spills `(i64, i64)`
+//! and `(Utf8, i64)` rows through this one path.
 //!
-//! * [`IntRunWriter`]/[`IntRun`] — `(i64 key, i64 value)` rows
-//!   (`RunSchema::ints(2)`).
-//! * [`StrRunWriter`]/[`StrRun`] — `(Utf8 key, i64 value)` rows
-//!   (`RunSchema::utf8_plus_ints(1)`), with the key bytes kept
-//!   **arena-backed** on both sides: [`StrBatch`] hands keys back as
-//!   slices into one contiguous buffer — no per-key allocation on either
-//!   side of the disk.
+//! [`IntRunWriter`]/[`IntRun`] is a thin typed view of
+//! `RunSchema::ints(2)` runs (same on-disk format) for the external sort
+//! and its row-by-row [`RunCursor`].
 //!
 //! Runs live in a [`SpillDir`], a process-unique temporary directory
 //! removed (best-effort) on drop. All I/O errors surface as
@@ -45,6 +45,7 @@
 
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -242,8 +243,7 @@ fn delete_file(path: &Path) {
 /// The row shape of a run: an optional arena-backed Utf8 key column
 /// followed by `int_cols` columnar `i64` columns. The schema fixes the
 /// frame layout, so a reader opened with the writer's schema decodes the
-/// same frames — the typed wrappers ([`IntRun`], [`StrRun`]) are nothing
-/// but fixed schemas.
+/// same frames — the typed [`IntRun`] view is nothing but a fixed schema.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunSchema {
     int_cols: usize,
@@ -294,6 +294,48 @@ pub struct RunBatch {
 }
 
 impl RunBatch {
+    /// An empty batch with `schema`'s columns, ready for [`Self::push`].
+    pub fn new(schema: RunSchema) -> RunBatch {
+        RunBatch {
+            offsets: Vec::new(),
+            arena: Vec::new(),
+            cols: vec![Vec::new(); schema.int_cols],
+        }
+    }
+
+    /// Append one row: its Utf8 key (`Some` exactly when the schema has
+    /// one) and one value per `i64` column. Panics on a column-count
+    /// mismatch, or if the key arena would exceed u32 addressing (the
+    /// codec's offset width) — checked here before offsets could silently
+    /// wrap.
+    pub fn push(&mut self, key: Option<&str>, ints: &[i64]) {
+        assert_eq!(ints.len(), self.cols.len(), "one value per i64 column");
+        if let Some(key) = key {
+            assert!(
+                self.arena.len() + key.len() <= u32::MAX as usize,
+                "run batch key arena exceeds u32 addressing ({} + {} bytes)",
+                self.arena.len(),
+                key.len()
+            );
+            if self.offsets.is_empty() {
+                self.offsets.push(0);
+            }
+            self.arena.extend_from_slice(key.as_bytes());
+            self.offsets.push(self.arena.len() as u32);
+        }
+        for (col, &v) in self.cols.iter_mut().zip(ints) {
+            col.push(v);
+        }
+    }
+
+    /// Reset to the empty batch, retaining every buffer's capacity (the
+    /// scratch-arena reuse path).
+    pub fn clear(&mut self) {
+        self.offsets.clear();
+        self.arena.clear();
+        self.cols.iter_mut().for_each(Vec::clear);
+    }
+
     /// Rows in the batch.
     pub fn rows(&self) -> usize {
         if self.offsets.is_empty() {
@@ -346,11 +388,14 @@ impl RunWriter {
     }
 
     /// Append one frame from borrowed columns: the Utf8 key column as
-    /// `(cumulative offsets, arena)` when the schema has one, plus the
-    /// `i64` columns in schema order. Empty frames are skipped; unequal
-    /// column lengths are a [`StorageError::LengthMismatch`]; frames over
-    /// [`MAX_FRAME_ROWS`] rows or [`MAX_FRAME_KEY_BYTES`] key bytes must
-    /// be split into several appends.
+    /// `(cumulative offsets, arena)` when the schema has one (the offsets
+    /// may start anywhere — only their differences are encoded — so a
+    /// sub-range of a batch's offsets pairs with the matching arena
+    /// slice), plus the `i64` columns in schema order. Empty frames are
+    /// skipped; unequal column lengths are a
+    /// [`StorageError::LengthMismatch`]; frames over [`MAX_FRAME_ROWS`]
+    /// rows or [`MAX_FRAME_KEY_BYTES`] key bytes must be split into
+    /// several appends.
     pub fn append_cols(
         &mut self,
         utf8: Option<(&[u32], &[u8])>,
@@ -393,9 +438,10 @@ impl RunWriter {
         self.frame.clear();
         write_u32(&mut self.frame, rows as u32);
         if let Some((offsets, arena)) = utf8 {
-            if offsets[rows] as usize != arena.len() {
+            if offsets[rows].wrapping_sub(offsets[0]) as usize != arena.len() {
                 return Err(StorageError::Io(format!(
-                    "spill frame offsets end at {}, arena holds {} bytes",
+                    "spill frame offsets span {}..{}, arena holds {} bytes",
+                    offsets[0],
                     offsets[rows],
                     arena.len()
                 )));
@@ -429,6 +475,26 @@ impl RunWriter {
             .schema
             .utf8_key
             .then_some((batch.offsets.as_slice(), batch.arena.as_slice()));
+        self.append_cols(utf8, &cols)
+    }
+
+    /// Append rows `rows` of `batch` as one frame — how a batch larger
+    /// than one frame is written in frame-sized pieces. Panics if `rows`
+    /// is out of the batch's bounds.
+    pub fn append_rows(
+        &mut self,
+        batch: &RunBatch,
+        rows: Range<usize>,
+    ) -> Result<(), StorageError> {
+        if rows.is_empty() {
+            return Ok(());
+        }
+        let cols: Vec<&[i64]> = batch.cols.iter().map(|c| &c[rows.clone()]).collect();
+        let utf8 = self.schema.utf8_key.then(|| {
+            let offsets = &batch.offsets[rows.start..=rows.end];
+            let keys = offsets[0] as usize..offsets[offsets.len() - 1] as usize;
+            (offsets, &batch.arena[keys])
+        });
         self.append_cols(utf8, &cols)
     }
 
@@ -733,168 +799,6 @@ impl IntRunReader {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Utf8 runs (`RunSchema::utf8_plus_ints(1)`)
-// ---------------------------------------------------------------------------
-
-/// One decoded frame of a [`StrRun`]: keys as slices into one contiguous
-/// arena (offsets are cumulative, `offsets[0] == 0`), values columnar.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StrBatch {
-    /// `rows + 1` cumulative key-byte offsets into [`StrBatch::arena`].
-    pub offsets: Vec<u32>,
-    /// The key-bytes arena.
-    pub arena: Vec<u8>,
-    /// The value column.
-    pub values: Vec<i64>,
-}
-
-impl StrBatch {
-    /// Rows in the batch.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True when the batch has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Key `i` as a string slice into the arena.
-    pub fn key(&self, i: usize) -> &str {
-        let lo = self.offsets[i] as usize;
-        let hi = self.offsets[i + 1] as usize;
-        std::str::from_utf8(&self.arena[lo..hi]).expect("validated on decode")
-    }
-
-    /// Append one row. Panics if the key arena would exceed u32
-    /// addressing (the codec's offset width) — the same bound the writer
-    /// and the hash tables enforce, checked here before offsets could
-    /// silently wrap.
-    pub fn push(&mut self, key: &str, value: i64) {
-        assert!(
-            self.arena.len() + key.len() <= u32::MAX as usize,
-            "StrBatch key arena exceeds u32 addressing ({} + {} bytes)",
-            self.arena.len(),
-            key.len()
-        );
-        if self.offsets.is_empty() {
-            self.offsets.push(0);
-        }
-        self.arena.extend_from_slice(key.as_bytes());
-        self.offsets.push(self.arena.len() as u32);
-        self.values.push(value);
-    }
-
-    /// Reset to the empty batch, retaining the buffers' capacity (the
-    /// scratch-arena reuse path).
-    pub fn clear(&mut self) {
-        self.offsets.clear();
-        self.arena.clear();
-        self.values.clear();
-    }
-}
-
-/// Appends frames of `(Utf8 key, i64 value)` rows to a run file. A typed
-/// wrapper over the generic codec with `RunSchema::utf8_plus_ints(1)`.
-#[derive(Debug)]
-pub struct StrRunWriter {
-    inner: RunWriter,
-}
-
-impl StrRunWriter {
-    /// Create (truncating) the run file at `path`.
-    pub fn create(path: PathBuf) -> Result<StrRunWriter, StorageError> {
-        Ok(StrRunWriter {
-            inner: RunWriter::create(path, RunSchema::utf8_plus_ints(1))?,
-        })
-    }
-
-    /// Append one arena-backed frame. Empty frames are skipped; frames
-    /// over [`MAX_FRAME_ROWS`] rows or [`MAX_FRAME_KEY_BYTES`] key bytes
-    /// must be split into several appends.
-    pub fn append(&mut self, batch: &StrBatch) -> Result<(), StorageError> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        self.inner
-            .append_cols(Some((&batch.offsets, &batch.arena)), &[&batch.values])
-    }
-
-    /// Rows appended so far.
-    pub fn rows(&self) -> u64 {
-        self.inner.rows()
-    }
-
-    /// Flush and seal the run.
-    pub fn finish(self) -> Result<StrRun, StorageError> {
-        Ok(StrRun {
-            inner: self.inner.finish()?,
-        })
-    }
-}
-
-/// A sealed `(Utf8, i64)` run on disk.
-#[derive(Debug)]
-pub struct StrRun {
-    inner: Run,
-}
-
-impl StrRun {
-    /// Rows in the run.
-    pub fn rows(&self) -> u64 {
-        self.inner.rows()
-    }
-
-    /// Encoded bytes on disk.
-    pub fn bytes(&self) -> u64 {
-        self.inner.bytes()
-    }
-
-    /// Open the run for frame-by-frame streaming.
-    pub fn reader(&self) -> Result<StrRunReader, StorageError> {
-        Ok(StrRunReader {
-            inner: self.inner.reader()?,
-        })
-    }
-
-    /// Read the whole run back as one arena-backed batch, in append
-    /// order.
-    pub fn read_all(&self) -> Result<StrBatch, StorageError> {
-        let mut all = StrBatch::default();
-        let mut reader = self.reader()?;
-        while let Some(batch) = reader.next_frame()? {
-            for i in 0..batch.len() {
-                all.push(batch.key(i), batch.values[i]);
-            }
-        }
-        Ok(all)
-    }
-
-    /// Delete the file early. Best-effort.
-    pub fn delete(self) {
-        self.inner.delete();
-    }
-}
-
-/// Streams the frames of a [`StrRun`] in append order.
-#[derive(Debug)]
-pub struct StrRunReader {
-    inner: RunReader,
-}
-
-impl StrRunReader {
-    /// The next frame, or `None` at end of run. Key bytes are validated
-    /// as Utf8 on decode, so [`StrBatch::key`] is infallible.
-    pub fn next_frame(&mut self) -> Result<Option<StrBatch>, StorageError> {
-        Ok(self.inner.next_frame()?.map(|mut batch| StrBatch {
-            offsets: std::mem::take(&mut batch.offsets),
-            arena: std::mem::take(&mut batch.arena),
-            values: batch.cols.pop().expect("utf8_plus_ints(1) schema"),
-        }))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -992,27 +896,36 @@ mod tests {
     }
 
     #[test]
-    fn str_run_roundtrips_arena_backed() {
+    fn utf8_run_roundtrips_arena_backed() {
         let dir = SpillDir::new().unwrap();
-        let mut batch = StrBatch::default();
-        batch.push("alpha", 1);
-        batch.push("", 2); // empty key is legal
-        batch.push("βeta", 3); // multi-byte Utf8
-        let mut w = StrRunWriter::create(dir.run_path("s")).unwrap();
-        w.append(&batch).unwrap();
-        w.append(&StrBatch::default()).unwrap(); // skipped
-        let mut second = StrBatch::default();
-        second.push("tail", -9);
+        let schema = RunSchema::utf8_plus_ints(1);
+        let mut batch = RunBatch::new(schema);
+        batch.push(Some("alpha"), &[1]);
+        batch.push(Some(""), &[2]); // empty key is legal
+        batch.push(Some("βeta"), &[3]); // multi-byte Utf8
+        let mut w = RunWriter::create(dir.run_path("s"), schema).unwrap();
+        w.append_rows(&batch, 0..1).unwrap();
+        // A sub-range whose offsets do not start at zero.
+        w.append_rows(&batch, 1..3).unwrap();
+        w.append(&RunBatch::new(schema)).unwrap(); // skipped
+        let mut second = RunBatch::new(schema);
+        second.push(Some("tail"), &[-9]);
         w.append(&second).unwrap();
+        second.clear();
+        assert_eq!(second.rows(), 0, "clear empties every column");
         let run = w.finish().unwrap();
         assert_eq!(run.rows(), 4);
-        let all = run.read_all().unwrap();
-        assert_eq!(all.len(), 4);
-        assert_eq!(all.key(0), "alpha");
-        assert_eq!(all.key(1), "");
-        assert_eq!(all.key(2), "βeta");
-        assert_eq!(all.key(3), "tail");
-        assert_eq!(all.values, vec![1, 2, 3, -9]);
+        let mut reader = run.reader().unwrap();
+        let mut frames = 0;
+        let (mut keys, mut values) = (Vec::new(), Vec::<i64>::new());
+        while let Some(frame) = reader.next_frame().unwrap() {
+            frames += 1;
+            keys.extend((0..frame.rows()).map(|i| frame.key(i).to_string()));
+            values.extend(&frame.cols[0]);
+        }
+        assert_eq!(frames, 3, "the empty frame was skipped");
+        assert_eq!(keys, ["alpha", "", "βeta", "tail"]);
+        assert_eq!(values, vec![1, 2, 3, -9]);
     }
 
     #[test]

@@ -5,9 +5,7 @@
 //! probe on both key types.
 
 use adaptvm::relational::join::{AdaptiveJoinChain, HashTable, JoinSide, KeyColumn, StrHashTable};
-use adaptvm::relational::parallel::{
-    parallel_hash_join, parallel_hash_join_str, ParallelJoinChain, ParallelOpts,
-};
+use adaptvm::relational::parallel::{parallel_hash_join, ParallelJoinChain, ParallelOpts};
 use adaptvm::storage::Array;
 use proptest::prelude::*;
 
@@ -158,7 +156,7 @@ proptest! {
         let sequential = StrHashTable::build(&bk, &bp).unwrap();
         let expected = sequential.probe(&probe_keys);
         for workers in [1usize, 2, 4, 8] {
-            let (table, out) = parallel_hash_join_str(
+            let (table, out) = parallel_hash_join(
                 &bk,
                 &bp,
                 &probe_keys,

@@ -6,11 +6,11 @@
 //! afterwards.
 
 use adaptvm::kernels::KernelError;
-use adaptvm::parallel::{CancelToken, MemoryBudget};
+use adaptvm::parallel::{CancelToken, MemoryBudget, SpillStats};
 use adaptvm::relational::join::{HashTable, StrHashTable};
-use adaptvm::relational::parallel::ParallelOpts;
+use adaptvm::relational::parallel::{ParallelJoinOutput, ParallelOpts};
 use adaptvm::relational::spill::{
-    parallel_hash_join_spill, parallel_hash_join_str_spill, INT_BUILD_ROW_BYTES,
+    parallel_hash_join_spill, INT_BUILD_ROW_BYTES, STR_BUILD_ROW_BYTES,
 };
 use adaptvm::storage::Array;
 use proptest::prelude::*;
@@ -19,6 +19,45 @@ const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 fn str_keys(vals: &[i64]) -> Vec<String> {
     vals.iter().map(|v| format!("key-{v}")).collect()
+}
+
+/// The key type a test joins on. The spill join is one code path generic
+/// over the key type; these tests drive both of its instances.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    Int,
+    Str,
+}
+
+const KINDS: [Kind; 2] = [Kind::Int, Kind::Str];
+
+/// The spill join over integer key ids, as `kind`: `Int` joins the ids
+/// themselves, `Str` their [`str_keys`] names. The mapping is injective,
+/// so both kinds must produce the integer join's exact output.
+fn spill_join_as(
+    kind: Kind,
+    build_ids: &[i64],
+    payloads: &[i64],
+    probe_ids: &[i64],
+    bloom: bool,
+    opts: ParallelOpts<'_>,
+) -> Result<(ParallelJoinOutput, SpillStats), KernelError> {
+    let pays = Array::from(payloads.to_vec());
+    match kind {
+        Kind::Int => {
+            let keys = Array::from(build_ids.to_vec());
+            parallel_hash_join_spill(&keys, &pays, probe_ids, bloom, opts)
+        }
+        Kind::Str => {
+            let keys = Array::from(str_keys(build_ids));
+            parallel_hash_join_spill(&keys, &pays, &str_keys(probe_ids), bloom, opts)
+        }
+    }
+}
+
+/// The in-memory join of the ids: what [`spill_join_as`] must return.
+fn reference_join(build_ids: &[i64], payloads: &[i64], probe_ids: &[i64]) -> (Vec<u32>, Vec<i64>) {
+    HashTable::from_rows(build_ids, payloads).probe(probe_ids)
 }
 
 /// The nested-loop inner-join oracle (one output row per matching build
@@ -114,7 +153,7 @@ fn str_spill_join_bit_identical_across_workers_and_budgets() {
         for workers in WORKERS {
             let budget = MemoryBudget::bytes(limit);
             let opts = ParallelOpts::new(workers, 3_000).with_budget(&budget);
-            let (out, spill) = parallel_hash_join_str_spill(
+            let (out, spill) = parallel_hash_join_spill(
                 &build_keys,
                 &build_pays,
                 &probe_keys,
@@ -141,29 +180,31 @@ fn tiny_budget_recurses_at_least_two_levels() {
     // 600-byte budget, so settling must re-partition at least twice
     // before level-2 sub-partitions (~10 rows) fit.
     let n = 40_000i64;
-    let build_keys = Array::from((0..n).collect::<Vec<i64>>());
-    let build_pays = Array::from((0..n).map(|i| i * 2).collect::<Vec<i64>>());
-    let probe_keys: Vec<i64> = (0..n).step_by(5).collect();
-    let reference = HashTable::build(&build_keys, &build_pays).unwrap();
-    let (seq_idx, seq_pay) = reference.probe(&probe_keys);
+    let build_ids: Vec<i64> = (0..n).collect();
+    let build_pays: Vec<i64> = (0..n).map(|i| i * 2).collect();
+    let probe_ids: Vec<i64> = (0..n).step_by(5).collect();
+    let (seq_idx, seq_pay) = reference_join(&build_ids, &build_pays, &probe_ids);
 
-    let budget = MemoryBudget::bytes(600);
-    let (out, spill) = parallel_hash_join_spill(
-        &build_keys,
-        &build_pays,
-        &probe_keys,
-        false,
-        ParallelOpts::new(4, 8_192).with_budget(&budget),
-    )
-    .unwrap();
-    assert_eq!(out.indices, seq_idx);
-    assert_eq!(out.payloads, seq_pay);
-    assert!(
-        spill.max_recursion_depth >= 2,
-        "expected ≥2 recursion levels: {spill:?}"
-    );
-    assert!(spill.bytes_read > 0 && spill.bytes_written > 0);
-    assert_eq!(budget.used(), 0);
+    for kind in KINDS {
+        let budget = MemoryBudget::bytes(600);
+        let (out, spill) = spill_join_as(
+            kind,
+            &build_ids,
+            &build_pays,
+            &probe_ids,
+            false,
+            ParallelOpts::new(4, 8_192).with_budget(&budget),
+        )
+        .unwrap();
+        assert_eq!(out.indices, seq_idx, "{kind:?}");
+        assert_eq!(out.payloads, seq_pay, "{kind:?}");
+        assert!(
+            spill.max_recursion_depth >= 2,
+            "{kind:?}: expected ≥2 recursion levels: {spill:?}"
+        );
+        assert!(spill.bytes_read > 0 && spill.bytes_written > 0);
+        assert_eq!(budget.used(), 0);
+    }
 }
 
 #[test]
@@ -171,24 +212,26 @@ fn zero_budget_forces_unsplittable_partitions() {
     // Every build row shares one key (one hash): partitions can never be
     // split, so a zero budget must fall back to forced builds — and still
     // produce the exact join.
-    let build_keys = Array::from(vec![7i64; 500]);
-    let build_pays = Array::from((0..500).collect::<Vec<i64>>());
-    let probe_keys = vec![7i64, 8, 7];
-    let reference = HashTable::build(&build_keys, &build_pays).unwrap();
-    let expected = reference.probe(&probe_keys);
+    let build_ids = vec![7i64; 500];
+    let build_pays: Vec<i64> = (0..500).collect();
+    let probe_ids = vec![7i64, 8, 7];
+    let expected = reference_join(&build_ids, &build_pays, &probe_ids);
 
-    let budget = MemoryBudget::bytes(0);
-    let (out, spill) = parallel_hash_join_spill(
-        &build_keys,
-        &build_pays,
-        &probe_keys,
-        false,
-        ParallelOpts::new(2, 64).with_budget(&budget),
-    )
-    .unwrap();
-    assert_eq!((out.indices, out.payloads), expected);
-    assert!(spill.forced_builds >= 1, "{spill:?}");
-    assert_eq!(budget.used(), 0);
+    for kind in KINDS {
+        let budget = MemoryBudget::bytes(0);
+        let (out, spill) = spill_join_as(
+            kind,
+            &build_ids,
+            &build_pays,
+            &probe_ids,
+            false,
+            ParallelOpts::new(2, 64).with_budget(&budget),
+        )
+        .unwrap();
+        assert_eq!((out.indices, out.payloads), expected, "{kind:?}");
+        assert!(spill.forced_builds >= 1, "{kind:?}: {spill:?}");
+        assert_eq!(budget.used(), 0);
+    }
 }
 
 #[test]
@@ -232,7 +275,7 @@ fn str_probe_side_spills_and_stays_exact() {
     let reference = StrHashTable::build(&build_keys, &build_pays).unwrap();
     let expected = reference.probe(&probe_keys);
     let budget = MemoryBudget::bytes(1_000);
-    let (out, spill) = parallel_hash_join_str_spill(
+    let (out, spill) = parallel_hash_join_spill(
         &build_keys,
         &build_pays,
         &probe_keys,
@@ -247,39 +290,39 @@ fn str_probe_side_spills_and_stays_exact() {
 
 #[test]
 fn empty_sides_are_handled() {
-    let empty = Array::from(Vec::<i64>::new());
-    let budget = MemoryBudget::bytes(64);
-    let opts = ParallelOpts::new(2, 128).with_budget(&budget);
-    let (out, spill) = parallel_hash_join_spill(&empty, &empty, &[1, 2, 3], false, opts).unwrap();
-    assert!(out.indices.is_empty() && out.payloads.is_empty());
-    assert!(!spill.spilled());
-    let some_keys = Array::from(vec![1i64, 2]);
-    let some_pays = Array::from(vec![10i64, 20]);
-    let (out, _) = parallel_hash_join_spill(&some_keys, &some_pays, &[], false, opts).unwrap();
-    assert!(out.indices.is_empty() && out.payloads.is_empty());
-    assert_eq!(budget.used(), 0);
+    for kind in KINDS {
+        let budget = MemoryBudget::bytes(64);
+        let opts = ParallelOpts::new(2, 128).with_budget(&budget);
+        let (out, spill) = spill_join_as(kind, &[], &[], &[1, 2, 3], false, opts).unwrap();
+        assert!(out.indices.is_empty() && out.payloads.is_empty());
+        assert!(!spill.spilled(), "{kind:?}");
+        let (out, _) = spill_join_as(kind, &[1, 2], &[10, 20], &[], false, opts).unwrap();
+        assert!(out.indices.is_empty() && out.payloads.is_empty());
+        assert_eq!(budget.used(), 0);
+    }
 }
 
 #[test]
 fn pre_cancelled_spill_join_fails_typed_and_balanced() {
-    let build_keys = Array::from((0..5_000).collect::<Vec<i64>>());
-    let build_pays = Array::from((0..5_000).collect::<Vec<i64>>());
-    let probe_keys: Vec<i64> = (0..5_000).collect();
+    let ids: Vec<i64> = (0..5_000).collect();
     let token = CancelToken::new();
     token.cancel();
-    let budget = MemoryBudget::bytes(1_000);
-    let err = parallel_hash_join_spill(
-        &build_keys,
-        &build_pays,
-        &probe_keys,
-        false,
-        ParallelOpts::new(2, 512)
-            .with_budget(&budget)
-            .with_cancel(&token),
-    )
-    .unwrap_err();
-    assert_eq!(err, KernelError::Cancelled);
-    assert_eq!(budget.used(), 0, "aborted join must not leak charges");
+    for kind in KINDS {
+        let budget = MemoryBudget::bytes(1_000);
+        let err = spill_join_as(
+            kind,
+            &ids,
+            &ids,
+            &ids,
+            false,
+            ParallelOpts::new(2, 512)
+                .with_budget(&budget)
+                .with_cancel(&token),
+        )
+        .unwrap_err();
+        assert_eq!(err, KernelError::Cancelled, "{kind:?}");
+        assert_eq!(budget.used(), 0, "aborted join must not leak charges");
+    }
 }
 
 #[test]
@@ -287,38 +330,98 @@ fn mid_flight_cancel_is_typed_or_complete() {
     // Cancellation racing a spilling join must either complete exactly or
     // fail typed — never panic, never leak budget. (The deterministic
     // between-runs checkpoint is unit-tested; this exercises the race.)
-    let build_keys = Array::from((0..60_000).collect::<Vec<i64>>());
-    let build_pays = Array::from((0..60_000).collect::<Vec<i64>>());
-    let probe_keys: Vec<i64> = (0..60_000).collect();
-    let reference = HashTable::build(&build_keys, &build_pays).unwrap();
-    let expected = reference.probe(&probe_keys);
-    let token = CancelToken::new();
-    // Half the build footprint: some partitions stay resident (holding
-    // budget leases across the probe), the rest spill — an abort at any
-    // phase must release both kinds of charge.
-    let budget = MemoryBudget::bytes(60_000 * INT_BUILD_ROW_BYTES / 2);
-    let canceller = {
-        let token = token.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            token.cancel();
-        })
-    };
-    let result = parallel_hash_join_spill(
-        &build_keys,
-        &build_pays,
-        &probe_keys,
-        false,
-        ParallelOpts::new(4, 4_096)
-            .with_budget(&budget)
-            .with_cancel(&token),
-    );
-    canceller.join().unwrap();
-    match result {
-        Ok((out, _)) => assert_eq!((out.indices, out.payloads), expected),
-        Err(e) => assert_eq!(e, KernelError::Cancelled),
+    let ids: Vec<i64> = (0..60_000).collect();
+    let expected = reference_join(&ids, &ids, &ids);
+    for kind in KINDS {
+        let token = CancelToken::new();
+        // Below the build footprint: some partitions stay resident
+        // (holding budget leases across the probe), the rest spill — an
+        // abort at any phase must release both kinds of charge.
+        let budget = MemoryBudget::bytes(60_000 * INT_BUILD_ROW_BYTES / 2);
+        let canceller = {
+            let token = token.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                token.cancel();
+            })
+        };
+        let result = spill_join_as(
+            kind,
+            &ids,
+            &ids,
+            &ids,
+            false,
+            ParallelOpts::new(4, 4_096)
+                .with_budget(&budget)
+                .with_cancel(&token),
+        );
+        canceller.join().unwrap();
+        match result {
+            Ok((out, _)) => assert_eq!((out.indices, out.payloads), expected, "{kind:?}"),
+            Err(e) => assert_eq!(e, KernelError::Cancelled, "{kind:?}"),
+        }
+        assert_eq!(budget.used(), 0);
     }
-    assert_eq!(budget.used(), 0);
+}
+
+/// Every [`SpillStats`] field, exactly, for a fixed input of each key
+/// kind at three budgets: unlimited, about half the build footprint, and
+/// 0 B. The build side mixes 40 keys with a 200-row run of one key, so at
+/// 0 B recursion bottoms out in forced builds. The numbers pin the charge
+/// formulas (i64: 48 B a row; Utf8: 56 B a row plus key bytes at level 0,
+/// encoded run bytes plus 56 B a row at settle), the frame bytes and
+/// every recursion decision.
+#[test]
+fn spill_stats_are_pinned_for_both_key_kinds() {
+    let build_ids: Vec<i64> = (0..600)
+        .map(|i| i % 40)
+        .chain(std::iter::repeat_n(1_000, 200))
+        .collect();
+    let pays: Vec<i64> = (0..build_ids.len() as i64).collect();
+    let probe_ids: Vec<i64> = (0..300).map(|i| i % 60).chain([1_000; 5]).collect();
+    let expected = reference_join(&build_ids, &pays, &probe_ids);
+    let key_bytes: usize = str_keys(&build_ids).iter().map(String::len).sum();
+    let stats = |partitions, probe_partitions, runs, written, read, depth, forced| SpillStats {
+        partitions_spilled: partitions,
+        probe_partitions_spilled: probe_partitions,
+        runs_written: runs,
+        bytes_written: written,
+        bytes_read: read,
+        max_recursion_depth: depth,
+        forced_builds: forced,
+    };
+    for (kind, footprint, half, zero) in [
+        (
+            Kind::Int,
+            build_ids.len() * INT_BUILD_ROW_BYTES,
+            stats(12, 0, 12, 6_768, 6_768, 0, 0),
+            stats(99, 119, 218, 55_912, 54_232, 3, 41),
+        ),
+        (
+            Kind::Str,
+            key_bytes + build_ids.len() * STR_BUILD_ROW_BYTES,
+            stats(2, 0, 2, 16_216, 16_216, 1, 1),
+            stats(6, 6, 12, 40_296, 40_296, 1, 3),
+        ),
+    ] {
+        for (limit, pinned) in [
+            (usize::MAX, SpillStats::default()),
+            (footprint / 2, half),
+            (0, zero),
+        ] {
+            let budget = MemoryBudget::bytes(limit);
+            let opts = ParallelOpts::new(2, 128).with_budget(&budget);
+            let (out, spill) =
+                spill_join_as(kind, &build_ids, &pays, &probe_ids, true, opts).unwrap();
+            assert_eq!(
+                (out.indices, out.payloads),
+                expected,
+                "{kind:?} limit={limit}"
+            );
+            assert_eq!(spill, pinned, "{kind:?} limit={limit}");
+            assert_eq!(budget.used(), 0);
+        }
+    }
 }
 
 proptest! {
@@ -365,7 +468,7 @@ proptest! {
         let reference = StrHashTable::from_rows(&keys, &payloads);
         let expected = reference.probe(&probes);
         let budget = MemoryBudget::bytes(budget_limit);
-        let (out, _) = parallel_hash_join_str_spill(
+        let (out, _) = parallel_hash_join_spill(
             &Array::from(keys),
             &Array::from(payloads),
             &probes,
