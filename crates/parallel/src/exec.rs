@@ -1,6 +1,6 @@
 //! Morsel-parallel execution of DSL programs on the adaptive VM.
 //!
-//! [`ParallelVm`] runs one program instance per morsel, each on its own
+//! [`run_vm`] runs one program instance per morsel, each on its own
 //! [`adaptvm_vm::Env`]/interpreter (workers share **no** mutable query
 //! state), while three things are deliberately shared across the whole run:
 //!
@@ -30,8 +30,8 @@ use adaptvm_vm::{Buffers, Prepared, Profile, RunReport, Vm, VmConfig, VmError};
 
 use crate::dispatch::DispatchStats;
 use crate::morsel::{Morsel, MorselPlan};
-use crate::pool::run_morsels_with;
-use crate::scheduler::{CancelToken, ProfileWindow, RunError, Scheduler};
+use crate::pool::Runner;
+use crate::scheduler::{CancelToken, ProfileWindow, RunError, CODE_CACHE_CAPACITY};
 
 /// Fold the runner-level error into a [`VmError`]: task errors pass
 /// through, cancellation/deadline/rejection become [`VmError::Cancelled`].
@@ -43,11 +43,6 @@ fn vm_run_err(e: RunError<VmError>) -> VmError {
         }
     }
 }
-
-/// Capacity of the auto-installed shared code cache. Generously sized:
-/// a query pipeline yields a handful of fragments; 256 holds many queries'
-/// worth of specialized traces.
-const SHARED_CACHE_CAPACITY: usize = 256;
 
 /// What one parallel run did, aggregated over all morsels.
 #[derive(Debug, Clone, Default)]
@@ -85,185 +80,70 @@ pub struct ParallelRunReport {
     pub wall_ns: u64,
 }
 
-/// A morsel-driven parallel VM: `workers` threads, one shared JIT.
-pub struct ParallelVm {
-    workers: usize,
-    config: VmConfig,
-    cache: Arc<CodeCache>,
-}
-
-impl ParallelVm {
-    /// A parallel VM with `workers` threads over `config`. When the config
-    /// carries no code cache, a shared one is installed — every worker
-    /// compiles into / injects from the same cache.
-    pub fn new(workers: usize, mut config: VmConfig) -> ParallelVm {
-        let cache = match &config.code_cache {
-            Some(c) => c.clone(),
-            None => {
-                let c = Arc::new(CodeCache::new(SHARED_CACHE_CAPACITY));
-                config.code_cache = Some(c.clone());
-                c
-            }
-        };
-        ParallelVm {
-            workers: workers.max(1),
-            config,
-            cache,
+/// Run one program instance per morsel of `plan` on `runner`:
+/// `make(morsel)` hands out the morsel's input buffers and the
+/// [`Prepared`] program to run over them (prepared once per distinct
+/// program by the caller — [`Vm::prepare`] — so morsels share it and its
+/// hot plan). Returns per-morsel output buffers **in morsel order** plus
+/// the aggregated report; the caller merges outputs (ordered reduction) —
+/// see `adaptvm_relational::parallel` for complete pipelines. A cancelled,
+/// expired, or rejected run fails with [`VmError::Cancelled`].
+///
+/// Where the JIT world lives follows the runner. With a scheduler (its
+/// own, or a service's) every morsel compiles into / injects from the
+/// scheduler's shared code cache, so traces survive across queries
+/// (repeated fragments surface as `trace_cache_hits`); `async_compile`
+/// configs without a compile server use the scheduler's background
+/// [`adaptvm_jit::CompileServer`]; and the merged profile window feeds the
+/// scheduler's morsel elasticity after the run. A scoped pool keeps a
+/// code cache already in `config` or installs a fresh one for this run.
+/// Results are identical either way (same per-morsel programs, same
+/// morsel-ordered merge).
+pub fn run_vm<'p, F>(
+    runner: Runner<'_>,
+    mut config: VmConfig,
+    plan: &MorselPlan,
+    cancel: Option<&CancelToken>,
+    make: F,
+) -> Result<(Vec<Buffers>, ParallelRunReport), VmError>
+where
+    F: Fn(&Morsel) -> (&'p Prepared, Buffers) + Send + Sync,
+{
+    let wall = std::time::Instant::now();
+    if let Some(s) = runner.scheduler() {
+        config.code_cache = Some(s.cache().clone());
+        if config.async_compile && config.compile_server.is_none() {
+            config.compile_server = Some(s.compile_server().clone());
         }
     }
-
-    /// The shared code cache (inspect its stats, or pass the same cache to
-    /// several `ParallelVm`s to share traces across queries).
-    pub fn cache(&self) -> &Arc<CodeCache> {
-        &self.cache
-    }
-
-    /// Worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The per-worker VM configuration.
-    pub fn config(&self) -> &VmConfig {
-        &self.config
-    }
-
-    /// Run one program instance per morsel of the plan: `make(morsel)`
-    /// hands out the morsel's input buffers and the [`Prepared`] program to
-    /// run over them (prepared once per distinct program by the caller —
-    /// [`Vm::prepare`] — so morsels share it and its hot plan). Returns
-    /// per-morsel output buffers **in morsel order** plus the aggregated
-    /// report. The caller merges outputs (ordered reduction) — see
-    /// `adaptvm_relational::parallel` for complete pipelines.
-    pub fn run_morsels<'p, F>(
-        &self,
-        plan: &MorselPlan,
-        make: F,
-    ) -> Result<(Vec<Buffers>, ParallelRunReport), VmError>
-    where
-        F: Fn(&Morsel) -> (&'p Prepared, Buffers) + Sync,
-    {
-        self.run_morsels_with(plan, None, make)
-    }
-
-    /// [`ParallelVm::run_morsels`] with a cooperative [`CancelToken`]
-    /// checked before every morsel: on cancellation/deadline the run
-    /// aborts with [`VmError::Cancelled`].
-    pub fn run_morsels_with<'p, F>(
-        &self,
-        plan: &MorselPlan,
-        cancel: Option<&CancelToken>,
-        make: F,
-    ) -> Result<(Vec<Buffers>, ParallelRunReport), VmError>
-    where
-        F: Fn(&Morsel) -> (&'p Prepared, Buffers) + Sync,
-    {
-        let wall = std::time::Instant::now();
-        let vm = Vm::new(self.config.clone());
-        let (outcomes, dispatch) = run_morsels_with(self.workers, plan, cancel, |_w, m| {
+    let cache = config
+        .code_cache
+        .get_or_insert_with(|| Arc::new(CodeCache::new(CODE_CACHE_CAPACITY)))
+        .clone();
+    let vm = Vm::new(config);
+    let (outcomes, dispatch) = runner
+        .run(plan, cancel, |_w, m| {
             let (prepared, buffers) = make(m);
             run_morsel(&vm, prepared, buffers)
         })
         .map_err(vm_run_err)?;
-        Ok(assemble_report(
-            outcomes,
-            dispatch,
-            self.workers,
-            plan.len(),
-            &self.cache,
-            wall,
-        ))
-    }
-
-    /// Bind this VM to a long-lived [`Scheduler`]: the returned
-    /// [`ScheduledVm`] runs the same morsel pipelines on the scheduler's
-    /// parked workers instead of spawning scoped threads, and swaps the
-    /// VM's JIT world for the scheduler's — the shared code cache (traces
-    /// survive across queries) and, for `async_compile` configs, the
-    /// shared background [`adaptvm_jit::CompileServer`]. Results are
-    /// unchanged (same per-morsel programs, same morsel-ordered merge);
-    /// only where the work runs and where traces live differ.
-    pub fn on<'a>(&'a self, scheduler: &'a Scheduler) -> ScheduledVm<'a> {
-        ScheduledVm {
-            vm: self,
-            scheduler,
-        }
-    }
-}
-
-/// A [`ParallelVm`] bound to a [`Scheduler`] (see [`ParallelVm::on`]).
-pub struct ScheduledVm<'a> {
-    vm: &'a ParallelVm,
-    scheduler: &'a Scheduler,
-}
-
-impl ScheduledVm<'_> {
-    /// The scheduler this VM runs on.
-    pub fn scheduler(&self) -> &Scheduler {
-        self.scheduler
-    }
-
-    /// The scheduler flavor of [`ParallelVm::run_morsels`]: identical
-    /// outputs, but executed by the long-lived pool, with traces compiled
-    /// into the scheduler's shared cache (repeated fragments — later
-    /// morsels, later queries — surface as `trace_cache_hits`). After the
-    /// run, the merged profile window feeds the scheduler's morsel
-    /// elasticity.
-    pub fn run_morsels<'p, F>(
-        &self,
-        plan: &MorselPlan,
-        make: F,
-    ) -> Result<(Vec<Buffers>, ParallelRunReport), VmError>
-    where
-        F: Fn(&Morsel) -> (&'p Prepared, Buffers) + Send + Sync,
-    {
-        self.run_morsels_with(plan, None, make)
-    }
-
-    /// [`ScheduledVm::run_morsels`] with a cooperative [`CancelToken`]
-    /// checked at every morsel boundary by the scheduler's workers:
-    /// cancellation, deadline, or a shut-down pool abort the run with
-    /// [`VmError::Cancelled`] — other queries on the scheduler are
-    /// untouched.
-    pub fn run_morsels_with<'p, F>(
-        &self,
-        plan: &MorselPlan,
-        cancel: Option<&CancelToken>,
-        make: F,
-    ) -> Result<(Vec<Buffers>, ParallelRunReport), VmError>
-    where
-        F: Fn(&Morsel) -> (&'p Prepared, Buffers) + Send + Sync,
-    {
-        let wall = std::time::Instant::now();
-        let mut config = self.vm.config().clone();
-        config.code_cache = Some(self.scheduler.cache().clone());
-        if config.async_compile && config.compile_server.is_none() {
-            config.compile_server = Some(self.scheduler.compile_server().clone());
-        }
-        let vm = Vm::new(config);
-        let (outcomes, dispatch) = self
-            .scheduler
-            .run_with(plan, cancel, |_w, m| {
-                let (prepared, buffers) = make(m);
-                run_morsel(&vm, prepared, buffers)
-            })
-            .map_err(vm_run_err)?;
-        let (buffers, report) = assemble_report(
-            outcomes,
-            dispatch,
-            self.scheduler.workers(),
-            plan.len(),
-            self.scheduler.cache(),
-            wall,
-        );
-        self.scheduler.observe_window(&ProfileWindow {
+    let (buffers, report) = assemble_report(
+        outcomes,
+        dispatch,
+        runner.workers(),
+        plan.len(),
+        &cache,
+        wall,
+    );
+    if let Some(s) = runner.scheduler() {
+        s.observe_window(&ProfileWindow {
             morsels: report.morsels,
             steals: report.steals,
             trace_executions: report.trace_executions,
             fallbacks: report.fallbacks,
         });
-        Ok((buffers, report))
     }
+    Ok((buffers, report))
 }
 
 /// One morsel's run. Its input slices are released here, on the worker, as
@@ -280,7 +160,7 @@ fn run_morsel(
 }
 
 /// Fold per-morsel `(Buffers, RunReport)` outcomes into the aggregate
-/// parallel report (shared by the scoped and scheduled paths).
+/// parallel report.
 fn assemble_report(
     outcomes: Vec<(Buffers, RunReport)>,
     dispatch: DispatchStats,
@@ -362,22 +242,30 @@ mod tests {
         data.iter().map(|&x| 2 * x).collect()
     }
 
+    /// Fig. 2 over every morsel of `plan` on a scoped pool.
+    fn run_fig2(
+        workers: usize,
+        config: VmConfig,
+        plan: &MorselPlan,
+        data: &[i64],
+    ) -> (Vec<Buffers>, ParallelRunReport) {
+        let fig2 = fig2_prepared(plan);
+        run_vm(Runner::Scoped { workers }, config, plan, None, |m| {
+            fig2_task(&fig2, data, m)
+        })
+        .unwrap()
+    }
+
     #[test]
     fn parallel_outputs_merge_in_morsel_order() {
         let data: Vec<i64> = (0..40_000).map(|i| (i % 11) - 5).collect();
         let plan = MorselPlan::new(data.len(), 4096);
-        let fig2 = fig2_prepared(&plan);
         for workers in [1, 2, 4] {
-            let pvm = ParallelVm::new(
-                workers,
-                VmConfig {
-                    strategy: Strategy::Interpret,
-                    ..VmConfig::default()
-                },
-            );
-            let (outs, report) = pvm
-                .run_morsels(&plan, |m| fig2_task(&fig2, &data, m))
-                .unwrap();
+            let config = VmConfig {
+                strategy: Strategy::Interpret,
+                ..VmConfig::default()
+            };
+            let (outs, report) = run_fig2(workers, config, &plan, &data);
             let mut v = Vec::new();
             for out in &outs {
                 v.extend(out.output("v").unwrap().to_i64_vec().unwrap());
@@ -395,11 +283,7 @@ mod tests {
     fn a_morsels_inputs_are_released_with_its_run() {
         let data: Vec<i64> = (0..8192).collect();
         let plan = MorselPlan::new(data.len(), 4096);
-        let fig2 = fig2_prepared(&plan);
-        let pvm = ParallelVm::new(2, VmConfig::default());
-        let (outs, _) = pvm
-            .run_morsels(&plan, |m| fig2_task(&fig2, &data, m))
-            .unwrap();
+        let (outs, _) = run_fig2(2, VmConfig::default(), &plan, &data);
         for out in &outs {
             assert_eq!(out.output("v").unwrap().len(), 4096);
             assert!(out.buffer("some_data").is_err(), "input slice retained");
@@ -412,17 +296,11 @@ mod tests {
         // Equal-size morsels → identical programs → identical fragment
         // fingerprints: only the first morsel's regions compile.
         let plan = MorselPlan::new(data.len(), 16_384);
-        let fig2 = fig2_prepared(&plan);
-        let pvm = ParallelVm::new(
-            4,
-            VmConfig {
-                strategy: Strategy::CompiledPipeline,
-                ..VmConfig::default()
-            },
-        );
-        let (_, report) = pvm
-            .run_morsels(&plan, |m| fig2_task(&fig2, &data, m))
-            .unwrap();
+        let config = VmConfig {
+            strategy: Strategy::CompiledPipeline,
+            ..VmConfig::default()
+        };
+        let (_, report) = run_fig2(4, config, &plan, &data);
         assert_eq!(plan.len(), 8);
         assert!(
             report.trace_cache_hits >= 1,
@@ -447,18 +325,12 @@ mod tests {
     fn adaptive_strategy_profiles_across_workers() {
         let data: Vec<i64> = (0..65_536).map(|i| (i % 7) - 3).collect();
         let plan = MorselPlan::new(data.len(), 16_384);
-        let fig2 = fig2_prepared(&plan);
-        let pvm = ParallelVm::new(
-            2,
-            VmConfig {
-                strategy: Strategy::Adaptive,
-                hot_threshold: 4,
-                ..VmConfig::default()
-            },
-        );
-        let (outs, report) = pvm
-            .run_morsels(&plan, |m| fig2_task(&fig2, &data, m))
-            .unwrap();
+        let config = VmConfig {
+            strategy: Strategy::Adaptive,
+            hot_threshold: 4,
+            ..VmConfig::default()
+        };
+        let (outs, report) = run_fig2(2, config, &plan, &data);
         let total: usize = outs.iter().map(|o| o.output("v").unwrap().len()).sum();
         assert_eq!(total, data.len());
         // Each morsel crossed the hot threshold (16 chunks > 4), so traces

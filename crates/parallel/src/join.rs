@@ -13,29 +13,25 @@
 //!
 //! ## Exactness
 //!
-//! Because both phases run on [`crate::pool::run_morsels`], the same guarantees hold as
-//! for every pipeline in this crate: a morsel's result depends only on its
-//! row range, and both the partition merge and the output assembly happen
-//! in morsel order. Hence the merged build structure and the probe outputs
-//! are **independent of worker count and scheduling** — with a
-//! deterministic `merge`, a run with 8 workers is observably identical to
-//! a run with 1, which is itself the plain sequential loop.
+//! Because both phases run through [`Runner::run`], the same guarantees
+//! hold as for every pipeline in this crate: a morsel's result depends
+//! only on its row range, and both the partition merge and the output
+//! assembly happen in morsel order. Hence the merged build structure and
+//! the probe outputs are **independent of worker count and scheduling** —
+//! with a deterministic `merge`, a run with 8 workers is observably
+//! identical to a run with 1, which is itself the plain sequential loop.
 //!
 //! The driver is deliberately generic: the relational layer instantiates
 //! `Part` with its hash-table partitions and `Shared` with the merged
 //! multimap, but any two-phase build/probe shape (e.g. a Bloom filter
-//! build + filtered scan) fits.
+//! build + filtered scan) fits. Budgeted joins that may spill implement
+//! [`crate::spillable::SpillableOp`] instead, whose partition / consume
+//! phases are this driver's build / probe phases.
 
-use std::marker::PhantomData;
-
-use crate::budget::MemoryBudget;
 use crate::dispatch::DispatchStats;
 use crate::morsel::{Morsel, MorselPlan};
 use crate::pool::Runner;
 use crate::scheduler::{CancelToken, RunError};
-use crate::spillable::{run_spillable, SpillableOp};
-
-pub use crate::spillable::{SpillCheckpoint, SpillStats};
 
 /// Dispatch statistics for the two phases of a build/probe run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -51,8 +47,8 @@ pub struct BuildProbeStats {
 }
 
 /// Run a partitioned build phase, merge the partitions, then a shared
-/// probe phase; return the shared structure, the per-morsel probe outputs
-/// **in morsel order**, and the per-phase dispatch stats.
+/// probe phase on `runner`; return the shared structure, the per-morsel
+/// probe outputs **in morsel order**, and the per-phase dispatch stats.
 ///
 /// * `build_morsel(worker, morsel)` hashes one build-side morsel into a
 ///   private partition.
@@ -60,84 +56,13 @@ pub struct BuildProbeStats {
 ///   order — into the shared, read-only probe structure.
 /// * `probe_morsel(worker, morsel, shared)` probes one probe-side morsel.
 ///
-/// The first error from either phase aborts the run and is returned.
-pub fn build_then_probe<Part, Shared, Out, E, BF, MF, PF>(
-    workers: usize,
-    build_plan: &MorselPlan,
-    probe_plan: &MorselPlan,
-    build_morsel: BF,
-    merge: MF,
-    probe_morsel: PF,
-) -> Result<(Shared, Vec<Out>, BuildProbeStats), E>
-where
-    Part: Send,
-    Shared: Sync,
-    Out: Send,
-    E: Send,
-    BF: Fn(usize, &Morsel) -> Result<Part, E> + Send + Sync,
-    MF: FnOnce(Vec<Part>) -> Shared,
-    PF: Fn(usize, &Morsel, &Shared) -> Result<Out, E> + Send + Sync,
-{
-    build_then_probe_on(
-        Runner::Scoped { workers },
-        build_plan,
-        probe_plan,
-        build_morsel,
-        merge,
-        probe_morsel,
-    )
-}
-
-/// [`build_then_probe`] over an explicit [`Runner`]: the same two-phase
-/// driver, executing on either a scoped per-run pool or a long-lived
-/// [`crate::scheduler::Scheduler`]. Results are identical either way (both
-/// phases merge in morsel order).
-pub fn build_then_probe_on<Part, Shared, Out, E, BF, MF, PF>(
-    runner: Runner<'_>,
-    build_plan: &MorselPlan,
-    probe_plan: &MorselPlan,
-    build_morsel: BF,
-    merge: MF,
-    probe_morsel: PF,
-) -> Result<(Shared, Vec<Out>, BuildProbeStats), E>
-where
-    Part: Send,
-    Shared: Sync,
-    Out: Send,
-    E: Send,
-    BF: Fn(usize, &Morsel) -> Result<Part, E> + Send + Sync,
-    MF: FnOnce(Vec<Part>) -> Shared,
-    PF: Fn(usize, &Morsel, &Shared) -> Result<Out, E> + Send + Sync,
-{
-    match build_then_probe_with(
-        runner,
-        None,
-        build_plan,
-        probe_plan,
-        build_morsel,
-        merge,
-        probe_morsel,
-    ) {
-        Ok(out) => Ok(out),
-        Err(RunError::Task(e)) => Err(e),
-        // Reachable without a caller token: a shut-down scheduler rejects
-        // the run, and a draining service can refuse/cancel a queued
-        // gated run. This legacy signature cannot express those.
-        Err(RunError::Rejected(why)) => {
-            panic!("build_then_probe cannot express an admission rejection ({why}); use build_then_probe_with")
-        }
-        Err(RunError::Cancelled | RunError::DeadlineExceeded) => {
-            panic!("build_then_probe cannot express a drain-time cancellation; use build_then_probe_with")
-        }
-    }
-}
-
-/// [`build_then_probe_on`] with a cooperative [`CancelToken`] checked at
-/// every morsel boundary of **both** phases: cancellation between the
+/// The first error from either phase aborts the run. `cancel` is checked
+/// at every morsel boundary of **both** phases: cancellation between the
 /// phases skips the probe entirely; cancellation, deadlines, and admission
-/// rejection surface as typed [`RunError`]s.
+/// rejection surface as typed [`RunError`]s. Results are identical on
+/// every [`Runner`] (both phases merge in morsel order).
 #[allow(clippy::too_many_arguments)]
-pub fn build_then_probe_with<Part, Shared, Out, E, BF, MF, PF>(
+pub fn build_then_probe<Part, Shared, Out, E, BF, MF, PF>(
     runner: Runner<'_>,
     cancel: Option<&CancelToken>,
     build_plan: &MorselPlan,
@@ -155,10 +80,9 @@ where
     MF: FnOnce(Vec<Part>) -> Shared,
     PF: Fn(usize, &Morsel, &Shared) -> Result<Out, E> + Send + Sync,
 {
-    let (partitions, build) = runner.run_with(build_plan, cancel, &build_morsel)?;
+    let (partitions, build) = runner.run(build_plan, cancel, &build_morsel)?;
     let shared = merge(partitions);
-    let (outputs, probe) =
-        runner.run_with(probe_plan, cancel, |w, m| probe_morsel(w, m, &shared))?;
+    let (outputs, probe) = runner.run(probe_plan, cancel, |w, m| probe_morsel(w, m, &shared))?;
     Ok((
         shared,
         outputs,
@@ -169,158 +93,6 @@ where
             probe_morsels: probe_plan.len(),
         },
     ))
-}
-
-/// The **budget-aware** two-phase driver: [`build_then_probe_with`] grown
-/// an out-of-core third act.
-///
-/// The morsel-parallel build and probe phases run exactly as in the
-/// in-memory driver; what changes is around them:
-///
-/// * `merge` receives the [`MemoryBudget`] (and the [`SpillStats`] to
-///   update) — it charges the budget for whatever it keeps resident and
-///   **spills** the partitions that do not fit instead of materializing
-///   them,
-/// * `probe_morsel` probes the resident part and *defers* rows whose
-///   partition spilled,
-/// * `settle` runs once, sequentially, after the probe: it takes the
-///   shared structure **by value** (so it can drop resident state and
-///   return its budget charge), resolves every spilled partition —
-///   recursively re-partitioning ones that still do not fit — and folds
-///   the deferred rows into the final output. The [`SpillCheckpoint`]
-///   must be consulted between spill runs so cancellation and deadlines
-///   keep binding during long out-of-core tails.
-///
-/// With a budget that everything fits under, `merge` spills nothing,
-/// `settle` has no deferred work, and the result is the in-memory
-/// driver's — the grace-hash joins in `adaptvm_relational::spill` rely on
-/// this to stay bit-identical to their in-memory counterparts whatever
-/// the budget.
-///
-/// Since the out-of-core layer was unified behind
-/// [`crate::spillable::SpillableOp`], this function is a thin adapter:
-/// the four closures become the four protocol hooks of an anonymous
-/// operator driven by [`run_spillable`] — the closure-based signature
-/// stays for build/probe shapes that do not warrant a named operator
-/// type.
-#[allow(clippy::too_many_arguments)]
-pub fn build_then_probe_spilling<Part, Shared, Out, Settled, E, BF, MF, PF, SF>(
-    runner: Runner<'_>,
-    cancel: Option<&CancelToken>,
-    budget: &MemoryBudget,
-    build_plan: &MorselPlan,
-    probe_plan: &MorselPlan,
-    build_morsel: BF,
-    merge: MF,
-    probe_morsel: PF,
-    settle: SF,
-) -> Result<(Settled, BuildProbeStats, SpillStats), RunError<E>>
-where
-    Part: Send,
-    Shared: Sync,
-    Out: Send,
-    E: Send,
-    BF: Fn(usize, &Morsel) -> Result<Part, E> + Send + Sync,
-    MF: FnOnce(Vec<Part>, &MemoryBudget, &mut SpillStats) -> Result<Shared, E> + Sync,
-    PF: Fn(usize, &Morsel, &Shared) -> Result<Out, E> + Send + Sync,
-    SF: FnOnce(
-            Shared,
-            Vec<Out>,
-            &MemoryBudget,
-            &mut SpillStats,
-            &SpillCheckpoint<'_>,
-        ) -> Result<Settled, RunError<E>>
-        + Sync,
-{
-    let mut op = ClosureSpillOp {
-        build_plan,
-        probe_plan,
-        build_morsel,
-        merge: Some(merge),
-        probe_morsel,
-        settle: Some(settle),
-        _types: PhantomData,
-    };
-    run_spillable(&mut op, runner, cancel, budget)
-}
-
-/// The adapter behind [`build_then_probe_spilling`]: a [`SpillableOp`]
-/// whose hooks are caller-supplied closures. The one-shot `merge` and
-/// `settle` closures sit in `Option`s because the trait takes `&mut
-/// self` where the legacy signature took `FnOnce` by value.
-struct ClosureSpillOp<'p, Part, Shared, Out, Settled, E, BF, MF, PF, SF> {
-    build_plan: &'p MorselPlan,
-    probe_plan: &'p MorselPlan,
-    build_morsel: BF,
-    merge: Option<MF>,
-    probe_morsel: PF,
-    settle: Option<SF>,
-    #[allow(clippy::type_complexity)]
-    _types: PhantomData<fn() -> (Part, Shared, Out, Settled, E)>,
-}
-
-impl<Part, Shared, Out, Settled, E, BF, MF, PF, SF> SpillableOp
-    for ClosureSpillOp<'_, Part, Shared, Out, Settled, E, BF, MF, PF, SF>
-where
-    Part: Send,
-    Shared: Sync,
-    Out: Send,
-    E: Send,
-    BF: Fn(usize, &Morsel) -> Result<Part, E> + Send + Sync,
-    MF: FnOnce(Vec<Part>, &MemoryBudget, &mut SpillStats) -> Result<Shared, E> + Sync,
-    PF: Fn(usize, &Morsel, &Shared) -> Result<Out, E> + Send + Sync,
-    SF: FnOnce(
-            Shared,
-            Vec<Out>,
-            &MemoryBudget,
-            &mut SpillStats,
-            &SpillCheckpoint<'_>,
-        ) -> Result<Settled, RunError<E>>
-        + Sync,
-{
-    type Partition = Part;
-    type Shared = Shared;
-    type Out = Out;
-    type Settled = Settled;
-    type Error = E;
-
-    fn input_plan(&self) -> &MorselPlan {
-        self.build_plan
-    }
-
-    fn consume_plan(&self) -> Option<&MorselPlan> {
-        Some(self.probe_plan)
-    }
-
-    fn partition_morsel(&self, worker: usize, morsel: &Morsel) -> Result<Part, E> {
-        (self.build_morsel)(worker, morsel)
-    }
-
-    fn charge(
-        &mut self,
-        partitions: Vec<Part>,
-        budget: &MemoryBudget,
-        stats: &mut SpillStats,
-    ) -> Result<Shared, E> {
-        let merge = self.merge.take().expect("charge runs once");
-        merge(partitions, budget, stats)
-    }
-
-    fn consume_morsel(&self, worker: usize, morsel: &Morsel, shared: &Shared) -> Result<Out, E> {
-        (self.probe_morsel)(worker, morsel, shared)
-    }
-
-    fn settle(
-        &mut self,
-        shared: Shared,
-        outs: Vec<Out>,
-        budget: &MemoryBudget,
-        stats: &mut SpillStats,
-        checkpoint: &SpillCheckpoint<'_>,
-    ) -> Result<Settled, RunError<E>> {
-        let settle = self.settle.take().expect("settle runs once");
-        settle(shared, outs, budget, stats, checkpoint)
-    }
 }
 
 #[cfg(test)]
@@ -335,7 +107,8 @@ mod tests {
         let build_plan = MorselPlan::new(build_keys.len(), 64);
         let probe_plan = MorselPlan::new(probe_keys.len(), 128);
         let (shared, outs, stats) = build_then_probe(
-            workers,
+            Runner::Scoped { workers },
+            None,
             &build_plan,
             &probe_plan,
             |_, m| {
@@ -392,108 +165,12 @@ mod tests {
     }
 
     #[test]
-    fn spill_checkpoint_reports_token_state_typed() {
-        let quiet = SpillCheckpoint::new(None);
-        assert!(quiet.check::<()>().is_ok());
-        let token = CancelToken::new();
-        let live = SpillCheckpoint::new(Some(&token));
-        assert!(live.check::<()>().is_ok());
-        token.cancel();
-        assert!(matches!(live.check::<()>(), Err(RunError::Cancelled)));
-    }
-
-    #[test]
-    fn spilling_driver_threads_budget_and_stats() {
-        // A merge that "spills" everything over a 2-entry budget and a
-        // settle that folds the deferred half back in: the driver must
-        // hand the same budget and stats through all three hooks and
-        // return the in-memory-equivalent result.
-        let budget = MemoryBudget::bytes(2 * 8);
-        let data: Vec<i64> = (0..100).collect();
-        let plan = MorselPlan::new(data.len(), 16);
-        let ((resident, settled), stats, spill) = build_then_probe_spilling(
-            Runner::Scoped { workers: 4 },
-            None,
-            &budget,
-            &plan,
-            &plan,
-            |_, m| Ok::<_, ()>(data[m.start..m.end()].to_vec()),
-            |parts, budget, stats| {
-                // Keep what fits (2 rows), spill the rest.
-                let all: Vec<i64> = parts.into_iter().flatten().collect();
-                let mut kept = Vec::new();
-                let mut spilled = Vec::new();
-                for v in all {
-                    if budget.try_charge(8).is_ok() {
-                        kept.push(v);
-                    } else {
-                        stats.partitions_spilled += 1;
-                        spilled.push(v);
-                    }
-                }
-                Ok((kept, spilled))
-            },
-            |_, m, shared| Ok(shared.0.iter().take(m.len).sum::<i64>()),
-            |shared, outs, budget, stats, checkpoint| {
-                checkpoint.check()?;
-                budget.release(8 * shared.0.len());
-                stats.bytes_read += 1;
-                Ok((outs.iter().sum::<i64>(), shared.1.len()))
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            resident, 7,
-            "per morsel the 2 resident rows sum to 1, × 7 morsels"
-        );
-        assert_eq!(settled, 98, "98 rows deferred past the budget");
-        assert_eq!(spill.partitions_spilled, 98);
-        assert_eq!(spill.bytes_read, 1);
-        assert_eq!(stats.build_morsels, 7);
-        assert_eq!(budget.used(), 0);
-    }
-
-    #[test]
-    fn probe_phase_error_releases_lease_held_by_shared_state() {
-        // The RAII contract the out-of-core joins rely on: when the probe
-        // phase aborts, the driver drops the merged Shared structure —
-        // any BudgetLease it holds must return its charge.
-        let budget = MemoryBudget::bytes(1_000);
-        let plan = MorselPlan::new(64, 8);
-        struct Sides<'a> {
-            _lease: crate::budget::BudgetLease<'a>,
-        }
-        let r = build_then_probe_spilling(
-            Runner::Scoped { workers: 2 },
-            None,
-            &budget,
-            &plan,
-            &plan,
-            |_, _| Ok::<_, &str>(()),
-            |_, _, _| {
-                Ok(Sides {
-                    _lease: budget.lease(600).expect("fits"),
-                })
-            },
-            |_, m, _shared: &Sides<'_>| {
-                if m.index == 3 {
-                    Err("probe blew up")
-                } else {
-                    Ok(())
-                }
-            },
-            |_, _, _, _, _| Ok(()),
-        );
-        assert!(matches!(r, Err(RunError::Task("probe blew up"))));
-        assert_eq!(budget.used(), 0, "dropped Shared must release its lease");
-    }
-
-    #[test]
     fn build_error_aborts_before_probe() {
         let plan = MorselPlan::new(100, 10);
         let probed = std::sync::atomic::AtomicBool::new(false);
         let r = build_then_probe(
-            4,
+            Runner::Scoped { workers: 4 },
+            None,
             &plan,
             &plan,
             |_, m| {
@@ -509,7 +186,7 @@ mod tests {
                 Ok(())
             },
         );
-        assert_eq!(r.unwrap_err(), "bad build");
+        assert_eq!(r.unwrap_err(), RunError::Task("bad build"));
         assert!(!probed.load(std::sync::atomic::Ordering::Relaxed));
     }
 }

@@ -15,9 +15,6 @@
 //!   skew),
 //! * [`join`] — [`build_then_probe`]: the generic two-phase join driver
 //!   (partitioned build merged in morsel order, shared read-only probe),
-//!   and its budget-aware sibling [`build_then_probe_spilling`] whose
-//!   merge phase may spill partitions to disk and whose sequential settle
-//!   phase resolves them afterwards,
 //! * [`spillable`] — [`SpillableOp`]/[`run_spillable`]: the
 //!   **operator-generic out-of-core driver** behind every budgeted
 //!   operator (grace-hash joins with probe-side spill, out-of-core
@@ -29,9 +26,10 @@
 //! * [`scratch`] — pooled partition scratch arenas with touched-only
 //!   reset (steady-state serving re-partitions spilled runs without
 //!   per-frame allocation),
-//! * [`pool`] — [`run_morsels`]: scoped worker threads, results assembled
-//!   in morsel order, first error aborts; [`Runner`] abstracts over the
-//!   scoped pool and the long-lived scheduler,
+//! * [`pool`] — [`Runner::run`]: **the** blocking way to run a task per
+//!   morsel, on scoped worker threads, a long-lived [`Scheduler`], or a
+//!   [`QueryService`] — results assembled in morsel order, first error
+//!   aborts, cancellation and admission rejection typed ([`RunError`]),
 //! * [`scheduler`] — [`Scheduler`]: a **long-lived** worker pool (threads
 //!   created once, parked between queries) with a query submission queue,
 //!   concurrent multi-query execution, per-query [`CancelToken`]s and
@@ -55,11 +53,11 @@
 //!   (morsels, JIT decisions, spill I/O, budget traffic, admission),
 //!   merged post-query in deterministic `(lane, seq)` order, exported as
 //!   Chrome trace-event JSON or a text summary,
-//! * [`exec`] — [`ParallelVm`]: one program instance per morsel, each on a
-//!   private `Env`/interpreter, all sharing one JIT code cache (compile
-//!   once, inject everywhere) and merging their profiles into one run
-//!   profile; [`ParallelVm::on`] runs the same pipelines on a
-//!   [`Scheduler`] instead of scoped threads.
+//! * [`exec`] — [`run_vm`]: one program instance per morsel on any
+//!   [`Runner`], each on a private `Env`/interpreter, all sharing one JIT
+//!   code cache (the scheduler's when there is one — compile once, inject
+//!   everywhere, across queries) and merging their profiles into one run
+//!   profile.
 //!
 //! ## Determinism
 //!
@@ -95,14 +93,11 @@ pub mod spillable;
 
 pub use budget::{BudgetExceeded, BudgetLease, MemoryBudget};
 pub use dispatch::{DispatchStats, Dispatcher};
-pub use exec::{ParallelRunReport, ParallelVm, ScheduledVm};
-pub use join::{
-    build_then_probe, build_then_probe_on, build_then_probe_spilling, build_then_probe_with,
-    BuildProbeStats,
-};
+pub use exec::{run_vm, ParallelRunReport};
+pub use join::{build_then_probe, BuildProbeStats};
 pub use morsel::{Morsel, MorselPlan, DEFAULT_MORSEL_ROWS};
 pub use obs::{ClockMode, EventKind, ProfileRollup, QueryProfile, Trace, TraceEvent};
-pub use pool::{run_morsels, run_morsels_with, Runner};
+pub use pool::Runner;
 pub use scheduler::{
     CancelReason, CancelToken, ElasticityConfig, MorselElasticity, ProfileWindow, QueryError,
     QueryHandle, QueryOutcomeKind, RunError, Scheduler, SchedulerStats, SubmitError, SubmitOptions,

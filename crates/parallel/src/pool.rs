@@ -1,12 +1,14 @@
-//! The scoped worker pool: run a task over every morsel of a plan and
-//! return the results **in morsel order**.
+//! The one blocking way to run a task per morsel: [`Runner::run`], on a
+//! scoped pool, a long-lived [`Scheduler`], or a [`QueryService`] —
+//! results **in morsel order** on every arm.
 //!
-//! Each worker loops on [`Dispatcher::next`] until the plan drains. A
-//! worker owns everything mutable it touches (the task builds per-morsel
-//! state); only explicitly shared structures (the JIT code cache, the
-//! dispatcher) cross threads. `workers = 1` runs inline on the calling
-//! thread — *by construction* identical to a sequential loop over the
-//! plan, which is the anchor of every determinism guarantee upstairs.
+//! In the scoped pool each worker loops on [`Dispatcher::next`] until the
+//! plan drains. A worker owns everything mutable it touches (the task
+//! builds per-morsel state); only explicitly shared structures (the JIT
+//! code cache, the dispatcher) cross threads. `workers = 1` runs inline
+//! on the calling thread — *by construction* identical to a sequential
+//! loop over the plan, which is the anchor of every determinism guarantee
+//! upstairs.
 
 use std::time::Instant;
 
@@ -75,53 +77,37 @@ impl std::fmt::Debug for Runner<'_> {
     }
 }
 
-impl Runner<'_> {
+impl<'a> Runner<'a> {
+    /// The long-lived scheduler this runner executes on: the scheduler
+    /// itself, or the service's; `None` for a scoped pool.
+    pub fn scheduler(&self) -> Option<&'a Scheduler> {
+        match *self {
+            Runner::Scoped { .. } => None,
+            Runner::Scheduler(s) => Some(s),
+            Runner::Service { service, .. } => Some(service.scheduler()),
+        }
+    }
+
     /// Worker threads this runner executes on.
     pub fn workers(&self) -> usize {
-        match self {
-            Runner::Scoped { workers } => (*workers).max(1),
+        match *self {
+            Runner::Scoped { workers } => workers.max(1),
             Runner::Scheduler(s) => s.workers(),
             Runner::Service { service, .. } => service.scheduler().workers(),
         }
     }
 
-    /// Run `task` over every morsel of `plan`; results come back in morsel
-    /// order (see [`run_morsels`], whose contract every arm shares).
+    /// Run `task` over every morsel of `plan`; results come back **in
+    /// morsel order** with the dispatch stats. The first task error aborts
+    /// the run (remaining morsels are skipped) and is returned; task
+    /// panics propagate.
     ///
-    /// This is the legacy non-cancellable flavor: it cannot express
-    /// cancellation or admission rejection, so the `Service` arm is run
-    /// at its priority with an unbounded queue wait. Prefer
-    /// [`Runner::run_with`] in new code.
-    pub fn run<T, E, F>(&self, plan: &MorselPlan, task: F) -> Result<(Vec<T>, DispatchStats), E>
-    where
-        T: Send,
-        E: Send,
-        F: Fn(usize, &Morsel) -> Result<T, E> + Send + Sync,
-    {
-        match self {
-            Runner::Scoped { workers } => run_morsels(*workers, plan, task),
-            Runner::Scheduler(s) => s.run(plan, task),
-            Runner::Service { .. } => match self.run_with(plan, None, task) {
-                Ok(out) => Ok(out),
-                Err(RunError::Task(e)) => Err(e),
-                // Reachable during service drain/shutdown races: drain
-                // can refuse (or cancel) a queued gated run even though
-                // this caller attached no token.
-                Err(RunError::Rejected(why)) => {
-                    panic!("Runner::run cannot express an admission rejection ({why}); use Runner::run_with")
-                }
-                Err(RunError::Cancelled | RunError::DeadlineExceeded) => {
-                    panic!("Runner::run cannot express a drain-time cancellation; use Runner::run_with")
-                }
-            },
-        }
-    }
-
-    /// [`Runner::run`] with a cooperative [`CancelToken`] checked at every
-    /// morsel boundary. Cancellation, deadlines, and admission rejection
-    /// (scheduler shut down / service queue full or draining) surface as
-    /// typed [`RunError`]s.
-    pub fn run_with<T, E, F>(
+    /// `cancel` is checked before every morsel: on cancellation the
+    /// remaining morsels are skipped (in-flight ones finish). Cancellation,
+    /// deadlines, and admission rejection (scheduler shut down / service
+    /// queue full or draining) surface as typed [`RunError`]s; a task
+    /// error still wins if it happened first.
+    pub fn run<T, E, F>(
         &self,
         plan: &MorselPlan,
         cancel: Option<&CancelToken>,
@@ -133,20 +119,21 @@ impl Runner<'_> {
         F: Fn(usize, &Morsel) -> Result<T, E> + Send + Sync,
     {
         match self {
-            Runner::Scoped { workers } => run_morsels_with(*workers, plan, cancel, task),
-            Runner::Scheduler(s) => s.run_with(plan, cancel, task),
+            Runner::Scoped { workers } => run_scoped(*workers, plan, cancel, task),
+            Runner::Scheduler(s) => s.run(plan, cancel, task),
             Runner::Service {
                 service,
                 priority,
                 tenant,
             } => {
-                let mut opts = SubmitOpts::new(*priority);
-                if let Some(id) = tenant {
-                    opts = opts.with_tenant(*id);
-                }
-                if let Some(token) = cancel {
-                    opts = opts.with_cancel(token.clone());
-                }
+                // No explicit trace: the gate inherits the caller's
+                // ambient trace scope, like every other executor.
+                let opts = SubmitOpts {
+                    priority: *priority,
+                    tenant: *tenant,
+                    cancel: cancel.cloned(),
+                    ..SubmitOpts::default()
+                };
                 // Classify the run's own result for the service
                 // telemetry (a plain run_gated would count task errors
                 // as completed).
@@ -156,7 +143,7 @@ impl Runner<'_> {
                     Err(RunError::Cancelled | RunError::Rejected(_)) => QueryOutcomeKind::Cancelled,
                     Err(RunError::DeadlineExceeded) => QueryOutcomeKind::DeadlineExceeded,
                 };
-                match service.run_gated_with(opts, |s| s.run_with(plan, cancel, task), outcome) {
+                match service.run_gated_with(opts, |s| s.run(plan, cancel, task), outcome) {
                     Ok(out) => out,
                     Err(gate) => Err(gate.into_run_error()),
                 }
@@ -165,33 +152,9 @@ impl Runner<'_> {
     }
 }
 
-/// Run `task` over every morsel using `workers` threads; results come back
-/// in morsel order. The first task error aborts the run (remaining morsels
-/// are skipped) and is returned. Worker panics propagate.
-pub fn run_morsels<T, E, F>(
-    workers: usize,
-    plan: &MorselPlan,
-    task: F,
-) -> Result<(Vec<T>, DispatchStats), E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize, &Morsel) -> Result<T, E> + Sync,
-{
-    match run_morsels_with(workers, plan, None, task) {
-        Ok(out) => Ok(out),
-        Err(RunError::Task(e)) => Err(e),
-        Err(RunError::Cancelled | RunError::DeadlineExceeded | RunError::Rejected(_)) => {
-            unreachable!("no cancel token was attached and the scoped pool never rejects")
-        }
-    }
-}
-
-/// [`run_morsels`] with a cooperative [`CancelToken`] checked before every
-/// morsel: on cancellation the remaining morsels are skipped (in-flight
-/// ones finish) and [`RunError::Cancelled`]/[`RunError::DeadlineExceeded`]
-/// is returned. A task error still wins if it happened first.
-pub fn run_morsels_with<T, E, F>(
+/// The scoped pool behind [`Runner::Scoped`]: `workers` threads spawned
+/// and joined inside the call; `workers = 1` runs inline.
+fn run_scoped<T, E, F>(
     workers: usize,
     plan: &MorselPlan,
     cancel: Option<&CancelToken>,
@@ -320,66 +283,63 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::ServeConfig;
+    use std::time::Duration;
 
+    /// The one `Runner` contract, checked on every arm: identical
+    /// morsel-ordered results, first error aborts typed, a pre-cancelled
+    /// token runs nothing, and a shut-down scheduler / draining service
+    /// rejects typed (never an inline fallback, never a panic).
     #[test]
-    fn results_come_back_in_morsel_order() {
-        let plan = MorselPlan::new(100, 3);
-        for workers in [1, 2, 4, 8] {
-            let (results, _) =
-                run_morsels(workers, &plan, |_, m| Ok::<usize, ()>(m.start)).unwrap();
-            let expect: Vec<usize> = plan.morsels().iter().map(|m| m.start).collect();
-            assert_eq!(results, expect, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn errors_abort_and_surface() {
-        let plan = MorselPlan::new(64, 1);
-        let r = run_morsels(4, &plan, |_, m| {
-            if m.index == 13 {
-                Err("boom")
-            } else {
-                Ok(m.index)
-            }
-        });
-        assert_eq!(r.unwrap_err(), "boom");
-    }
-
-    #[test]
-    fn parallel_sum_matches_sequential() {
-        let data: Vec<i64> = (0..10_000).collect();
-        let plan = MorselPlan::new(data.len(), 128);
-        let seq: i64 = data.iter().sum();
-        for workers in [1, 2, 4, 8] {
-            let (parts, stats) = run_morsels(workers, &plan, |_, m| {
-                Ok::<i64, ()>(data[m.start..m.end()].iter().sum())
-            })
-            .unwrap();
-            assert_eq!(parts.iter().sum::<i64>(), seq);
+    fn every_runner_honors_one_contract() {
+        let data: Vec<i64> = (0..50_000).map(|i| (i * 17) % 1000 - 500).collect();
+        let plan = MorselPlan::new(data.len(), 1024);
+        let sum = |_: usize, m: &Morsel| Ok::<i64, &str>(data[m.start..m.end()].iter().sum());
+        let expect: Vec<i64> = plan
+            .morsels()
+            .iter()
+            .map(|m| data[m.start..m.end()].iter().sum())
+            .collect();
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        let scheduler = Scheduler::new(4);
+        let service = QueryService::new(ServeConfig::default().with_workers(4));
+        let runners = [
+            Runner::Scoped { workers: 1 },
+            Runner::Scoped { workers: 4 },
+            Runner::Scheduler(&scheduler),
+            Runner::Service {
+                service: &service,
+                priority: Priority::Normal,
+                tenant: None,
+            },
+        ];
+        for runner in runners {
+            let r = runner.run(&plan, None, |w, m| match m.index {
+                13 => Err("boom"),
+                _ => sum(w, m),
+            });
+            assert_eq!(r.unwrap_err(), RunError::Task("boom"), "{runner:?}");
+            // The executor survives the aborted run.
+            let (parts, stats) = runner.run(&plan, None, sum).unwrap();
+            assert_eq!(parts, expect, "{runner:?}");
             assert_eq!(
                 stats.executed.iter().sum::<u64>(),
                 plan.len() as u64,
-                "workers={workers}"
+                "{runner:?}"
             );
+            let (parts, stats) = runner.run(&MorselPlan::new(0, 8), None, sum).unwrap();
+            assert!(parts.is_empty() && stats.steals == 0, "{runner:?}");
+            let r = runner.run(&plan, Some(&cancelled), sum);
+            assert_eq!(r.unwrap_err(), RunError::Cancelled, "{runner:?}");
         }
-    }
-
-    #[test]
-    fn empty_plan_is_fine() {
-        let plan = MorselPlan::new(0, 8);
-        let (results, stats) = run_morsels(4, &plan, |_, _| Ok::<(), ()>(())).unwrap();
-        assert!(results.is_empty());
-        assert_eq!(stats.steals, 0);
-    }
-
-    #[test]
-    fn pre_cancelled_token_stops_the_scoped_run() {
-        let token = CancelToken::new();
-        token.cancel();
-        for workers in [1, 4] {
-            let plan = MorselPlan::new(1_000, 10);
-            let r = run_morsels_with(workers, &plan, Some(&token), |_, m| Ok::<usize, ()>(m.len));
-            assert_eq!(r.unwrap_err(), RunError::Cancelled, "workers={workers}");
+        scheduler.shutdown();
+        service.drain(Duration::ZERO);
+        for runner in &runners[2..] {
+            match runner.run(&plan, None, sum) {
+                Err(RunError::Rejected(_)) => {}
+                other => panic!("{runner:?}: expected a typed rejection, got {other:?}"),
+            }
         }
     }
 
@@ -389,12 +349,12 @@ mod tests {
         let plan = MorselPlan::new(200, 1);
         let t = token.clone();
         let executed = std::sync::atomic::AtomicUsize::new(0);
-        let r = run_morsels_with(2, &plan, Some(&token), |_, m| {
+        let r = Runner::Scoped { workers: 2 }.run(&plan, Some(&token), |_, m| {
             executed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             if m.index == 5 {
                 t.cancel();
             }
-            std::thread::sleep(std::time::Duration::from_micros(200));
+            std::thread::sleep(Duration::from_micros(200));
             Ok::<usize, ()>(m.len)
         });
         assert_eq!(r.unwrap_err(), RunError::Cancelled);

@@ -1,6 +1,6 @@
 //! The long-lived worker pool and query scheduler.
 //!
-//! [`crate::pool::run_morsels`] spawns scoped threads per run — fine for a
+//! A scoped pool ([`Runner::Scoped`]) spawns threads per run — fine for a
 //! benchmark, wrong for serving: thread spawn/join on every query, no way
 //! to overlap two queries, and a fresh JIT world each time. A
 //! [`Scheduler`] instead creates its workers **once** and parks them
@@ -9,10 +9,10 @@
 //! * [`Scheduler::submit`] enqueues a query — a [`MorselPlan`] plus a task
 //!   closure plus a merge closure — and returns a [`QueryHandle`] that
 //!   joins on the morsel-ordered, merged result,
-//! * [`Scheduler::run`] is the borrowing (scoped) flavor of the same path:
-//!   it blocks the calling thread until the query drains, which is what
-//!   lets the task capture plain references (the relational pipelines and
-//!   [`crate::exec::ParallelVm::on`] use this),
+//! * [`Runner::Scheduler`] is the borrowing (scoped) flavor of the same
+//!   path: [`Runner::run`] blocks the calling thread until the query
+//!   drains, which is what lets the task capture plain references (the
+//!   relational pipelines and [`crate::exec::run_vm`] use this),
 //! * multiple in-flight queries share the worker set morsel-by-morsel:
 //!   workers rotate across the active queries, so one long scan cannot
 //!   starve a short one,
@@ -46,12 +46,12 @@
 //! back **in morsel order**, and the merge closure runs once over that
 //! ordered vector. A query's output is therefore identical whatever the
 //! worker count, however many queries run beside it, and identical to the
-//! scoped pool (`run_morsels`) over the same plan.
+//! scoped pool ([`Runner::Scoped`]) over the same plan.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use adaptvm_parallel::{MorselPlan, Scheduler};
+//! use adaptvm_parallel::{MorselPlan, Runner, Scheduler};
 //!
 //! let scheduler = Scheduler::new(4); // workers created once, parked when idle
 //! let data: Vec<i64> = (0..100_000).collect();
@@ -71,8 +71,8 @@
 //!
 //! // Scoped flavor: borrows freely, blocks until the query completes.
 //! let plan = MorselPlan::new(shared.len(), 4096);
-//! let (parts, stats) = scheduler
-//!     .run(&plan, |_w, m| Ok::<i64, ()>(shared[m.start..m.end()].iter().sum()))
+//! let (parts, stats) = Runner::Scheduler(&scheduler)
+//!     .run(&plan, None, |_w, m| Ok::<i64, ()>(shared[m.start..m.end()].iter().sum()))
 //!     .unwrap();
 //! assert_eq!(parts.iter().sum::<i64>(), (0..100_000).sum::<i64>());
 //! assert_eq!(stats.executed.iter().sum::<u64>(), plan.len() as u64);
@@ -104,10 +104,14 @@ use adaptvm_storage::DEFAULT_CHUNK;
 use crate::dispatch::{DispatchStats, Dispatcher};
 use crate::morsel::{Morsel, MorselPlan, DEFAULT_MORSEL_ROWS};
 use crate::obs::{self, EventKind, QueryProfile, Trace};
+#[cfg(doc)]
+use crate::pool::Runner;
 
-/// Capacity of the scheduler's shared code cache (many queries' worth of
-/// specialized traces; mirrors `exec::SHARED_CACHE_CAPACITY`).
-const SCHEDULER_CACHE_CAPACITY: usize = 256;
+/// Capacity of a JIT code cache the engine creates — the scheduler's
+/// shared one, or a scoped VM run's own. Generously sized: a query
+/// pipeline yields a handful of fragments; 256 holds many queries' worth
+/// of specialized traces.
+pub(crate) const CODE_CACHE_CAPACITY: usize = 256;
 
 // ---------------------------------------------------------------------------
 // Cancellation
@@ -231,8 +235,7 @@ impl<E: fmt::Display> fmt::Display for QueryError<E> {
     }
 }
 
-/// Why a blocking [`Scheduler::run_with`] (or a [`crate::pool::Runner`]
-/// pipeline) returned no result.
+/// Why a blocking [`Runner::run`] returned no result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError<E> {
     /// The task returned an error (first error wins).
@@ -842,7 +845,7 @@ impl Scheduler {
                     .expect("spawn scheduler worker")
             })
             .collect();
-        let cache = Arc::new(CodeCache::new(SCHEDULER_CACHE_CAPACITY));
+        let cache = Arc::new(CodeCache::new(CODE_CACHE_CAPACITY));
         let compile_server = Arc::new(CompileServer::with_cache(
             cost_model,
             cache.clone(),
@@ -881,7 +884,7 @@ impl Scheduler {
     }
 
     /// Feed a merged profile window into the elasticity controller (done
-    /// automatically by `ParallelVm::on` runs; manual pipelines may report
+    /// automatically by [`crate::exec::run_vm`]; manual pipelines may report
     /// their own windows).
     pub fn observe_window(&self, window: &ProfileWindow) -> usize {
         self.elasticity.record(window)
@@ -1063,42 +1066,14 @@ impl Scheduler {
 
     /// Run a query to completion on the pool, **blocking the calling
     /// thread**, with a task that may borrow from the caller's stack —
-    /// the drop-in scheduler replacement for [`crate::pool::run_morsels`]
-    /// (same result contract: morsel-ordered results + dispatch stats,
-    /// first error aborts, panics propagate).
-    ///
-    /// After [`Scheduler::shutdown`] the pool is gone, and this falls back
-    /// to inline sequential execution on the calling thread — same results
-    /// (the single-threaded loop is the determinism anchor), no lost
-    /// queries. Use [`Scheduler::run_with`] to observe the rejection
-    /// instead.
+    /// what [`Runner::Scheduler`] and [`Runner::Service`] execute (the
+    /// [`Runner::run`] contract: morsel-ordered results + dispatch stats,
+    /// first error aborts, panics propagate, the token is checked at every
+    /// morsel boundary, and a shut-down pool rejects typed).
     ///
     /// Do not call from inside a scheduler task: a worker blocking on its
     /// own pool can deadlock once every worker does it.
-    pub fn run<'env, T, E, F>(
-        &self,
-        plan: &MorselPlan,
-        task: F,
-    ) -> Result<(Vec<T>, DispatchStats), E>
-    where
-        T: Send + 'env,
-        E: Send + 'env,
-        F: Fn(usize, &Morsel) -> Result<T, E> + Send + Sync + 'env,
-    {
-        match self.run_with(plan, None, &task) {
-            Ok(out) => Ok(out),
-            Err(RunError::Task(e)) => Err(e),
-            Err(RunError::Rejected(_)) => crate::pool::run_morsels(1, plan, task),
-            Err(RunError::Cancelled | RunError::DeadlineExceeded) => {
-                unreachable!("no cancel token was attached")
-            }
-        }
-    }
-
-    /// The cancellable flavor of [`Scheduler::run`]: the token is checked
-    /// at every morsel boundary, and cancellation/deadline/rejection
-    /// surface as typed [`RunError`]s instead of panics or fallbacks.
-    pub fn run_with<'env, T, E, F>(
+    pub(crate) fn run<'env, T, E, F>(
         &self,
         plan: &MorselPlan,
         cancel: Option<&CancelToken>,
@@ -1228,26 +1203,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scoped_run_matches_scoped_pool() {
-        let data: Vec<i64> = (0..50_000).map(|i| (i * 17) % 1000 - 500).collect();
-        let plan = MorselPlan::new(data.len(), 1024);
-        let (seq, _) = crate::pool::run_morsels(1, &plan, |_, m| {
-            Ok::<i64, ()>(data[m.start..m.end()].iter().sum())
-        })
-        .unwrap();
-        for workers in [1, 2, 4, 8] {
-            let scheduler = Scheduler::new(workers);
-            let (parts, stats) = scheduler
-                .run(&plan, |_, m| {
-                    Ok::<i64, ()>(data[m.start..m.end()].iter().sum())
-                })
-                .unwrap();
-            assert_eq!(parts, seq, "workers={workers}");
-            assert_eq!(stats.executed.iter().sum::<u64>(), plan.len() as u64);
-        }
-    }
-
-    #[test]
     fn submit_joins_merged_result() {
         let scheduler = Scheduler::new(4);
         let data: Arc<Vec<i64>> = Arc::new((0..10_000).collect());
@@ -1294,31 +1249,11 @@ mod tests {
     }
 
     #[test]
-    fn errors_abort_and_surface() {
-        let scheduler = Scheduler::new(4);
-        let plan = MorselPlan::new(64, 1);
-        let r = scheduler.run(&plan, |_, m| {
-            if m.index == 13 {
-                Err("boom")
-            } else {
-                Ok(m.index)
-            }
-        });
-        assert_eq!(r.unwrap_err(), "boom");
-        // The pool survives an aborted query.
-        let plan = MorselPlan::new(10, 2);
-        let (v, _) = scheduler
-            .run(&plan, |_, m| Ok::<usize, ()>(m.index))
-            .unwrap();
-        assert_eq!(v, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
     fn task_panic_resumes_on_joiner() {
         let scheduler = Scheduler::new(2);
         let plan = MorselPlan::new(16, 1);
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let _ = scheduler.run(&plan, |_, m| {
+            let _ = scheduler.run(&plan, None, |_, m| {
                 if m.index == 7 {
                     panic!("task exploded");
                 }
@@ -1328,7 +1263,9 @@ mod tests {
         assert!(caught.is_err());
         // Workers are intact afterwards.
         let (v, _) = scheduler
-            .run(&MorselPlan::new(4, 1), |_, m| Ok::<usize, ()>(m.index))
+            .run(&MorselPlan::new(4, 1), None, |_, m| {
+                Ok::<usize, ()>(m.index)
+            })
             .unwrap();
         assert_eq!(v.len(), 4);
     }
@@ -1344,11 +1281,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(handle.join().unwrap(), 0);
-        let (v, stats) = scheduler
-            .run(&MorselPlan::new(0, 8), |_, _| Ok::<usize, ()>(0))
-            .unwrap();
-        assert!(v.is_empty());
-        assert_eq!(stats.steals, 0);
     }
 
     #[test]
@@ -1396,7 +1328,9 @@ mod tests {
         );
         // The pool is intact: a follow-up query completes exactly.
         let (v, _) = scheduler
-            .run(&MorselPlan::new(10, 2), |_, m| Ok::<usize, ()>(m.index))
+            .run(&MorselPlan::new(10, 2), None, |_, m| {
+                Ok::<usize, ()>(m.index)
+            })
             .unwrap();
         assert_eq!(v, vec![0, 1, 2, 3, 4]);
     }
@@ -1451,18 +1385,6 @@ mod tests {
         assert_eq!(refused.err(), Some(SubmitError::ShutDown));
         let stats = scheduler.stats();
         assert_eq!(stats.queries_submitted, stats.queries_completed);
-        // run() degrades to inline execution rather than losing the query…
-        let (v, _) = scheduler
-            .run(&MorselPlan::new(6, 2), |_, m| Ok::<usize, ()>(m.index))
-            .unwrap();
-        assert_eq!(v, vec![0, 1, 2]);
-        // …while run_with reports the rejection.
-        match scheduler.run_with(&MorselPlan::new(6, 2), None, |_, m| {
-            Ok::<usize, ()>(m.index)
-        }) {
-            Err(RunError::Rejected(_)) => {}
-            other => panic!("expected rejection, got {other:?}"),
-        }
         // Shutdown is idempotent and Drop after shutdown is a no-op.
         scheduler.shutdown();
     }
@@ -1512,7 +1434,9 @@ mod tests {
         assert_eq!(scheduler.workers(), 3);
         let _ = format!("{scheduler:?}");
         let (_, stats) = scheduler
-            .run(&MorselPlan::new(100, 10), |_, m| Ok::<usize, ()>(m.len))
+            .run(&MorselPlan::new(100, 10), None, |_, m| {
+                Ok::<usize, ()>(m.len)
+            })
             .unwrap();
         assert_eq!(stats.executed.len(), 3);
         assert_eq!(scheduler.stats().morsels_executed, 10);

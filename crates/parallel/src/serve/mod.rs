@@ -1641,7 +1641,7 @@ mod tests {
         let plan = MorselPlan::new(data.len(), 512);
         let out = service
             .run_gated(SubmitOpts::interactive(), |s| {
-                s.run(&plan, |_, m| {
+                s.run(&plan, None, |_, m| {
                     Ok::<i64, ()>(data[m.start..m.end()].iter().sum())
                 })
             })

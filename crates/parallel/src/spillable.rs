@@ -204,7 +204,7 @@ where
     let input_morsels = op.input_plan().len();
     let (partitions, build) = {
         let op: &Op = op;
-        runner.run_with(op.input_plan(), cancel, |w, m| op.partition_morsel(w, m))?
+        runner.run(op.input_plan(), cancel, |w, m| op.partition_morsel(w, m))?
     };
     let shared = op
         .charge(partitions, budget, &mut spill)
@@ -214,7 +214,7 @@ where
         match op.consume_plan() {
             Some(plan) => {
                 let (outs, stats) =
-                    runner.run_with(plan, cancel, |w, m| op.consume_morsel(w, m, &shared))?;
+                    runner.run(plan, cancel, |w, m| op.consume_morsel(w, m, &shared))?;
                 let n = plan.len();
                 (outs, stats, n)
             }
@@ -238,6 +238,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::BudgetLease;
 
     /// A toy consume-less operator: sums its input, "spilling" (counting)
     /// every value the budget refuses.
@@ -312,6 +313,91 @@ mod tests {
         assert_eq!(stats.probe_morsels, 0, "no consume phase");
         assert_eq!(stats.probe, DispatchStats::default());
         assert_eq!(budget.used(), 0);
+    }
+
+    /// A join-shaped operator whose shared state is a budget lease and
+    /// whose consume phase fails at morsel 3.
+    struct FailingProbeOp<'a> {
+        budget: &'a MemoryBudget,
+        plan: MorselPlan,
+    }
+
+    impl<'a> SpillableOp for FailingProbeOp<'a> {
+        type Partition = ();
+        type Shared = BudgetLease<'a>;
+        type Out = ();
+        type Settled = ();
+        type Error = &'static str;
+
+        fn input_plan(&self) -> &MorselPlan {
+            &self.plan
+        }
+
+        fn consume_plan(&self) -> Option<&MorselPlan> {
+            Some(&self.plan)
+        }
+
+        fn partition_morsel(&self, _w: usize, _m: &Morsel) -> Result<(), &'static str> {
+            Ok(())
+        }
+
+        fn charge(
+            &mut self,
+            _parts: Vec<()>,
+            _budget: &MemoryBudget,
+            _stats: &mut SpillStats,
+        ) -> Result<BudgetLease<'a>, &'static str> {
+            Ok(self.budget.lease(600).expect("fits"))
+        }
+
+        fn consume_morsel(
+            &self,
+            _w: usize,
+            m: &Morsel,
+            _lease: &BudgetLease<'a>,
+        ) -> Result<(), &'static str> {
+            match m.index {
+                3 => Err("probe blew up"),
+                _ => Ok(()),
+            }
+        }
+
+        fn settle(
+            &mut self,
+            _lease: BudgetLease<'a>,
+            _outs: Vec<()>,
+            _budget: &MemoryBudget,
+            _stats: &mut SpillStats,
+            _checkpoint: &SpillCheckpoint<'_>,
+        ) -> Result<(), RunError<&'static str>> {
+            unreachable!("the consume phase fails first")
+        }
+    }
+
+    #[test]
+    fn consume_phase_error_releases_lease_held_by_shared_state() {
+        // The RAII contract the out-of-core joins rely on: when the
+        // consume phase aborts, the driver drops the charged Shared state
+        // — any BudgetLease it holds must return its charge.
+        let budget = MemoryBudget::bytes(1_000);
+        let mut op = FailingProbeOp {
+            budget: &budget,
+            plan: MorselPlan::new(64, 8),
+        };
+        let r = run_spillable(&mut op, Runner::Scoped { workers: 2 }, None, &budget);
+        assert!(matches!(r, Err(RunError::Task("probe blew up"))));
+        assert_eq!(budget.used(), 0, "dropped Shared must release its lease");
+    }
+
+    #[test]
+    fn spill_checkpoint_reports_token_state_typed() {
+        let quiet = SpillCheckpoint::new(None);
+        assert!(quiet.check::<()>().is_ok());
+        let token = CancelToken::new();
+        let live = SpillCheckpoint::new(Some(&token));
+        assert!(live.check::<()>().is_ok());
+        token.cancel();
+        assert!(matches!(live.check::<()>(), Err(RunError::Cancelled)));
     }
 
     #[test]

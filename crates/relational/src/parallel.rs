@@ -45,9 +45,8 @@ use std::convert::Infallible;
 use adaptvm_dsl::ast::ScalarOp;
 use adaptvm_kernels::{FilterFlavor, MapMode};
 use adaptvm_parallel::{
-    build_then_probe_with, BuildProbeStats, CancelToken, MemoryBudget, Morsel, MorselPlan,
-    ParallelRunReport, ParallelVm, Priority, QueryService, RunError, Runner, Scheduler, SubmitOpts,
-    TenantId, Trace,
+    build_then_probe, run_vm, BuildProbeStats, CancelToken, MemoryBudget, Morsel, MorselPlan,
+    ParallelRunReport, Priority, QueryService, RunError, Runner, Scheduler, TenantId, Trace,
 };
 use adaptvm_storage::scalar::Scalar;
 use adaptvm_storage::schema::Table;
@@ -263,17 +262,17 @@ impl<'a> ParallelOpts<'a> {
         self.runner().workers()
     }
 
-    /// Morsel size with the `0 = elastic` sentinel resolved.
+    /// Morsel size with the `0 = elastic` sentinel resolved: the selected
+    /// executor's scheduler's elastic size, or
+    /// [`adaptvm_parallel::DEFAULT_MORSEL_ROWS`] on a scoped pool.
     pub fn effective_morsel_rows(&self) -> usize {
         if self.morsel_rows > 0 {
-            self.morsel_rows
-        } else if let Some(service) = self.service {
-            service.scheduler().morsel_rows()
-        } else if let Some(s) = self.scheduler {
-            s.morsel_rows()
-        } else {
-            adaptvm_parallel::DEFAULT_MORSEL_ROWS
+            return self.morsel_rows;
         }
+        self.runner().scheduler().map_or(
+            adaptvm_parallel::DEFAULT_MORSEL_ROWS,
+            Scheduler::morsel_rows,
+        )
     }
 }
 
@@ -312,7 +311,7 @@ where
     let _stage = opts.stage("scan");
     let plan = MorselPlan::new(table.rows(), opts.effective_morsel_rows());
     opts.runner()
-        .run_with(&plan, opts.cancel, |_, m| stage(m))
+        .run(&plan, opts.cancel, |_, m| stage(m))
         .map(|(v, _)| v)
         .map_err(kernel_run_err)
 }
@@ -336,7 +335,7 @@ pub fn parallel_filter_project_sum(
     let _stage = opts.stage("filter-project-sum");
     let chunk_rows = chunk_rows.max(1);
     let plan = MorselPlan::chunk_aligned(table.rows(), opts.effective_morsel_rows(), chunk_rows);
-    let run = opts.runner().run_with(&plan, opts.cancel, |_, m| {
+    let run = opts.runner().run(&plan, opts.cancel, |_, m| {
         // Slice only the columns the pipeline reads, not the whole table.
         let slice = project_slice(table, &[filter_col, value_col], m)?;
         let scan = DenseScan::new(&slice, &[filter_col, value_col], chunk_rows)?;
@@ -398,7 +397,7 @@ pub fn parallel_hash_aggregate(
         })?;
 
     let plan = MorselPlan::chunk_aligned(table.rows(), opts.effective_morsel_rows(), chunk_rows);
-    let run = opts.runner().run_with(&plan, opts.cancel, |_, m| {
+    let run = opts.runner().run(&plan, opts.cancel, |_, m| {
         let mut agg = AdaptiveAggregator::new(mode);
         let mut off = m.start;
         while off < m.end() {
@@ -460,7 +459,7 @@ pub fn parallel_build_hash_table(
     let _stage = opts.stage("build");
     let (k, p) = build_rows::<i64>(keys, payloads)?;
     let plan = MorselPlan::new(k.len(), opts.effective_morsel_rows());
-    let run = opts.runner().run_with(&plan, opts.cancel, |_, m| {
+    let run = opts.runner().run(&plan, opts.cancel, |_, m| {
         Ok::<_, Infallible>(JoinPartition::from_rows(
             &k[m.start..m.end()],
             &p[m.start..m.end()],
@@ -513,7 +512,7 @@ pub fn parallel_hash_join<K: JoinKey>(
     let (bk, bp) = build_rows::<K>(build_keys, build_payloads)?;
     let build_plan = MorselPlan::new(bk.len(), opts.effective_morsel_rows());
     let probe_plan = MorselPlan::new(probe_keys.len(), opts.effective_morsel_rows());
-    let (table, per_morsel, stats) = build_then_probe_with(
+    let (table, per_morsel, stats) = build_then_probe(
         opts.runner(),
         opts.cancel,
         &build_plan,
@@ -624,7 +623,7 @@ impl ParallelJoinChain {
         let order = self.controller.current_order().to_vec();
         let plan = MorselPlan::new(n, opts.effective_morsel_rows());
         let sides = &self.sides;
-        let run = opts.runner().run_with(&plan, opts.cancel, |_, m| {
+        let run = opts.runner().run(&plan, opts.cancel, |_, m| {
             Ok::<_, Infallible>(probe_chunk_with_order_mixed(
                 sides,
                 &order,
@@ -684,7 +683,7 @@ pub fn q3_parallel(
     let build_plan = MorselPlan::new(okey.len(), opts.effective_morsel_rows());
     let probe_plan =
         MorselPlan::chunk_aligned(lineitem.rows(), opts.effective_morsel_rows(), chunk_rows);
-    let (_, revenues, stats) = build_then_probe_with(
+    let (_, revenues, stats) = build_then_probe(
         opts.runner(),
         opts.cancel,
         &build_plan,
@@ -741,7 +740,7 @@ pub fn q1_parallel_vectorized(
     let _stage = opts.stage("q1");
     let chunk_rows = chunk_rows.max(1);
     let plan = MorselPlan::chunk_aligned(table.rows(), opts.effective_morsel_rows(), chunk_rows);
-    let run = opts.runner().run_with(&plan, opts.cancel, |_, m| {
+    let run = opts.runner().run(&plan, opts.cancel, |_, m| {
         let mut parts = Vec::with_capacity(m.len.div_ceil(chunk_rows));
         let mut off = m.start;
         while off < m.end() {
@@ -770,7 +769,7 @@ pub fn q1_parallel_vectorized(
 pub fn q1_parallel_fused(table: &Table, opts: ParallelOpts<'_>) -> OpResult<Vec<Q1Row>> {
     let _stage = opts.stage("q1");
     let plan = MorselPlan::new(table.rows(), opts.effective_morsel_rows());
-    let run = opts.runner().run_with(&plan, opts.cancel, |_, m| {
+    let run = opts.runner().run(&plan, opts.cancel, |_, m| {
         Ok::<_, Infallible>(tpch::q1_fused_range(table, m.start, m.len))
     });
     let (partials, _) = run.map_err(infallible_run_err)?;
@@ -797,7 +796,7 @@ pub fn q1_parallel_adaptive(
     let chunk_rows = chunk_rows.max(1);
     let plan =
         MorselPlan::chunk_aligned(compact.qty.len(), opts.effective_morsel_rows(), chunk_rows);
-    let run = opts.runner().run_with(&plan, opts.cancel, |_, m| {
+    let run = opts.runner().run(&plan, opts.cancel, |_, m| {
         Ok::<_, Infallible>(tpch::q1_adaptive_range(compact, m.start, m.len, chunk_rows))
     });
     let (partials, _) = run.map_err(infallible_run_err)?;
@@ -818,8 +817,8 @@ pub fn q1_parallel_adaptive(
 /// [`tpch::q6_program`] on one thread with the same strategy. Larger
 /// (chunk-aligned) morsels remain deterministic for any worker count.
 ///
-/// With a scheduler in `opts`, the run executes on the long-lived pool via
-/// [`ParallelVm::on`]: same revenue, but traces live in the scheduler's
+/// With a scheduler in `opts`, the run executes on the long-lived pool
+/// (see [`run_vm`]): same revenue, but traces live in the scheduler's
 /// shared cache (repeat runs report `trace_cache_hits`) and the merged
 /// profile window feeds the scheduler's morsel elasticity. With a
 /// *service* in `opts` the run additionally passes admission control at
@@ -837,7 +836,6 @@ pub fn q6_parallel(
         opts.effective_morsel_rows(),
         config.chunk_size,
     );
-    let pvm = ParallelVm::new(opts.effective_workers(), config);
     // Resolve the four Q6 columns once; each morsel slices only these.
     let price = table.column_by_name("l_extendedprice").expect("schema");
     let disc = table.column_by_name("l_discount").expect("schema");
@@ -869,33 +867,7 @@ pub fn q6_parallel(
         }
         (&programs[&m.len], buffers)
     };
-    let (outs, report) = if let Some(service) = opts.service {
-        let mut sopts = SubmitOpts::new(opts.priority);
-        if let Some(id) = opts.tenant {
-            sopts = sopts.with_tenant(id);
-        }
-        if let Some(token) = opts.cancel {
-            sopts = sopts.with_cancel(token.clone());
-        }
-        if let Some(t) = opts.trace {
-            sopts = sopts.with_trace(t.clone());
-        }
-        service
-            .run_gated_with(
-                sopts,
-                |s| pvm.on(s).run_morsels_with(&plan, opts.cancel, make),
-                |r| match r {
-                    Ok(_) => adaptvm_parallel::QueryOutcomeKind::Completed,
-                    Err(VmError::Cancelled) => adaptvm_parallel::QueryOutcomeKind::Cancelled,
-                    Err(_) => adaptvm_parallel::QueryOutcomeKind::TaskError,
-                },
-            )
-            .map_err(|_| VmError::Cancelled)??
-    } else if let Some(s) = opts.scheduler {
-        pvm.on(s).run_morsels_with(&plan, opts.cancel, make)?
-    } else {
-        pvm.run_morsels_with(&plan, opts.cancel, make)?
-    };
+    let (outs, report) = run_vm(opts.runner(), config, &plan, opts.cancel, make)?;
     let mut revenue = 0.0;
     for (i, out) in outs.iter().enumerate() {
         let rev = out

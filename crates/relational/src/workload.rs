@@ -50,7 +50,7 @@ use adaptvm_dsl::normalize::normalize_program;
 use adaptvm_dsl::parser::parse_program;
 use adaptvm_dsl::typecheck::{check_program, TypeEnv};
 use adaptvm_dsl::DslError;
-use adaptvm_parallel::{MemoryBudget, Morsel, MorselPlan, ParallelRunReport, ParallelVm};
+use adaptvm_parallel::{run_vm, MemoryBudget, Morsel, MorselPlan, ParallelRunReport};
 use adaptvm_storage::scalar::ScalarType;
 use adaptvm_storage::Array;
 use adaptvm_vm::{Buffers, Prepared, Vm, VmConfig, VmError};
@@ -175,7 +175,10 @@ impl Workload {
         let plan = MorselPlan::new(1, 1);
         let prepared = self.prepare(inputs);
         let make = |_m: &Morsel| (&prepared, buffers.clone());
-        let result = self.dispatch(&plan, config, opts, make);
+        let result = {
+            let _stage = opts.stage("workload");
+            run_vm(opts.runner(), config, &plan, opts.cancel, make)
+        };
         if let Some((budget, bytes)) = charged {
             budget.release(bytes);
         }
@@ -229,7 +232,10 @@ impl Workload {
             }
             (&prepared, buffers)
         };
-        let result = self.dispatch(&plan, config, opts, make);
+        let result = {
+            let _stage = opts.stage("workload");
+            run_vm(opts.runner(), config, &plan, opts.cancel, make)
+        };
         if let Some((budget, bytes)) = charged {
             budget.release(bytes);
         }
@@ -253,51 +259,6 @@ impl Workload {
             }
         }
         Ok((merged, report))
-    }
-
-    /// The shared executor dispatch: service → gated admission, scheduler
-    /// → shared pool, neither → scoped per-run pool. Mirrors
-    /// [`crate::parallel::q6_parallel`] so DSL workloads inherit the same
-    /// cancellation / deadline / tenant semantics.
-    fn dispatch<'p, F>(
-        &self,
-        plan: &MorselPlan,
-        config: VmConfig,
-        opts: ParallelOpts<'_>,
-        make: F,
-    ) -> Result<(Vec<Buffers>, ParallelRunReport), VmError>
-    where
-        F: Fn(&Morsel) -> (&'p Prepared, Buffers) + Send + Sync,
-    {
-        let _stage = opts.stage("workload");
-        let pvm = ParallelVm::new(opts.effective_workers(), config);
-        if let Some(service) = opts.service {
-            let mut sopts = adaptvm_parallel::SubmitOpts::new(opts.priority);
-            if let Some(id) = opts.tenant {
-                sopts = sopts.with_tenant(id);
-            }
-            if let Some(token) = opts.cancel {
-                sopts = sopts.with_cancel(token.clone());
-            }
-            if let Some(t) = opts.trace {
-                sopts = sopts.with_trace(t.clone());
-            }
-            service
-                .run_gated_with(
-                    sopts,
-                    |s| pvm.on(s).run_morsels_with(plan, opts.cancel, &make),
-                    |r| match r {
-                        Ok(_) => adaptvm_parallel::QueryOutcomeKind::Completed,
-                        Err(VmError::Cancelled) => adaptvm_parallel::QueryOutcomeKind::Cancelled,
-                        Err(_) => adaptvm_parallel::QueryOutcomeKind::TaskError,
-                    },
-                )
-                .map_err(|_| VmError::Cancelled)?
-        } else if let Some(s) = opts.scheduler {
-            pvm.on(s).run_morsels_with(plan, opts.cancel, make)
-        } else {
-            pvm.run_morsels_with(plan, opts.cancel, make)
-        }
     }
 }
 

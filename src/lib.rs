@@ -95,8 +95,8 @@ pub mod prelude {
     pub use adaptvm_jit::compiler::CostModel;
     pub use adaptvm_kernels::{FilterFlavor, MapMode};
     pub use adaptvm_parallel::{
-        CancelToken, MemoryBudget, Morsel, MorselPlan, ParallelVm, Priority, QueryService,
-        Scheduler, ServeConfig, TenantQuota, TenantRegistry,
+        CancelToken, MemoryBudget, Morsel, MorselPlan, Priority, QueryService, Runner, Scheduler,
+        ServeConfig, TenantQuota, TenantRegistry,
     };
     pub use adaptvm_storage::{Array, Scalar, ScalarType};
     pub use adaptvm_vm::{BanditPolicy, Buffers, RunReport, Strategy, Vm, VmConfig};

@@ -3,7 +3,7 @@
 //! every row exactly once, with no gaps and no overlaps.
 
 use adaptvm::parallel::scheduler::{ElasticityConfig, MorselElasticity, ProfileWindow};
-use adaptvm::parallel::{MorselPlan, Scheduler};
+use adaptvm::parallel::{MorselPlan, Runner, Scheduler};
 use proptest::prelude::*;
 
 /// Assert the plan tiles `[0, rows)` exactly: contiguous, ordered,
@@ -94,8 +94,8 @@ proptest! {
     ) {
         let scheduler = Scheduler::new(workers);
         let plan = MorselPlan::new(rows, morsel_rows);
-        let (per_morsel, stats) = scheduler
-            .run(&plan, |_, m| Ok::<(usize, usize), ()>((m.start, m.len)))
+        let (per_morsel, stats) = Runner::Scheduler(&scheduler)
+            .run(&plan, None, |_, m| Ok::<(usize, usize), ()>((m.start, m.len)))
             .unwrap();
         prop_assert_eq!(per_morsel.len(), plan.len());
         let mut touched = vec![0u8; rows];

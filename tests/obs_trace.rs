@@ -7,12 +7,13 @@
 //! traced runs bit-identical to untraced ones.
 
 use adaptvm::parallel::serve::{QueryService, ServeConfig};
-use adaptvm::parallel::{EventKind, MemoryBudget, Priority, Trace};
+use adaptvm::parallel::{EventKind, MemoryBudget, Priority, ProfileRollup, Trace};
 use adaptvm::relational::parallel::{
-    q18_parallel, q18_parallel_vm, q1_parallel_vectorized, q3_parallel, ParallelOpts,
+    q18_parallel, q18_parallel_vm, q1_parallel_vectorized, q3_parallel, q6_parallel, ParallelOpts,
 };
 use adaptvm::relational::tpch::{self, KeyDist};
-use adaptvm::storage::DEFAULT_CHUNK;
+use adaptvm::relational::workload::Workload;
+use adaptvm::storage::{Array, ScalarType, DEFAULT_CHUNK};
 use adaptvm::vm::{Strategy, VmConfig};
 use proptest::prelude::*;
 
@@ -113,6 +114,63 @@ fn traced_q18_through_service_captures_every_family() {
     assert!(json.starts_with("{\"traceEvents\":["));
     assert!(json.contains("\"cat\":\"spill\""));
     assert!(json.contains("\"cat\":\"serve\""));
+    service.shutdown();
+}
+
+/// What every served, traced VM pipeline must leave in its rollup: the
+/// admission lifecycle, executed morsels, and JIT work.
+fn assert_served_and_jitted(r: &ProfileRollup) {
+    assert!(r.submitted >= 1, "service admission recorded: {r:?}");
+    assert!(r.admitted >= 1, "{r:?}");
+    assert!(r.dispatched >= 1, "{r:?}");
+    assert!(r.completed >= 1, "{r:?}");
+    assert!(r.morsels > 0, "morsel execution recorded: {r:?}");
+    assert!(
+        r.jit_compiles + r.jit_cache_hits > 0,
+        "the hot loop must compile (or cache-inject) a trace: {r:?}"
+    );
+}
+
+/// The VM pipelines hand the caller's trace to the service: a served,
+/// traced `q6_parallel` and a served, traced `Workload::run` record
+/// admission, morsel and JIT events into that trace, and their results
+/// are bit-identical to untraced scoped runs.
+#[test]
+fn traced_vm_pipelines_through_service_record_admission_and_jit() {
+    let service = QueryService::new(ServeConfig::default().with_workers(2));
+    let config = VmConfig {
+        strategy: Strategy::Adaptive,
+        hot_threshold: 2,
+        ..VmConfig::default()
+    };
+    let scoped = ParallelOpts::new(2, 4 * DEFAULT_CHUNK);
+    let served = scoped.with_service(&service, Priority::Normal);
+
+    // Q6: one VM program per morsel; four chunks per morsel go hot.
+    let t = tpch::lineitem(16 * DEFAULT_CHUNK, 5);
+    let (untraced, _) = q6_parallel(&t, 1000, config.clone(), scoped).unwrap();
+    let trace = Trace::new();
+    let (traced, _) = q6_parallel(&t, 1000, config.clone(), served.with_trace(&trace)).unwrap();
+    assert_eq!(traced.to_bits(), untraced.to_bits(), "Q6 served + traced");
+    assert_served_and_jitted(&trace.profile().rollup());
+
+    // A DSL workload: one VM task whose chunk loop goes hot.
+    let rows = 8 * DEFAULT_CHUNK;
+    let src = format!(
+        "mut i\nmut s\ni := 0\ns := 0\nloop {{\n  let x = read i xs in {{\n    \
+         let t = fold sum 0 (map (\\a -> a * 3) x) in {{\n      s := s + t\n      \
+         i := i + len(x)\n    }}\n  }}\n  if i >= {rows} then {{ break }}\n}}\nwrite out 0 s\n"
+    );
+    let workload =
+        Workload::compile(&src, &[("xs", ScalarType::I64), ("out", ScalarType::I64)]).unwrap();
+    let inputs = [("xs", Array::from((0..rows as i64).collect::<Vec<_>>()))];
+    let oracle = workload.run_seq(&inputs, config.clone()).unwrap();
+    let trace = Trace::new();
+    let (out, _) = workload
+        .run(&inputs, config, served.with_trace(&trace))
+        .unwrap();
+    assert_eq!(out, oracle, "Workload::run served + traced");
+    assert_served_and_jitted(&trace.profile().rollup());
     service.shutdown();
 }
 

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use adaptvm::parallel::serve::{
     AdmissionError, Priority, QueryService, ServeConfig, SubmitOpts as ServeOpts,
 };
-use adaptvm::parallel::{MorselPlan, QueryError, Scheduler, SubmitError, SubmitOptions};
+use adaptvm::parallel::{MorselPlan, QueryError, Runner, Scheduler, SubmitError, SubmitOptions};
 use adaptvm::relational::parallel::{
     parallel_filter_project_sum, parallel_hash_join, q1_parallel_adaptive, q1_parallel_vectorized,
     q3_parallel, q6_parallel, ParallelOpts,
@@ -261,8 +261,10 @@ fn cancellation_mid_query_keeps_scheduler_stats_consistent() {
         "cancelled query must skip most of its {planned} morsels: {stats:?}"
     );
     // No worker wedged: a follow-up query completes.
-    let (v, _) = scheduler
-        .run(&MorselPlan::new(100, 10), |_, m| Ok::<usize, ()>(m.len))
+    let (v, _) = Runner::Scheduler(&scheduler)
+        .run(&MorselPlan::new(100, 10), None, |_, m| {
+            Ok::<usize, ()>(m.len)
+        })
         .unwrap();
     assert_eq!(v.iter().sum::<usize>(), 100);
 }
