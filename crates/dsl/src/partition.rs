@@ -44,10 +44,22 @@ pub enum BarrierMode {
 }
 
 /// Configuration of the greedy partitioner.
+///
+/// The adaptive VM uses the partition to decide the *shape* of its hot
+/// plan. When the regions tile the loop body (nothing is left to the
+/// interpreter), it compiles the whole body as one trace instead of one
+/// trace per region. So `max_io`, `barriers` and `barrier_mode` shape the
+/// plan only for bodies that do not tile, because of `excluded` nodes,
+/// `max_regions` or `min_region_cost`. The TLB-width reason for splitting
+/// does not carry over to this engine: its traces run packed IR over
+/// chunk-sized vectors, not generated machine code streaming whole
+/// columns, and on Q6 the one whole-body trace measured faster than the
+/// regions `max_io` cuts it into.
 #[derive(Debug, Clone)]
 pub struct PartitionConfig {
     /// Maximum distinct inputs + intermediates + buffers per function
-    /// (the TLB-size heuristic).
+    /// (the TLB-size heuristic). Splits only bodies that do not tile; see
+    /// above.
     pub max_io: usize,
     /// Operation classes treated as barriers.
     pub barriers: HashSet<OpClass>,

@@ -84,7 +84,10 @@ pub struct ParallelRunReport {
 /// `make(morsel)` hands out the morsel's input buffers and the
 /// [`Prepared`] program to run over them (prepared once per distinct
 /// program by the caller — [`Vm::prepare`] — so morsels share it and its
-/// hot plan). Returns per-morsel output buffers **in morsel order** plus
+/// hot plan). The buffers may borrow from anything that outlives the call:
+/// a morsel's inputs are typically windows of the query's table columns
+/// ([`Buffers::with_window`]), not copies. Returns per-morsel output
+/// buffers (inputs dropped) **in morsel order** plus
 /// the aggregated report; the caller merges outputs (ordered reduction) —
 /// see `adaptvm_relational::parallel` for complete pipelines. A cancelled,
 /// expired, or rejected run fails with [`VmError::Cancelled`].
@@ -105,9 +108,9 @@ pub fn run_vm<'p, F>(
     plan: &MorselPlan,
     cancel: Option<&CancelToken>,
     make: F,
-) -> Result<(Vec<Buffers>, ParallelRunReport), VmError>
+) -> Result<(Vec<Buffers<'static>>, ParallelRunReport), VmError>
 where
-    F: Fn(&Morsel) -> (&'p Prepared, Buffers) + Send + Sync,
+    F: Fn(&Morsel) -> (&'p Prepared, Buffers<'p>) + Send + Sync,
 {
     let wall = std::time::Instant::now();
     if let Some(s) = runner.scheduler() {
@@ -146,15 +149,14 @@ where
     Ok((buffers, report))
 }
 
-/// One morsel's run. Its input slices are released here, on the worker, as
-/// soon as the run ends — not held until the whole query has merged: the
-/// next morsel's slices then reuse the same (cache-warm) memory instead of
-/// the query cycling through a table-sized allocation.
+/// One morsel's run. Its inputs are dropped here, on the worker, as soon as
+/// the run ends: what the merge receives owns its outputs and borrows
+/// nothing.
 fn run_morsel(
     vm: &Vm,
     prepared: &Prepared,
-    buffers: Buffers,
-) -> Result<(Buffers, RunReport), VmError> {
+    buffers: Buffers<'_>,
+) -> Result<(Buffers<'static>, RunReport), VmError> {
     let (out, report) = vm.run_prepared(prepared, buffers)?;
     Ok((out.without_inputs(), report))
 }
@@ -162,13 +164,13 @@ fn run_morsel(
 /// Fold per-morsel `(Buffers, RunReport)` outcomes into the aggregate
 /// parallel report.
 fn assemble_report(
-    outcomes: Vec<(Buffers, RunReport)>,
+    outcomes: Vec<(Buffers<'static>, RunReport)>,
     dispatch: DispatchStats,
     workers: usize,
     morsels: usize,
     cache: &CodeCache,
     wall: std::time::Instant,
-) -> (Vec<Buffers>, ParallelRunReport) {
+) -> (Vec<Buffers<'static>>, ParallelRunReport) {
     let mut report = ParallelRunReport {
         workers,
         morsels,
@@ -228,13 +230,12 @@ mod tests {
     /// Fig. 2 over a morsel: double every element, keep positives.
     fn fig2_task<'p>(
         prepared: &'p HashMap<usize, Prepared>,
-        data: &[i64],
+        data: &'p Array,
         m: &Morsel,
-    ) -> (&'p Prepared, Buffers) {
-        let slice: Vec<i64> = data[m.start..m.end()].to_vec();
+    ) -> (&'p Prepared, Buffers<'p>) {
         (
             &prepared[&m.len],
-            Buffers::new().with_input("some_data", Array::from(slice)),
+            Buffers::new().with_window("some_data", data, m.start, m.len),
         )
     }
 
@@ -248,10 +249,11 @@ mod tests {
         config: VmConfig,
         plan: &MorselPlan,
         data: &[i64],
-    ) -> (Vec<Buffers>, ParallelRunReport) {
+    ) -> (Vec<Buffers<'static>>, ParallelRunReport) {
         let fig2 = fig2_prepared(plan);
+        let data = Array::from(data.to_vec());
         run_vm(Runner::Scoped { workers }, config, plan, None, |m| {
-            fig2_task(&fig2, data, m)
+            fig2_task(&fig2, &data, m)
         })
         .unwrap()
     }
@@ -286,7 +288,7 @@ mod tests {
         let (outs, _) = run_fig2(2, VmConfig::default(), &plan, &data);
         for out in &outs {
             assert_eq!(out.output("v").unwrap().len(), 4096);
-            assert!(out.buffer("some_data").is_err(), "input slice retained");
+            assert_eq!(out.input_types().count(), 0, "input window retained");
         }
     }
 

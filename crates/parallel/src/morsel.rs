@@ -15,7 +15,7 @@ use adaptvm_storage::sel::SelVec;
 use adaptvm_storage::DEFAULT_CHUNK;
 
 /// Default morsel size: 16 vectorized chunks. Big enough to amortize
-/// per-morsel setup (an `Env`, buffer slices), small enough that 8 workers
+/// per-morsel setup (an `Env`, buffer windows), small enough that 8 workers
 /// see >100 morsels on a 20M-row table.
 pub const DEFAULT_MORSEL_ROWS: usize = 16 * DEFAULT_CHUNK;
 

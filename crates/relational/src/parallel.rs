@@ -836,34 +836,24 @@ pub fn q6_parallel(
         opts.effective_morsel_rows(),
         config.chunk_size,
     );
-    // Resolve the four Q6 columns once; each morsel slices only these.
-    let price = table.column_by_name("l_extendedprice").expect("schema");
-    let disc = table.column_by_name("l_discount").expect("schema");
-    let qty = table.column_by_name("l_quantity").expect("schema");
-    let ship = table.column_by_name("l_shipdate").expect("schema");
-    let inputs = [
-        ("l_price", price),
-        ("l_disc", disc),
-        ("l_qty", qty),
-        ("l_ship", ship),
-    ];
+    // Resolve the four Q6 columns once; each morsel borrows its rows of
+    // these as windows, nothing is copied.
+    let inputs = tpch::q6_columns(table)?;
     // The program depends only on a morsel's length (its loop bound), and a
     // plan has at most two lengths (full and tail): parse and prepare each
     // once, then every morsel runs its prepared program — and the morsels
-    // of one length share its hot plan.
+    // of one length share its hot plan. A column of another element type
+    // than the Q6 schema's fails the run with `VmError::InputType`.
     let mut programs: HashMap<usize, Prepared> = HashMap::new();
     for m in plan.morsels() {
         programs.entry(m.len).or_insert_with(|| {
-            Vm::prepare(
-                &tpch::q6_program(m.len as i64, date_lo),
-                inputs.map(|(name, column)| (name, column.scalar_type())),
-            )
+            Vm::prepare(&tpch::q6_program(m.len as i64, date_lo), tpch::q6_schema())
         });
     }
     let make = |m: &Morsel| {
         let mut buffers = adaptvm_vm::Buffers::new();
-        for (name, column) in inputs {
-            buffers.insert_input(name, m.slice_array(column));
+        for &(name, column) in &inputs {
+            buffers.insert_window(name, column, m.start, m.len);
         }
         (&programs[&m.len], buffers)
     };
@@ -1066,7 +1056,7 @@ pub fn q9_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adaptvm_storage::DEFAULT_CHUNK;
+    use adaptvm_storage::{ScalarType, DEFAULT_CHUNK};
     use adaptvm_vm::Strategy;
 
     fn exact_eq(a: &[Q1Row], b: &[Q1Row]) -> bool {
@@ -1521,23 +1511,91 @@ mod tests {
             strategy: Strategy::CompiledPipeline,
             ..VmConfig::default()
         };
-        let (_, report) = q6_parallel(
-            &t,
-            1000,
-            config,
-            ParallelOpts {
-                workers: 4,
-                morsel_rows: 8 * DEFAULT_CHUNK,
-                ..ParallelOpts::default()
-            },
-        )
-        .unwrap();
-        // 5 equal-size morsels, one fragment each: ≥4 must be cache hits.
-        assert_eq!(report.morsels, 5);
+        // Racing morsels wait for the first one's compile and adopt its
+        // plan instead of each missing the cache: repeat to catch a race.
+        for round in 0..20 {
+            let (_, report) = q6_parallel(
+                &t,
+                1000,
+                config.clone(),
+                ParallelOpts {
+                    workers: 4,
+                    morsel_rows: 8 * DEFAULT_CHUNK,
+                    ..ParallelOpts::default()
+                },
+            )
+            .unwrap();
+            // 5 equal-size morsels share one fragment: one compile, 4 hits.
+            assert_eq!(report.morsels, 5);
+            assert_eq!(report.cache_stats.misses, 1, "round {round}: {report:?}");
+            assert_eq!(report.trace_cache_hits, 4, "round {round}: {report:?}");
+        }
+    }
+
+    /// `lineitem` with column `name` replaced by `column`, or dropped.
+    fn with_column(t: &Table, name: &str, column: Option<Array>) -> Table {
+        let (fields, columns): (Vec<_>, Vec<_>) = t
+            .schema()
+            .fields()
+            .iter()
+            .zip(t.columns())
+            .filter_map(|(f, c)| match (&column, f.name == name) {
+                (_, false) => Some((f.clone(), c.clone())),
+                (Some(a), true) => Some((
+                    adaptvm_storage::schema::Field::new(name, a.scalar_type()),
+                    a.clone(),
+                )),
+                (None, true) => None,
+            })
+            .unzip();
+        Table::new(adaptvm_storage::schema::Schema::new(fields), columns).unwrap()
+    }
+
+    #[test]
+    fn q6_over_a_wrong_lineitem_is_a_typed_error() {
+        let t = tpch::lineitem(4096, 3);
+        let opts = ParallelOpts::new(2, 2 * DEFAULT_CHUNK);
+        let no_discount = with_column(&t, "l_discount", None);
+        let err = q6_parallel(&no_discount, 1000, VmConfig::default(), opts).unwrap_err();
         assert!(
-            report.trace_cache_hits >= 4,
-            "shared cache must serve later morsels: {report:?}"
+            matches!(&err, VmError::Storage(e) if e.to_string().contains("l_discount")),
+            "{err}"
         );
+        let qty = t
+            .column_by_name("l_quantity")
+            .unwrap()
+            .cast(ScalarType::F64);
+        let f64_qty = with_column(&t, "l_quantity", Some(qty.unwrap()));
+        let err = q6_parallel(&f64_qty, 1000, VmConfig::default(), opts).unwrap_err();
+        assert_eq!(
+            err,
+            VmError::InputType {
+                buffer: "l_qty".into(),
+                expected: ScalarType::I64,
+                found: ScalarType::F64,
+            }
+        );
+    }
+
+    #[test]
+    fn adaptive_q6_over_borrowed_windows_matches_interpretation_with_a_short_tail() {
+        // Not chunk-aligned: the last morsel is short and ends mid-chunk,
+        // so its windows clamp where the table ends.
+        let t = tpch::lineitem(10 * DEFAULT_CHUNK + 333, 5);
+        let config = |strategy| VmConfig {
+            strategy,
+            hot_threshold: 2,
+            ..VmConfig::default()
+        };
+        for workers in [1usize, 2, 4] {
+            let opts = ParallelOpts::new(workers, 4 * DEFAULT_CHUNK);
+            let (oracle, _) = q6_parallel(&t, 1000, config(Strategy::Interpret), opts).unwrap();
+            let (rev, report) = q6_parallel(&t, 1000, config(Strategy::Adaptive), opts).unwrap();
+            assert_eq!(rev.to_bits(), oracle.to_bits(), "workers={workers}");
+            assert_eq!(report.morsels, 3, "workers={workers}");
+            assert!(report.trace_executions > 0, "{report:?}");
+            assert_eq!(report.fallbacks, 0, "{report:?}");
+        }
     }
 
     #[test]

@@ -105,13 +105,11 @@ impl Workload {
         &self.schema
     }
 
-    /// Validate provided inputs against the compile-time schema and build
-    /// the VM [`Buffers`]. Every provided input must be declared with a
-    /// matching element type; declared-but-absent names are treated as
-    /// outputs (reading one surfaces the VM's typed
-    /// [`VmError::UnknownBuffer`]).
-    fn buffers(&self, inputs: &[(&str, Array)]) -> Result<Buffers, VmError> {
-        let mut buffers = Buffers::new();
+    /// Validate provided inputs against the compile-time schema. Every
+    /// provided input must be declared with a matching element type;
+    /// declared-but-absent names are treated as outputs (reading one
+    /// surfaces the VM's typed [`VmError::UnknownBuffer`]).
+    fn check(&self, inputs: &[(&str, Array)]) -> Result<(), VmError> {
         for (name, array) in inputs {
             match self.schema.iter().find(|(n, _)| n == name) {
                 None => {
@@ -125,14 +123,14 @@ impl Workload {
                         array.scalar_type()
                     )))
                 }
-                Some(_) => buffers = buffers.with_input(name, array.clone()),
+                Some(_) => {}
             }
         }
-        Ok(buffers)
+        Ok(())
     }
 
     /// Prepare the program once for a query over `inputs` (already
-    /// validated by [`Workload::buffers`]); every task of the query runs
+    /// validated by [`Workload::check`]); every task of the query runs
     /// the result by reference.
     fn prepare(&self, inputs: &[(&str, Array)]) -> Prepared {
         Vm::prepare(
@@ -148,9 +146,9 @@ impl Workload {
         inputs: &[(&str, Array)],
         config: VmConfig,
     ) -> Result<HashMap<String, Array>, VmError> {
-        let buffers = self.buffers(inputs)?;
+        self.check(inputs)?;
         let vm = Vm::new(config);
-        let (out, _report) = vm.run(&self.program, buffers)?;
+        let (out, _report) = vm.run(&self.program, borrow(inputs, |a| (0, a.len())))?;
         Ok(out.into_outputs())
     }
 
@@ -167,7 +165,8 @@ impl Workload {
         config: VmConfig,
         opts: ParallelOpts<'_>,
     ) -> Result<(HashMap<String, Array>, ParallelRunReport), VmError> {
-        let buffers = self.buffers(inputs)?;
+        self.check(inputs)?;
+        let buffers = borrow(inputs, |a| (0, a.len()));
         let resident: usize = inputs.iter().map(|(_, a)| a.byte_size()).sum();
         let charged = opts
             .effective_budget()
@@ -190,10 +189,11 @@ impl Workload {
     }
 
     /// Run a **chunk-local** program morsel-parallel over `rows` driving
-    /// rows: every input array whose length equals `rows` is sliced per
-    /// morsel, shorter/longer arrays (parameters, dimension tables) are
-    /// passed whole, and per-morsel outputs are concatenated in morsel
-    /// order — worker-count independent by construction.
+    /// rows: every input array whose length equals `rows` is seen by each
+    /// morsel as a window of the morsel's rows, shorter/longer arrays
+    /// (parameters, dimension tables) whole, and per-morsel outputs are
+    /// concatenated in morsel order — worker-count independent by
+    /// construction. No input is copied.
     ///
     /// A program without an explicit chunk loop (`read 0 …`, no
     /// `loop`) processes only the **first chunk** of its morsel's
@@ -213,7 +213,7 @@ impl Workload {
         opts: ParallelOpts<'_>,
     ) -> Result<(HashMap<String, Array>, ParallelRunReport), VmError> {
         // Validate names/types once up front (same typed errors as `run`).
-        self.buffers(inputs)?;
+        self.check(inputs)?;
         let resident: usize = inputs.iter().map(|(_, a)| a.byte_size()).sum();
         let charged = opts
             .effective_budget()
@@ -221,15 +221,13 @@ impl Workload {
         let plan = MorselPlan::chunk_aligned(rows, opts.effective_morsel_rows(), config.chunk_size);
         let prepared = self.prepare(inputs);
         let make = |m: &Morsel| {
-            let mut buffers = Buffers::new();
-            for (name, array) in inputs {
-                let piece = if array.len() == rows {
-                    m.slice_array(array)
+            let buffers = borrow(inputs, |a| {
+                if a.len() == rows {
+                    (m.start, m.len)
                 } else {
-                    array.clone()
-                };
-                buffers = buffers.with_input(name, piece);
-            }
+                    (0, a.len())
+                }
+            });
             (&prepared, buffers)
         };
         let result = {
@@ -260,6 +258,20 @@ impl Workload {
         }
         Ok((merged, report))
     }
+}
+
+/// The VM buffers over `inputs`, each borrowed as the window
+/// `window(array)` returns as `(start, len)`.
+fn borrow<'i>(
+    inputs: &'i [(&str, Array)],
+    window: impl Fn(&Array) -> (usize, usize),
+) -> Buffers<'i> {
+    let mut buffers = Buffers::new();
+    for (name, array) in inputs {
+        let (start, len) = window(array);
+        buffers.insert_window(name, array, start, len);
+    }
+    buffers
 }
 
 /// Charge as much of `bytes` as the budget will admit (halving on

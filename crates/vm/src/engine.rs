@@ -35,7 +35,9 @@
 //!   front (HyPer-style; at chunk size 1, literally tuple-at-a-time),
 //! * [`Strategy::Adaptive`] — Fig. 1: profile, partition (§III-B),
 //!   compile hot regions (optionally in the background), inject, and fall
-//!   back to interpretation whenever a fragment is uncompilable.
+//!   back to interpretation whenever a fragment is uncompilable. When the
+//!   regions tile the loop body, the one "region" compiled is the whole
+//!   body: the same trace `CompiledPipeline` runs.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
@@ -224,14 +226,25 @@ pub struct Vm {
 /// starts under [`Strategy::CompiledPipeline`]) publishes its injected
 /// traces and the plan built from them; every other run adopts that plan
 /// at the top of its next iteration instead of interpreting its own
-/// warm-up chunks and repeating the Optimize step. The published plan is
-/// never mutated — a run whose adopted trace fails continues on a private
-/// copy.
+/// warm-up chunks and repeating the Optimize step. Under
+/// [`Strategy::CompiledPipeline`] the slot is filled with `get_or_init`, so
+/// runs that start together wait for one compile instead of each missing
+/// the code cache. The published plan is never mutated — a run whose
+/// adopted trace fails continues on a private copy.
+///
+/// The hot plan's shape follows from the §III-B partition: one whole-body
+/// trace when the regions tile the loop body, one trace per region
+/// otherwise (see `LoopRun::optimize`).
 ///
 /// Adoption cannot change an answer: a plan only decides *which executor*
 /// (interpreter or trace) computes each node of a chunk, and every trace is
 /// bit-identical to interpreting the nodes it covers — the same invariant
 /// a single run relies on when it injects mid-loop.
+///
+/// The `Prepared` also records the input schema it was built for;
+/// [`Vm::run_prepared`] refuses buffers whose element types differ from
+/// it ([`VmError::InputType`]) instead of running a plan typed for other
+/// inputs.
 ///
 /// Runs sharing a `Prepared` should share one [`VmConfig`] (they are one
 /// query); a [`Strategy::Interpret`] run never adopts. A `Prepared` is not
@@ -239,6 +252,8 @@ pub struct Vm {
 pub struct Prepared {
     /// The normalized program.
     program: Program,
+    /// The input element types the program was prepared for.
+    schema: HashMap<String, ScalarType>,
     /// The first top-level loop, when the flat executor can run it;
     /// otherwise the whole program is interpreted.
     chunk_loop: Option<ChunkLoop>,
@@ -258,6 +273,25 @@ struct ChunkLoop {
     hints: HashMap<String, ScalarType>,
     /// The injection-free plan every run starts on.
     base: Arc<Plan>,
+}
+
+impl ChunkLoop {
+    /// The whole loop body as one fragment: what
+    /// [`Strategy::CompiledPipeline`] compiles up front, and what
+    /// [`Strategy::Adaptive`] compiles when the §III-B regions tile the
+    /// body. Both strategies build it here, so they share one cache key.
+    fn pipeline(&self) -> Result<(Vec<NodeId>, Fragment), JitError> {
+        if self.graph.is_empty() {
+            return Err(JitError::Unsupported("loop body without nodes".into()));
+        }
+        let region = Region {
+            nodes: (0..self.graph.len()).collect(),
+            seed: 0,
+            cost: 0.0,
+        };
+        let frag = build_fragment(&self.graph, &region, &self.uses, &self.hints)?;
+        Ok((region.nodes, frag))
+    }
 }
 
 impl Prepared {
@@ -375,6 +409,10 @@ impl Vm {
         schema: impl IntoIterator<Item = (&'s str, ScalarType)>,
     ) -> Prepared {
         let program = normalize_program(program);
+        let schema: HashMap<String, ScalarType> = schema
+            .into_iter()
+            .map(|(name, ty)| (name.to_string(), ty))
+            .collect();
         // Complex bodies (nested loops, skeletons under `if`) and loop-free
         // programs have no chunk loop: they are interpreted whole.
         let chunk_loop = program
@@ -393,11 +431,12 @@ impl Vm {
                     flat,
                     graph: DepGraph::from_stmts(body),
                     uses: scalar_uses(body),
-                    hints: binding_types(&program, schema),
+                    hints: binding_types(&program, &schema),
                 })
             });
         Prepared {
             program,
+            schema,
             chunk_loop,
             hot: OnceLock::new(),
         }
@@ -406,22 +445,22 @@ impl Vm {
     /// Run a program with the default fixed flavor policy:
     /// [`Vm::prepare`] for the buffers' input types, then
     /// [`Vm::run_prepared`].
-    pub fn run(
+    pub fn run<'a>(
         &self,
         program: &Program,
-        buffers: Buffers,
-    ) -> Result<(Buffers, RunReport), VmError> {
+        buffers: Buffers<'a>,
+    ) -> Result<(Buffers<'a>, RunReport), VmError> {
         self.run_with_policy(program, buffers, &mut FixedPolicy::default())
     }
 
     /// [`Vm::run`] with a caller-supplied flavor policy (micro-adaptive
     /// runs pass a [`crate::adaptive::BanditPolicy`]).
-    pub fn run_with_policy(
+    pub fn run_with_policy<'a>(
         &self,
         program: &Program,
-        buffers: Buffers,
+        buffers: Buffers<'a>,
         policy: &mut dyn FlavorPolicy,
-    ) -> Result<(Buffers, RunReport), VmError> {
+    ) -> Result<(Buffers<'a>, RunReport), VmError> {
         let prepared = Vm::prepare(program, buffers.input_types());
         self.run_prepared_with_policy(&prepared, buffers, policy)
     }
@@ -431,23 +470,36 @@ impl Vm {
     /// interpreter, profile and report; the only thing runs of one
     /// [`Prepared`] exchange is the hot plan (see [`Prepared`]).
     ///
-    /// `buffers` must have the input types the program was prepared for.
-    pub fn run_prepared(
+    /// An input whose element type differs from the one the program was
+    /// prepared for fails with [`VmError::InputType`] before anything runs.
+    pub fn run_prepared<'a>(
         &self,
         prepared: &Prepared,
-        buffers: Buffers,
-    ) -> Result<(Buffers, RunReport), VmError> {
+        buffers: Buffers<'a>,
+    ) -> Result<(Buffers<'a>, RunReport), VmError> {
         self.run_prepared_with_policy(prepared, buffers, &mut FixedPolicy::default())
     }
 
     /// [`Vm::run_prepared`] with a caller-supplied flavor policy.
-    pub fn run_prepared_with_policy(
+    pub fn run_prepared_with_policy<'a>(
         &self,
         prepared: &Prepared,
-        buffers: Buffers,
+        buffers: Buffers<'a>,
         policy: &mut dyn FlavorPolicy,
-    ) -> Result<(Buffers, RunReport), VmError> {
+    ) -> Result<(Buffers<'a>, RunReport), VmError> {
         let wall = Instant::now();
+        for (name, found) in buffers.input_types() {
+            match prepared.schema.get(name) {
+                Some(&expected) if expected != found => {
+                    return Err(VmError::InputType {
+                        buffer: name.to_string(),
+                        expected,
+                        found,
+                    })
+                }
+                _ => {}
+            }
+        }
         let chunk_size = self.config.chunk_size;
         let stmts = &prepared.program.stmts;
         let mut profile = Profile::new();
@@ -535,7 +587,7 @@ impl<'a> LoopRun<'a> {
     }
 
     /// The chunk loop.
-    fn run(&mut self, interp: &mut Interpreter<'_>, env: &mut Env) -> Result<(), VmError> {
+    fn run(&mut self, interp: &mut Interpreter<'_>, env: &mut Env<'_>) -> Result<(), VmError> {
         // Strategy::CompiledPipeline compiles everything before iterating
         // (the first run of the query does; the others adopt its trace).
         if self.config.strategy == Strategy::CompiledPipeline && !self.adopt(0) {
@@ -632,28 +684,49 @@ impl<'a> LoopRun<'a> {
         trace
     }
 
-    /// Strategy::CompiledPipeline: the whole loop body as one fragment.
+    /// Strategy::CompiledPipeline: the whole loop body as one fragment,
+    /// published through the hot-plan slot's `get_or_init`. Runs that start
+    /// while another run compiles wait for that one compile and adopt its
+    /// plan instead of racing it through the code cache.
     fn compile_pipeline(&mut self) {
         self.settled = true;
-        let body = self.body;
-        let region = Region {
-            nodes: (0..body.graph.len()).collect(),
-            seed: 0,
-            cost: 0.0,
+        let Ok((nodes, frag)) = self.body.pipeline() else {
+            self.fallback();
+            return;
         };
-        match build_fragment(&body.graph, &region, &body.uses, &body.hints) {
-            Ok(frag) => {
-                let trace = self.compile_cached(frag);
-                let injection = Injection::new(region.nodes, trace);
-                self.install(vec![injection], 0);
-            }
-            Err(_) => self.fallback(),
+        let prepared = self.prepared;
+        let mut compiled = false;
+        let hot = prepared.hot.get_or_init(|| {
+            compiled = true;
+            let trace = self.compile_cached(frag);
+            Arc::new(Plan::build(
+                &self.body.flat,
+                vec![Injection::new(nodes, trace)],
+            ))
+        });
+        if compiled {
+            self.plan = hot.clone();
+            self.report.injected_traces += 1;
+            self.report.enter(0, VmState::InjectFunctions);
+        } else {
+            self.adopt(0);
         }
     }
 
     /// The Optimize → GenerateCode → InjectFunctions edges of Fig. 1:
-    /// partition under this run's measured costs, then compile each region
-    /// (or fetch it from the cache, or hand it to the background server).
+    /// partition under this run's measured costs, then compile each
+    /// fragment (or fetch it from the cache, or hand it to the background
+    /// server).
+    ///
+    /// The plan's shape follows from the partition. When its regions tile
+    /// the loop body (no node is left to the interpreter), the fragment is
+    /// the whole body, the one [`Strategy::CompiledPipeline`] compiles: one
+    /// trace reads each input once and keeps every intermediate in
+    /// registers, where per-region traces would write and re-read full
+    /// vectors at every region boundary. Only when the whole body does not
+    /// build as one fragment do the regions compile one by one. A body
+    /// that does not tile keeps its regions, and the interpreter runs the
+    /// rest.
     fn optimize(&mut self, iteration: u64, profile: &Profile) {
         self.settled = true;
         let body = self.body;
@@ -662,15 +735,31 @@ impl<'a> LoopRun<'a> {
         costed.apply_costs(&profile.costs());
         let parts = partition(&costed, &self.config.partition);
         self.report.enter(iteration, VmState::GenerateCode);
+        let whole = parts
+            .interpreted
+            .is_empty()
+            .then(|| body.pipeline().ok())
+            .flatten();
+        let fragments = match whole {
+            Some(pipeline) => vec![Ok(pipeline)],
+            None => parts
+                .regions
+                .into_iter()
+                .map(|region| {
+                    build_fragment(&body.graph, &region, &body.uses, &body.hints)
+                        .map(|frag| (region.nodes, frag))
+                })
+                .collect(),
+        };
         let mut fresh = Vec::new();
-        for region in parts.regions {
-            let Ok(frag) = build_fragment(&body.graph, &region, &body.uses, &body.hints) else {
+        for built in fragments {
+            let Ok((nodes, frag)) = built else {
                 self.fallback();
                 continue;
             };
             if !self.config.async_compile {
                 let trace = self.compile_cached(frag);
-                fresh.push(Injection::new(region.nodes, trace));
+                fresh.push(Injection::new(nodes, trace));
                 continue;
             }
             // A cached trace needs no compile round-trip even on the
@@ -689,15 +778,14 @@ impl<'a> LoopRun<'a> {
             if let Some(trace) = cached {
                 self.report.trace_cache_hits += 1;
                 crate::obs::jit_event(crate::obs::JitEvent::CacheHit);
-                fresh.push(Injection::new(region.nodes, trace));
+                fresh.push(Injection::new(nodes, trace));
             } else if let Some(shared) = self.shared_server {
                 // Shared publishing server: dedup by fingerprint, pick the
                 // trace up from the publish cache once it lands.
                 match shared.submit_unique(frag) {
                     Ok(ours) => {
                         crate::obs::jit_event(crate::obs::JitEvent::AsyncSubmit);
-                        self.shared_pending
-                            .push((key, region.nodes, ours.is_some()));
+                        self.shared_pending.push((key, nodes, ours.is_some()));
                     }
                     Err(_) => self.fallback(),
                 }
@@ -708,7 +796,7 @@ impl<'a> LoopRun<'a> {
                     .get_or_insert_with(|| CompileServer::start(model));
                 if let Ok(ticket) = server.submit(frag) {
                     crate::obs::jit_event(crate::obs::JitEvent::AsyncSubmit);
-                    self.pending.insert(ticket, region.nodes);
+                    self.pending.insert(ticket, nodes);
                 }
             }
         }
@@ -774,7 +862,11 @@ impl<'a> LoopRun<'a> {
     }
 
     /// Execute one iteration of the plan.
-    fn iterate(&mut self, interp: &mut Interpreter<'_>, env: &mut Env) -> Result<Flow, VmError> {
+    fn iterate(
+        &mut self,
+        interp: &mut Interpreter<'_>,
+        env: &mut Env<'_>,
+    ) -> Result<Flow, VmError> {
         let mut plan = self.plan.clone();
         let mut idx = 0;
         while idx < plan.steps.len() {
@@ -866,7 +958,7 @@ enum TraceFailure {
 fn exec_trace(
     inj: &Injection,
     interp: &mut Interpreter<'_>,
-    env: &mut Env,
+    env: &mut Env<'_>,
     chunk_size: usize,
     placement: Option<&mut PlacementPolicy>,
     device_clocks: &mut [u64],
@@ -1132,12 +1224,12 @@ fn flatten_into(stmts: &[Stmt], items: &mut Vec<FlatItem>, next_id: &mut usize) 
 
 /// Infer element types of `let` bindings (best effort) — the JIT's
 /// type hints for output narrowing and lane selection.
-fn binding_types<'s>(
+fn binding_types(
     program: &Program,
-    schema: impl IntoIterator<Item = (&'s str, ScalarType)>,
+    schema: &HashMap<String, ScalarType>,
 ) -> HashMap<String, ScalarType> {
     let mut env = TypeEnv::new();
-    for (name, ty) in schema {
+    for (name, &ty) in schema {
         env = env.with_buffer(name, ty);
     }
     let mut hints = HashMap::new();
@@ -1186,7 +1278,7 @@ mod tests {
         (0..n as i64).map(|i| (i % 7) - 3).collect()
     }
 
-    fn run_fig2(config: VmConfig, n: usize, limit: i64) -> (Buffers, RunReport) {
+    fn run_fig2(config: VmConfig, n: usize, limit: i64) -> (Buffers<'static>, RunReport) {
         let data = fig2_data(n);
         let buffers = Buffers::new().with_input("some_data", Array::from(data));
         let vm = Vm::new(config);
@@ -1232,7 +1324,8 @@ mod tests {
             report.state_names(),
             vec!["interpret", "optimize", "generate_code", "inject_functions"]
         );
-        assert!(report.injected_traces >= 2, "{report:?}");
+        // Fig. 3's two regions tile the body: one whole-body trace.
+        assert_eq!(report.injected_traces, 1, "{report:?}");
         assert!(report.trace_executions > 0);
         // The first iterations were interpreted.
         assert!(report.interpreted_nodes > 0);
@@ -1420,18 +1513,103 @@ mod tests {
         assert_eq!(r2.trace_cache_hits, 1);
         assert_eq!(r2.compile_ns_total, 0);
         assert_eq!(out1.output("v"), out2.output("v"));
-        // Adaptive runs share the same cache entries.
+    }
+
+    #[test]
+    fn adaptive_reuses_the_compiled_pipelines_trace() {
+        // Fig. 2's regions tile its body, so Adaptive's hot plan is the
+        // pipeline fragment itself: same fingerprint, nothing to compile.
+        let cache = Arc::new(CodeCache::new(8));
+        let compiled = VmConfig {
+            strategy: Strategy::CompiledPipeline,
+            code_cache: Some(cache.clone()),
+            ..VmConfig::default()
+        };
+        let (_, r1) = run_fig2(compiled, 10_000, 8192);
+        assert!(r1.compile_ns_total > 0, "{r1:?}");
         let adaptive = VmConfig {
             strategy: Strategy::Adaptive,
             hot_threshold: 2,
             code_cache: Some(cache.clone()),
             ..VmConfig::default()
         };
-        let (out3, r3) = run_fig2(adaptive, 10_000, 8192);
-        check_fig2(&out3, 10_000, 8192);
-        assert!(
-            r3.trace_cache_hits + (r3.injected_traces as u64) > 0,
-            "{r3:?}"
+        let (out, r2) = run_fig2(adaptive, 10_000, 8192);
+        check_fig2(&out, 10_000, 8192);
+        assert_eq!(r2.injected_traces, 1, "{r2:?}");
+        assert_eq!(r2.trace_cache_hits, 1, "{r2:?}");
+        assert_eq!(r2.compile_ns_total, 0, "{r2:?}");
+        assert_eq!(cache.stats().entries, 1);
+    }
+
+    #[test]
+    fn a_body_with_a_string_op_keeps_its_regions_and_interprets_that_node() {
+        let rows = 4096usize;
+        let program = adaptvm_dsl::parser::parse_program(&format!(
+            "mut i
+             i := 0
+             loop {{
+               let x = read i xs in {{
+                 let y = map (\\v -> v * 2 + 1) x in {{
+                   let names = read i ns in {{
+                     let l = map (\\s -> strlen(s)) names in {{
+                       write out i y
+                       write lens i l
+                       i := i + len(x)
+                     }}
+                   }}
+                 }}
+               }}
+               if i >= {rows} then {{ break }}
+             }}"
+        ))
+        .unwrap();
+        let buffers = Buffers::new()
+            .with_input("xs", Array::from((0..rows as i64).collect::<Vec<_>>()))
+            .with_input(
+                "ns",
+                Array::from((0..rows).map(|i| "n".repeat(i % 5)).collect::<Vec<_>>()),
+            );
+        let prepared = Vm::prepare(&program, buffers.input_types());
+        let vm = |strategy| {
+            Vm::new(VmConfig {
+                strategy,
+                hot_threshold: 2,
+                ..VmConfig::default()
+            })
+        };
+        let (expect, _) = vm(Strategy::Interpret)
+            .run(&program, buffers.clone())
+            .unwrap();
+        let (out, report) = vm(Strategy::Adaptive)
+            .run_prepared(&prepared, buffers)
+            .unwrap();
+        assert_eq!(out.output("out"), expect.output("out"));
+        assert_eq!(out.output("lens"), expect.output("lens"));
+        // The numeric pipeline's region is traced. (Regions over the string
+        // column itself do not build and fall back, as before.)
+        assert!(report.injected_traces >= 1, "{report:?}");
+        assert_eq!(prepared.hot_traces(), Some(report.injected_traces));
+        // Every traced iteration still interprets the string map.
+        let traced = report.iterations - 1;
+        assert!(report.interpreted_nodes >= 6 + traced, "{report:?}");
+        assert!(report.trace_executions >= traced, "{report:?}");
+    }
+
+    #[test]
+    fn inputs_of_another_type_than_prepared_are_typed_errors() {
+        let prepared = Vm::prepare(
+            &programs::fig2_with_limit(10),
+            [("some_data", ScalarType::I64)],
+        );
+        let buffers = Buffers::new().with_input("some_data", Array::from(vec![1.5f64; 16]));
+        let err = Vm::adaptive().run_prepared(&prepared, buffers).unwrap_err();
+        assert_eq!(
+            err,
+            VmError::InputType {
+                buffer: "some_data".into(),
+                expected: ScalarType::I64,
+                found: ScalarType::F64,
+            }
         );
     }
 

@@ -1,53 +1,108 @@
 //! Buffers and the runtime variable environment.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use adaptvm_dsl::value::Value;
+use adaptvm_kernels::movement;
 use adaptvm_storage::array::Array;
 use adaptvm_storage::scalar::ScalarType;
 
 use crate::error::VmError;
+
+/// One input buffer: owned, or a borrowed window `[start, start + len)` of
+/// an array someone else owns (a morsel's rows of a shared table column).
+#[derive(Debug, Clone)]
+enum Input<'a> {
+    Owned(Array),
+    Window {
+        array: &'a Array,
+        start: usize,
+        len: usize,
+    },
+}
 
 /// Named data buffers: read-only inputs and growable output sinks.
 ///
 /// `read i buf` reads inputs first, falling back to outputs (programs may
 /// read back what they wrote); `write buf i v` always targets an output,
 /// creating it on first write.
+///
+/// An input is either owned ([`Buffers::with_input`]) or a borrowed window
+/// of a longer array ([`Buffers::with_window`]). A program sees a window
+/// as a buffer of its own: positions are window-relative and reads clamp at
+/// the window's end, so a morsel never reads another morsel's rows.
 #[derive(Debug, Clone, Default)]
-pub struct Buffers {
-    inputs: HashMap<String, Array>,
+pub struct Buffers<'a> {
+    inputs: HashMap<String, Input<'a>>,
     outputs: HashMap<String, Array>,
 }
 
-impl Buffers {
+impl<'a> Buffers<'a> {
     /// Empty buffer set.
-    pub fn new() -> Buffers {
+    pub fn new() -> Buffers<'a> {
         Buffers::default()
     }
 
     /// Add (replace) an input buffer.
-    pub fn with_input(mut self, name: &str, data: Array) -> Buffers {
-        self.inputs.insert(name.to_string(), data);
+    pub fn with_input(mut self, name: &str, data: Array) -> Buffers<'a> {
+        self.insert_input(name, data);
         self
     }
 
     /// Add an input buffer in place.
     pub fn insert_input(&mut self, name: &str, data: Array) {
-        self.inputs.insert(name.to_string(), data);
+        self.inputs.insert(name.to_string(), Input::Owned(data));
     }
 
-    /// Look up an input (or previously written output) buffer.
-    pub fn buffer(&self, name: &str) -> Result<&Array, VmError> {
+    /// Add (replace) an input that borrows `array[start..start + len]`
+    /// (clamped to the array) instead of copying it.
+    pub fn with_window(mut self, name: &str, array: &'a Array, start: usize, len: usize) -> Self {
+        self.insert_window(name, array, start, len);
+        self
+    }
+
+    /// Add a borrowed window input in place; see [`Buffers::with_window`].
+    pub fn insert_window(&mut self, name: &str, array: &'a Array, start: usize, len: usize) {
+        let start = start.min(array.len());
+        let len = len.min(array.len() - start);
         self.inputs
-            .get(name)
-            .or_else(|| self.outputs.get(name))
-            .ok_or_else(|| VmError::UnknownBuffer(name.to_string()))
+            .insert(name.to_string(), Input::Window { array, start, len });
+    }
+
+    /// The array behind buffer `name` and the `(start, len)` range of it
+    /// the program sees: an input (owned or windowed) first, else a
+    /// previously written output.
+    fn view(&self, name: &str) -> Result<(&Array, usize, usize), VmError> {
+        match self.inputs.get(name) {
+            Some(Input::Owned(a)) => Ok((a, 0, a.len())),
+            Some(&Input::Window { array, start, len }) => Ok((array, start, len)),
+            None => self
+                .outputs
+                .get(name)
+                .map(|a| (a, 0, a.len()))
+                .ok_or_else(|| VmError::UnknownBuffer(name.to_string())),
+        }
     }
 
     /// Read up to `len` elements starting at `pos`; short (or empty) reads
     /// at the tail are normal (Fig. 2's loop exit depends on them).
     pub fn read(&self, name: &str, pos: usize, len: usize) -> Result<Array, VmError> {
-        Ok(self.buffer(name)?.slice(pos, len))
+        let (array, start, visible) = self.view(name)?;
+        let pos = pos.min(visible);
+        Ok(array.slice(start + pos, len.min(visible - pos)))
+    }
+
+    /// `gather`: `buffer[indices[i]]` for each lane, indexed relative to
+    /// the buffer as the program sees it (a window's first row is 0).
+    pub fn gather(&self, name: &str, indices: &Array) -> Result<Array, VmError> {
+        let (array, start, len) = self.view(name)?;
+        let data = if start == 0 && len == array.len() {
+            Cow::Borrowed(array)
+        } else {
+            Cow::Owned(array.slice(start, len))
+        };
+        Ok(movement::gather(&data, indices)?)
     }
 
     /// Write `values` into output `name` at `pos`, growing as needed.
@@ -75,16 +130,23 @@ impl Buffers {
 
     /// Iterate over input buffer names and types.
     pub fn input_types(&self) -> impl Iterator<Item = (&str, ScalarType)> {
-        self.inputs
-            .iter()
-            .map(|(n, a)| (n.as_str(), a.scalar_type()))
+        self.inputs.iter().map(|(n, input)| {
+            let array = match input {
+                Input::Owned(a) => a,
+                Input::Window { array, .. } => *array,
+            };
+            (n.as_str(), array.scalar_type())
+        })
     }
 
     /// Drop the input buffers, keeping the outputs: a finished run's
-    /// inputs are dead weight to whoever only merges its results.
-    pub fn without_inputs(mut self) -> Buffers {
-        self.inputs = HashMap::new();
-        self
+    /// inputs are dead weight to whoever only merges its results, and the
+    /// outputs no longer borrow anything.
+    pub fn without_inputs(self) -> Buffers<'static> {
+        Buffers {
+            inputs: HashMap::new(),
+            outputs: self.outputs,
+        }
     }
 
     /// Consume into the output map.
@@ -99,15 +161,15 @@ impl Buffers {
 /// environment: normalized programs use unique binding names (`_t…`), so
 /// lexical scoping collapses to name lookup.
 #[derive(Debug, Default)]
-pub struct Env {
+pub struct Env<'a> {
     vars: HashMap<String, Value>,
     /// The buffers the program reads/writes.
-    pub buffers: Buffers,
+    pub buffers: Buffers<'a>,
 }
 
-impl Env {
+impl<'a> Env<'a> {
     /// Fresh environment over the given buffers.
-    pub fn new(buffers: Buffers) -> Env {
+    pub fn new(buffers: Buffers<'a>) -> Env<'a> {
         Env {
             vars: HashMap::new(),
             buffers,
@@ -159,6 +221,75 @@ mod tests {
         assert_eq!(b.output("out").unwrap(), &Array::from(vec![1i64, 2, 3]));
         // Written outputs are readable.
         assert_eq!(b.read("out", 1, 2).unwrap(), Array::from(vec![2i64, 3]));
+    }
+
+    /// `[10, 11, …, 19]`, windowed to rows 3..7 (values 13..16).
+    fn window_of(column: &Array) -> Buffers<'_> {
+        Buffers::new().with_window("xs", column, 3, 4)
+    }
+
+    fn column() -> Array {
+        Array::from((10i64..20).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn a_read_across_the_windows_end_returns_the_short_tail() {
+        let column = column();
+        let b = window_of(&column);
+        assert_eq!(b.read("xs", 0, 2).unwrap(), Array::from(vec![13i64, 14]));
+        // Rows 17.. belong to the next morsel: never returned.
+        assert_eq!(b.read("xs", 2, 10).unwrap(), Array::from(vec![15i64, 16]));
+    }
+
+    #[test]
+    fn a_read_at_or_past_the_windows_end_is_empty() {
+        let column = column();
+        let b = window_of(&column);
+        assert!(b.read("xs", 4, 10).unwrap().is_empty());
+        assert!(b.read("xs", 9, 10).unwrap().is_empty());
+        assert!(b.read("xs", usize::MAX, usize::MAX).unwrap().is_empty());
+        // A window that starts or ends past the array is clamped to it.
+        let past = Buffers::new().with_window("xs", &column, 8, 100);
+        assert_eq!(
+            past.read("xs", 0, 10).unwrap(),
+            Array::from(vec![18i64, 19])
+        );
+        let outside = Buffers::new().with_window("xs", &column, 50, 5);
+        assert!(outside.read("xs", 0, 10).unwrap().is_empty());
+    }
+
+    #[test]
+    fn gather_over_a_window_indexes_window_relative() {
+        let column = column();
+        let b = window_of(&column);
+        let idx = Array::from(vec![3i64, 0, 2]);
+        assert_eq!(
+            b.gather("xs", &idx).unwrap(),
+            Array::from(vec![16i64, 13, 15])
+        );
+        // Index 4 is the next morsel's first row: out of this window.
+        assert!(b.gather("xs", &Array::from(vec![4i64])).is_err());
+        // An owned buffer gathers over the whole array.
+        let owned = Buffers::new().with_input("xs", column.clone());
+        assert_eq!(
+            owned.gather("xs", &Array::from(vec![9i64])).unwrap(),
+            Array::from(vec![19i64])
+        );
+    }
+
+    #[test]
+    fn windowed_buffers_read_back_written_outputs_unchanged() {
+        let column = column();
+        let mut b = window_of(&column);
+        b.write("out", 0, &Array::from(vec![1i64, 2])).unwrap();
+        assert_eq!(b.read("out", 0, 10).unwrap(), Array::from(vec![1i64, 2]));
+        assert_eq!(
+            b.input_types().collect::<Vec<_>>(),
+            vec![("xs", ScalarType::I64)]
+        );
+        let done = b.without_inputs();
+        assert_eq!(done.input_types().count(), 0);
+        assert_eq!(done.output("out").unwrap(), &Array::from(vec![1i64, 2]));
     }
 
     #[test]

@@ -5,6 +5,7 @@ use std::fmt;
 use adaptvm_dsl::DslError;
 use adaptvm_jit::JitError;
 use adaptvm_kernels::KernelError;
+use adaptvm_storage::scalar::ScalarType;
 use adaptvm_storage::StorageError;
 
 /// Errors surfaced while executing a program.
@@ -22,6 +23,16 @@ pub enum VmError {
     Unbound(String),
     /// Reference to an unknown buffer.
     UnknownBuffer(String),
+    /// An input buffer's element type differs from the one the program was
+    /// prepared for.
+    InputType {
+        /// The buffer.
+        buffer: String,
+        /// The element type in the prepared schema.
+        expected: ScalarType,
+        /// The element type supplied.
+        found: ScalarType,
+    },
     /// A runtime value had an unexpected shape (e.g. vector where scalar
     /// expected).
     Shape(String),
@@ -42,6 +53,14 @@ impl fmt::Display for VmError {
             VmError::Jit(e) => write!(f, "jit: {e}"),
             VmError::Unbound(v) => write!(f, "unbound variable {v}"),
             VmError::UnknownBuffer(b) => write!(f, "unknown buffer {b}"),
+            VmError::InputType {
+                buffer,
+                expected,
+                found,
+            } => write!(
+                f,
+                "input buffer {buffer} is {found:?}, but the program was prepared for {expected:?}"
+            ),
             VmError::Shape(m) => write!(f, "shape error: {m}"),
             VmError::IterationLimit(n) => write!(f, "loop exceeded {n} iterations"),
             VmError::Cancelled => write!(f, "run cancelled (token, deadline, or admission)"),

@@ -222,8 +222,7 @@ impl<'p> Interpreter<'p> {
             }
             Expr::Gather { indices, data } => {
                 let idx = self.eval_vector(indices, env)?.condense()?.data;
-                let buffer = env.buffers.buffer(data)?.clone();
-                Ok(Value::dense(movement::gather(&buffer, &idx)?))
+                Ok(Value::dense(env.buffers.gather(data, &idx)?))
             }
             Expr::Gen { f, len } => {
                 let n = self.eval_scalar_index(len, env, "gen length")?;
@@ -587,11 +586,11 @@ fn common_sel<'v>(
 }
 
 /// Convenience: run a whole program under plain vectorized interpretation.
-pub fn run_interpreted(
+pub fn run_interpreted<'a>(
     program: &Program,
-    buffers: Buffers,
+    buffers: Buffers<'a>,
     chunk_size: usize,
-) -> Result<(Buffers, Profile), VmError> {
+) -> Result<(Buffers<'a>, Profile), VmError> {
     let mut profile = Profile::new();
     let mut policy = FixedPolicy::default();
     let mut env = Env::new(buffers);
@@ -617,7 +616,7 @@ mod tests {
     use adaptvm_dsl::parser::parse_program;
     use adaptvm_dsl::programs;
 
-    fn run(src: &str, buffers: Buffers) -> Buffers {
+    fn run<'a>(src: &str, buffers: Buffers<'a>) -> Buffers<'a> {
         let p = parse_program(src).unwrap();
         let (buffers, _) = run_interpreted(&p, buffers, 1024).unwrap();
         buffers

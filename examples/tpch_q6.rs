@@ -4,7 +4,10 @@
 //! expressed in the DSL, normalized, and executed three ways: vectorized
 //! interpretation, HyPer-style whole-pipeline compilation, and the Fig. 1
 //! adaptive state machine. The adaptive run starts interpreted and
-//! switches to a fused trace once the loop is hot.
+//! switches to a fused trace once the loop is hot: Q6's §III-B regions tile
+//! its loop body, so that is the one whole-body trace the compiled pipeline
+//! runs. The example asserts both: every strategy's revenue matches the
+//! reference, and the adaptive run injects exactly one trace.
 //!
 //! ```sh
 //! cargo run --release --example tpch_q6
@@ -55,6 +58,16 @@ fn main() {
             report.injected_traces,
             ok
         );
+        assert!(
+            ok,
+            "{strategy:?}: revenue {rev} differs from the reference {expected}"
+        );
+        if strategy == Strategy::Adaptive {
+            assert_eq!(
+                report.injected_traces, 1,
+                "adaptive Q6 must converge to one trace: {report:?}"
+            );
+        }
     }
 
     println!("\nQ1 (three engine styles over the same data):");

@@ -6,7 +6,11 @@
 use adaptvm::dsl::parser::parse_program;
 use adaptvm::prelude::*;
 
-fn run(src: &str, buffers: Buffers, strategy: Strategy) -> (Buffers, adaptvm::vm::RunReport) {
+fn run<'a>(
+    src: &str,
+    buffers: Buffers<'a>,
+    strategy: Strategy,
+) -> (Buffers<'a>, adaptvm::vm::RunReport) {
     let program = parse_program(src).unwrap();
     let config = VmConfig {
         strategy,

@@ -64,7 +64,7 @@ fn has(report: &RunReport, state: VmState) -> bool {
 }
 
 /// The Q6 input buffers over rows `start..start + len` of `table`.
-fn q6_buffers(table: &Table, start: usize, len: usize) -> Buffers {
+fn q6_buffers(table: &Table, start: usize, len: usize) -> Buffers<'static> {
     let column = |name: &str| {
         table
             .column_by_name(name)
@@ -104,7 +104,7 @@ fn revenue_bits(out: &Buffers) -> u64 {
 
 /// Every program of `dsl::programs`, Q6 and the Q18 HAVING program, each
 /// with inputs long enough for several chunks.
-fn catalogue() -> Vec<(&'static str, Program, Buffers)> {
+fn catalogue() -> Vec<(&'static str, Program, Buffers<'static>)> {
     let n = 6000usize;
     let ints: Vec<i64> = (0..n as i64).map(|i| (i * 37) % 201 - 100).collect();
     let floats: Vec<f64> = (0..n).map(|i| (i % 97) as f64 * 0.5 - 7.25).collect();
