@@ -15,12 +15,14 @@
 //!   **bitmap** pass, or a **compute-all-then-scan** pass.
 //!
 //! The [`registry`] module enumerates the combinations so the VM can report
-//! and bandit-select among them.
+//! and bandit-select among them. The [`hash`] module holds the one hasher
+//! of the relational layer's per-row hash tables.
 
 pub mod compressed;
 pub mod error;
 pub mod filter;
 pub mod fold;
+pub mod hash;
 pub mod lanes;
 pub mod map;
 pub mod merge;

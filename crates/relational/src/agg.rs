@@ -10,6 +10,8 @@
 
 use std::collections::HashMap;
 
+use adaptvm_kernels::hash::WordMap;
+
 /// Aggregate state per group.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GroupState {
@@ -78,7 +80,9 @@ impl GroupState {
 /// The out-of-core aggregation (`crate::spill`) is bit-identical to this
 /// fold at any budget, worker count, and morsel size, because each group's
 /// rows are observed one by one in global row order no matter which
-/// partition they land in or whether that partition spilled.
+/// partition they land in or whether that partition spilled. It keeps
+/// `std`'s `HashMap` and hasher, so it stays independent of the
+/// [`WordMap`] the engine's own group tables use.
 pub fn aggregate_rows(keys: &[i64], values: &[f64]) -> Vec<(i64, GroupState)> {
     assert_eq!(keys.len(), values.len());
     let mut global: HashMap<i64, GroupState> = HashMap::new();
@@ -109,7 +113,7 @@ const PREAGG_GROUP_LIMIT: usize = 64;
 #[derive(Debug)]
 pub struct AdaptiveAggregator {
     mode: PreAgg,
-    global: HashMap<i64, GroupState>,
+    global: WordMap<i64, GroupState>,
     /// EWMA of per-chunk distinct group counts.
     group_estimate: f64,
     chunks: u64,
@@ -121,7 +125,7 @@ impl AdaptiveAggregator {
     pub fn new(mode: PreAgg) -> AdaptiveAggregator {
         AdaptiveAggregator {
             mode,
-            global: HashMap::new(),
+            global: WordMap::default(),
             group_estimate: 0.0,
             chunks: 0,
             preagg_used: 0,
@@ -144,7 +148,7 @@ impl AdaptiveAggregator {
         let distinct = if use_preagg {
             self.preagg_used += 1;
             // Local pre-aggregation into a small table, then merge.
-            let mut local: HashMap<i64, GroupState> = HashMap::new();
+            let mut local: WordMap<i64, GroupState> = WordMap::default();
             for (&k, &v) in keys.iter().zip(values) {
                 local.entry(k).or_default().observe(v);
             }

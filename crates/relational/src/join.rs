@@ -17,15 +17,17 @@
 //! The table, its partitions, and every join built on them exist once,
 //! generic over a [`JoinKey`]: `i64` keys ([`HashTable`], the default)
 //! keep a direct key → slot map, Utf8 keys ([`StrHashTable`]) a byte
-//! arena bucketed by string hash.
+//! arena bucketed by string hash. Every map here hashes through
+//! [`adaptvm_kernels::hash::WordState`], one folded multiply per key
+//! word, not `std`'s SipHash.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::Hash;
 use std::ops::Range;
 use std::time::Instant;
 
+use adaptvm_kernels::hash::{WordMap, WordState};
 use adaptvm_kernels::map::{hash_i64, hash_str};
 use adaptvm_storage::spill::{Run, RunBatch, RunSchema};
 use adaptvm_storage::Array;
@@ -131,7 +133,7 @@ pub trait JoinKey: Clone + Eq + Hash + Debug + Send + Sync + 'static {
     /// The distinct words of the index (what the Bloom filter holds).
     fn words(index: &Self::Index) -> impl Iterator<Item = i64> + '_;
     /// Append `payload` to `key`'s list, copying the key only when new.
-    fn merge(map: &mut HashMap<Self, Vec<i64>>, key: Self::Ref<'_>, payload: i64);
+    fn merge(map: &mut WordMap<Self, Vec<i64>>, key: Self::Ref<'_>, payload: i64);
     /// The key of row `row` of a `(key, value)` spill frame.
     fn key_at(batch: &RunBatch, row: usize) -> Self::Ref<'_>;
     /// Append a `(key, value)` row to a spill frame.
@@ -149,7 +151,7 @@ pub(crate) fn run_values(batch: &RunBatch) -> &[i64] {
 impl JoinKey for i64 {
     type Ref<'a> = i64;
     /// Direct lookup: key → payload slot.
-    type Index = HashMap<i64, (u32, u32)>;
+    type Index = WordMap<i64, (u32, u32)>;
 
     const COLUMN: &'static str = "integer";
     const STAGE: &'static str = "join";
@@ -164,7 +166,7 @@ impl JoinKey for i64 {
     }
 
     fn column(array: &Array) -> Option<Cow<'_, [i64]>> {
-        array.to_i64_vec().map(Cow::Owned)
+        array.to_i64_cow()
     }
 
     #[inline]
@@ -178,7 +180,7 @@ impl JoinKey for i64 {
     }
 
     fn index_with_capacity(distinct: usize) -> Self::Index {
-        HashMap::with_capacity(distinct)
+        WordMap::with_capacity_and_hasher(distinct, WordState::default())
     }
 
     fn insert(index: &mut Self::Index, key: i64, slot: (u32, u32)) {
@@ -199,7 +201,7 @@ impl JoinKey for i64 {
     }
 
     #[inline]
-    fn merge(map: &mut HashMap<i64, Vec<i64>>, key: i64, payload: i64) {
+    fn merge(map: &mut WordMap<i64, Vec<i64>>, key: i64, payload: i64) {
         map.entry(key).or_default().push(payload);
     }
 
@@ -225,7 +227,7 @@ impl JoinKey for i64 {
 /// collisions cost an extra memcmp, never a wrong join result.
 #[derive(Debug, Clone)]
 pub struct StrIndex {
-    map: HashMap<i64, Vec<StrEntry>>,
+    map: WordMap<i64, Vec<StrEntry>>,
     keys: Vec<u8>,
 }
 
@@ -269,7 +271,7 @@ impl JoinKey for String {
 
     fn index_with_capacity(distinct: usize) -> StrIndex {
         StrIndex {
-            map: HashMap::with_capacity(distinct),
+            map: WordMap::with_capacity_and_hasher(distinct, WordState::default()),
             keys: Vec::new(),
         }
     }
@@ -307,7 +309,7 @@ impl JoinKey for String {
     }
 
     #[inline]
-    fn merge(map: &mut HashMap<String, Vec<i64>>, key: &str, payload: i64) {
+    fn merge(map: &mut WordMap<String, Vec<i64>>, key: &str, payload: i64) {
         match map.get_mut(key) {
             Some(payloads) => payloads.push(payload),
             None => {
@@ -381,7 +383,7 @@ impl<K: JoinKey> HashTable<K> {
     where
         I: IntoIterator<Item = JoinPartition<K>>,
     {
-        let mut merged: HashMap<K, Vec<i64>> = HashMap::new();
+        let mut merged: WordMap<K, Vec<i64>> = WordMap::default();
         for partition in partitions {
             for (key, payloads) in partition.map {
                 merged.entry(key).or_default().extend(payloads);
@@ -494,14 +496,14 @@ impl<K: JoinKey> HashTable<K> {
 /// shared probe".
 #[derive(Debug, Clone)]
 pub struct JoinPartition<K: JoinKey = i64> {
-    map: HashMap<K, Vec<i64>>,
+    map: WordMap<K, Vec<i64>>,
     rows: usize,
 }
 
 impl<K: JoinKey> Default for JoinPartition<K> {
     fn default() -> Self {
         JoinPartition {
-            map: HashMap::new(),
+            map: WordMap::default(),
             rows: 0,
         }
     }
@@ -549,7 +551,11 @@ pub struct JoinObservation {
     pub input: usize,
     /// Rows surviving the join.
     pub output: usize,
-    /// Elapsed nanoseconds.
+    /// Elapsed nanoseconds of the join's lookups *and* of its payload
+    /// projection onto the rows that survive it: one lookup per row
+    /// serves both, so the time is not split. Every join's sample covers
+    /// the same two steps, which keeps the reorder rank
+    /// `cost / (1 − pass)` comparing like with like.
     pub ns: u64,
 }
 
@@ -623,14 +629,15 @@ impl KeyColumn<'_> {
 /// `sides` in the fixed `order`, with no controller interaction: the
 /// morsel-level worker step the parallel join chain runs, and the core
 /// of [`AdaptiveJoinChain::probe_chunk_mixed`]. Returns the survivors
-/// (indices are **global** row numbers into the columns) and one
-/// [`JoinObservation`] per join, in probe order.
+/// (indices are **global** row numbers into the columns) with their
+/// payload sums, and one [`JoinObservation`] per join, in probe order.
+/// Each join looks a live row's key up once: the same lookup filters the
+/// row and projects its payloads.
 ///
 /// `keys[j]`'s kind must match `sides[j]` (validated up front, clear
 /// panic on mismatch, like unequal column lengths or an out-of-range
 /// `order`). The kind dispatch is hoisted out of the row loops — each
-/// join's probe
-/// runs the same monomorphic inner loop as the integer-only path.
+/// join's probe runs one monomorphic inner loop per key type.
 pub fn probe_chunk_with_order_mixed(
     sides: &[JoinSide],
     order: &[usize],
@@ -646,13 +653,18 @@ pub fn probe_chunk_with_order_mixed(
         assert!(j < sides.len(), "order names join {j} of {}", sides.len());
     }
     let mut alive: Vec<u32> = (range.start as u32..range.end as u32).collect();
+    let mut payload_sum = vec![0i64; alive.len()];
     let mut observations = Vec::with_capacity(order.len());
     for &j in order {
         let t0 = Instant::now();
         let input = alive.len();
         match (&sides[j], keys[j]) {
-            (JoinSide::Int(t), KeyColumn::Int(k)) => alive.retain(|&i| t.contains(k[i as usize])),
-            (JoinSide::Str(t), KeyColumn::Str(k)) => alive.retain(|&i| t.contains(&k[i as usize])),
+            (JoinSide::Int(t), KeyColumn::Int(k)) => {
+                join_step(&mut alive, &mut payload_sum, |i| t.matches(k[i as usize]))
+            }
+            (JoinSide::Str(t), KeyColumn::Str(k)) => {
+                join_step(&mut alive, &mut payload_sum, |i| t.matches(&k[i as usize]))
+            }
             _ => unreachable!("kinds validated up front"),
         }
         observations.push(JoinObservation {
@@ -662,24 +674,6 @@ pub fn probe_chunk_with_order_mixed(
             ns: t0.elapsed().as_nanos() as u64,
         });
     }
-    // Payload projection, one monomorphic pass per join over the
-    // survivors (duplicate build keys contribute every match).
-    let mut payload_sum = vec![0i64; alive.len()];
-    for (side, col) in sides.iter().zip(keys) {
-        match (side, *col) {
-            (JoinSide::Int(t), KeyColumn::Int(k)) => {
-                for (slot, &i) in payload_sum.iter_mut().zip(&alive) {
-                    *slot += t.matches(k[i as usize]).iter().sum::<i64>();
-                }
-            }
-            (JoinSide::Str(t), KeyColumn::Str(k)) => {
-                for (slot, &i) in payload_sum.iter_mut().zip(&alive) {
-                    *slot += t.matches(&k[i as usize]).iter().sum::<i64>();
-                }
-            }
-            _ => unreachable!("kinds validated up front"),
-        }
-    }
     (
         ChainResult {
             indices: alive,
@@ -687,6 +681,32 @@ pub fn probe_chunk_with_order_mixed(
         },
         observations,
     )
+}
+
+/// One join of the chain over the live rows, with one lookup per row: a
+/// row whose key misses is dropped, a surviving row adds the sum of its
+/// matching payloads (every duplicate build match) to its running
+/// `payload_sum`. Compacts both vectors in place, keeping row order. The
+/// sums are exact `i64` additions, so adding them in probe order instead
+/// of side order gives the same result.
+#[inline]
+fn join_step<'t>(
+    alive: &mut Vec<u32>,
+    payload_sum: &mut Vec<i64>,
+    matches: impl Fn(u32) -> &'t [i64],
+) {
+    let mut kept = 0;
+    for r in 0..alive.len() {
+        let row = alive[r];
+        let payloads = matches(row);
+        if !payloads.is_empty() {
+            alive[kept] = row;
+            payload_sum[kept] = payload_sum[r] + payloads.iter().sum::<i64>();
+            kept += 1;
+        }
+    }
+    alive.truncate(kept);
+    payload_sum.truncate(kept);
 }
 
 /// Panic with a clear message unless every mixed key column matches its

@@ -4,6 +4,8 @@
 //! selections — the X100 execution model. Selections compose across
 //! operators; `materialize` (condense) runs only at pipeline breakers.
 
+use std::borrow::Cow;
+
 use adaptvm_dsl::ast::ScalarOp;
 use adaptvm_kernels::{filter_cmp, map_apply, FilterFlavor, MapMode, Operand};
 use adaptvm_storage::chunk::Chunk;
@@ -16,13 +18,14 @@ use crate::ops;
 /// Errors from the operator layer.
 pub type OpResult<T> = Result<T, adaptvm_kernels::KernelError>;
 
-/// Extract a named column as `Vec<i64>` — the shared precondition
+/// A named integer column as `i64`s — borrowed when it already holds
+/// `i64`, widened otherwise — or a typed precondition error: the shared
 /// plumbing of the join and aggregation pipelines.
-pub(crate) fn int_column(table: &Table, name: &str) -> OpResult<Vec<i64>> {
+pub(crate) fn int_column<'t>(table: &'t Table, name: &str) -> OpResult<Cow<'t, [i64]>> {
     table
         .column_by_name(name)
         .map_err(adaptvm_kernels::KernelError::Storage)?
-        .to_i64_vec()
+        .to_i64_cow()
         .ok_or_else(|| {
             adaptvm_kernels::KernelError::Precondition(format!("{name} must be integer"))
         })

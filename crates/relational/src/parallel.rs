@@ -43,6 +43,7 @@ use std::collections::HashMap;
 use std::convert::Infallible;
 
 use adaptvm_dsl::ast::ScalarOp;
+use adaptvm_kernels::hash::WordMap;
 use adaptvm_kernels::{FilterFlavor, MapMode};
 use adaptvm_parallel::{
     build_then_probe, run_vm, BuildProbeStats, CancelToken, MemoryBudget, Morsel, MorselPlan,
@@ -381,13 +382,7 @@ pub fn parallel_hash_aggregate(
 ) -> OpResult<Vec<(i64, GroupState)>> {
     let _stage = opts.stage("aggregate");
     let chunk_rows = chunk_rows.max(1);
-    let keys = table
-        .column_by_name(key_col)
-        .map_err(adaptvm_kernels::KernelError::Storage)?
-        .to_i64_vec()
-        .ok_or_else(|| {
-            adaptvm_kernels::KernelError::Precondition(format!("{key_col} must be integer"))
-        })?;
+    let keys = ops::int_column(table, key_col)?;
     let values = table
         .column_by_name(value_col)
         .map_err(adaptvm_kernels::KernelError::Storage)?
@@ -410,7 +405,7 @@ pub fn parallel_hash_aggregate(
     let (partials, _) = run.map_err(kernel_run_err)?;
 
     // Merge phase: morsel order, then key order for the final answer.
-    let mut global: HashMap<i64, GroupState> = HashMap::new();
+    let mut global: WordMap<i64, GroupState> = WordMap::default();
     for partial in partials {
         for (k, s) in partial {
             global.entry(k).or_default().merge(&s);
@@ -901,18 +896,9 @@ fn q18_finish(
     orders: &Table,
     threshold: f64,
 ) -> OpResult<Vec<tpch::Q18Row>> {
-    use adaptvm_kernels::KernelError;
-    let okey = orders
-        .column_by_name("o_orderkey")
-        .map_err(KernelError::Storage)?
-        .to_i64_vec()
-        .ok_or_else(|| KernelError::Precondition("o_orderkey must be integer".into()))?;
-    let odate = orders
-        .column_by_name("o_orderdate")
-        .map_err(KernelError::Storage)?
-        .to_i64_vec()
-        .ok_or_else(|| KernelError::Precondition("o_orderdate must be integer".into()))?;
-    let dates: HashMap<i64, i64> = okey.into_iter().zip(odate).collect();
+    let okey = ops::int_column(orders, "o_orderkey")?;
+    let odate = ops::int_column(orders, "o_orderdate")?;
+    let dates: WordMap<i64, i64> = okey.iter().copied().zip(odate.iter().copied()).collect();
     Ok(groups
         .into_iter()
         .filter(|(_, g)| g.sum > threshold)
@@ -1003,9 +989,7 @@ pub fn q9_parallel(
     let _stage = opts.stage("q9");
     let mut part = HashTable::from_rows(&data.part_keys, &data.part_payload);
     let mut supp = HashTable::from_rows(&data.supp_keys, &data.supp_payload);
-    let brand_payloads = Array::from(data.brand_payload.clone());
-    let mut brand = StrHashTable::build(&Array::from(data.brand_keys.clone()), &brand_payloads)
-        .expect("Utf8 keys with integer payloads");
+    let mut brand = StrHashTable::from_rows(&data.brand_keys, &data.brand_payload);
     if bloom {
         part = part.with_bloom();
         supp = supp.with_bloom();
@@ -1021,7 +1005,7 @@ pub fn q9_parallel(
     );
     let n = data.l_partkey.len();
     let batch_rows = batch_rows.max(1);
-    let mut groups: HashMap<i64, (i64, i64)> = HashMap::new();
+    let mut groups: WordMap<i64, (i64, i64)> = WordMap::default();
     let mut start = 0;
     while start < n {
         let end = (start + batch_rows).min(n);

@@ -83,8 +83,8 @@
 //! ```
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 
+use adaptvm_kernels::hash::WordMap;
 use adaptvm_kernels::map::hash_i64;
 use adaptvm_kernels::KernelError;
 use adaptvm_parallel::{
@@ -739,7 +739,7 @@ impl<'a, K: JoinKey> Settle<'_, 'a, K> {
 /// resident group table (rows already folded in global row order) or a
 /// spilled run of raw `(key, f64 bits)` rows.
 struct AggSides<'a> {
-    groups: Vec<Option<HashMap<i64, GroupState>>>,
+    groups: Vec<Option<WordMap<i64, GroupState>>>,
     runs: Vec<Option<Run>>,
     leases: Vec<BudgetLease<'a>>,
     dir: Option<SpillDir>,
@@ -751,8 +751,8 @@ struct AggSides<'a> {
 /// global row order, which makes the result bit-identical to the
 /// sequential fold regardless of what spilled.
 struct AggSpillOp<'a> {
-    keys: Vec<i64>,
-    value_bits: Vec<i64>,
+    keys: Cow<'a, [i64]>,
+    values: &'a [f64],
     budget: &'a MemoryBudget,
     plan: MorselPlan,
 }
@@ -773,7 +773,7 @@ impl<'a> SpillableOp for AggSpillOp<'a> {
         for i in m.start..m.end() {
             let b = bucket_of(hash_i64(self.keys[i]), 0);
             parts[b].0.push(self.keys[i]);
-            parts[b].1.push(self.value_bits[i]);
+            parts[b].1.push(self.values[i].to_bits() as i64);
         }
         Ok(parts)
     }
@@ -798,7 +798,7 @@ impl<'a> SpillableOp for AggSpillOp<'a> {
         for (b, (keys, bits)) in buckets.into_iter().enumerate() {
             let cost = keys.len() * AGG_ROW_BYTES;
             if let Ok(lease) = self.budget.lease(cost) {
-                let mut map: HashMap<i64, GroupState> = HashMap::new();
+                let mut map: WordMap<i64, GroupState> = WordMap::default();
                 for (&k, &v) in keys.iter().zip(&bits) {
                     map.entry(k).or_default().observe_bits(v);
                 }
@@ -901,7 +901,7 @@ fn settle_agg_run(
         if lease.is_none() {
             stats.forced_builds += 1;
         }
-        let mut map: HashMap<i64, GroupState> = HashMap::new();
+        let mut map: WordMap<i64, GroupState> = WordMap::default();
         drain_run(run, stats, |frame| {
             for (&k, &v) in frame.cols[0].iter().zip(&frame.cols[1]) {
                 map.entry(k).or_default().observe_bits(v);
@@ -968,24 +968,17 @@ pub fn parallel_hash_aggregate_spill(
     opts: ParallelOpts<'_>,
 ) -> OpResult<(Vec<(i64, GroupState)>, SpillStats)> {
     let _stage = opts.stage("agg-spill");
-    let keys = table
-        .column_by_name(key_col)
-        .map_err(KernelError::Storage)?
-        .to_i64_vec()
-        .ok_or_else(|| KernelError::Precondition(format!("{key_col} must be integer")))?;
-    let value_bits: Vec<i64> = table
+    let keys = crate::ops::int_column(table, key_col)?;
+    let values = table
         .column_by_name(value_col)
         .map_err(KernelError::Storage)?
         .as_f64()
-        .ok_or_else(|| KernelError::Precondition(format!("{value_col} must be f64")))?
-        .iter()
-        .map(|v| v.to_bits() as i64)
-        .collect();
+        .ok_or_else(|| KernelError::Precondition(format!("{value_col} must be f64")))?;
     let budget = opts.effective_budget().unwrap_or(&UNLIMITED);
     let mut op = AggSpillOp {
         plan: MorselPlan::new(keys.len(), opts.effective_morsel_rows()),
         keys,
-        value_bits,
+        values,
         budget,
     };
     let (groups, _stats, spill) =

@@ -781,10 +781,10 @@ impl Q3Cols {
                 .collect())
         };
         Ok(Q3Cols {
-            key: crate::ops::int_column(lineitem, "l_orderkey")?,
+            key: crate::ops::int_column(lineitem, "l_orderkey")?.into_owned(),
             price_c: cents_col("l_extendedprice")?,
             disc_c: cents_col("l_discount")?,
-            ship: crate::ops::int_column(lineitem, "l_shipdate")?,
+            ship: crate::ops::int_column(lineitem, "l_shipdate")?.into_owned(),
         })
     }
 }
@@ -800,7 +800,7 @@ pub fn q3_build_orders(
     let dates = crate::ops::int_column(orders, "o_orderdate")?;
     let mut bk = Vec::new();
     let mut bp = Vec::new();
-    for (k, d) in keys.into_iter().zip(dates) {
+    for (&k, &d) in keys.iter().zip(dates.iter()) {
         if d < date {
             bk.push(k);
             bp.push(d);

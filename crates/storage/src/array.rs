@@ -6,6 +6,8 @@
 //! deliberately simple (an enum over `Vec<T>`) so kernels can match once on
 //! the type tag and then run a tight monomorphic loop over the payload.
 
+use std::borrow::Cow;
+
 use crate::error::StorageError;
 use crate::scalar::{Scalar, ScalarType};
 
@@ -326,6 +328,15 @@ impl Array {
             Array::I32(v) => Some(v.iter().map(|&x| x as i64).collect()),
             Array::I64(v) => Some(v.clone()),
             _ => None,
+        }
+    }
+
+    /// Any integer array as `i64`s: an `I64` payload borrowed, a
+    /// narrower one widened into an owned copy.
+    pub fn to_i64_cow(&self) -> Option<Cow<'_, [i64]>> {
+        match self {
+            Array::I64(v) => Some(Cow::Borrowed(v)),
+            other => other.to_i64_vec().map(Cow::Owned),
         }
     }
 

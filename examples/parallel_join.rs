@@ -11,7 +11,8 @@
 //! Prints per-strategy wall times and speedups, the two-phase
 //! (build/probe) dispatch stats, and verifies that every parallel result
 //! is bit-identical to the sequential engine (exact integer fixed-point
-//! revenue — the strongest rung of the exactness ladder). Worker counts
+//! revenue — the strongest rung of the exactness ladder) and every chain
+//! batch to a one-worker run of the same chain. Worker counts
 //! printed are the executing pool's own; real speedups additionally need
 //! that many hardware cores (see the `available cores` line — on a
 //! single-core container every sweep degenerates to ~1×).
@@ -129,17 +130,32 @@ fn main() {
     let span = rows.min(200_000);
     let probes: Vec<i64> = (0..span as i64).map(|i| i % (span as i64 / 2)).collect();
     let keys = [probes.clone(), probes.clone()];
+    // Eight batches of the chain; every batch's survivors and payload
+    // sums must equal the one-worker run's, whatever order each run
+    // learned.
+    let new_chain =
+        || ParallelJoinChain::new(vec![build(span as i64 / 2), build(span as i64 / 20)], 2);
+    let probe_batches = |chain: &mut ParallelJoinChain, opts: ParallelOpts<'_>| {
+        (0..8)
+            .map(|_| chain.probe_batch(&keys, opts).expect("chain probe"))
+            .collect::<Vec<_>>()
+    };
+    let one_worker = probe_batches(&mut new_chain(), ParallelOpts::new(1, morsel_rows));
     for (i, workers) in workers_sweep.into_iter().enumerate() {
         let opts = opts_for(i, workers);
         let pool_workers = opts.effective_workers();
-        let mut chain =
-            ParallelJoinChain::new(vec![build(span as i64 / 2), build(span as i64 / 20)], 2);
+        let mut chain = new_chain();
         let t0 = Instant::now();
-        let mut survivors = 0;
-        for _ in 0..8 {
-            survivors = chain.probe_batch(&keys, opts).unwrap().indices.len();
-        }
+        let batches = probe_batches(&mut chain, opts);
         let ms = t0.elapsed().as_secs_f64() * 1e3;
+        for (b, (got, want)) in batches.iter().zip(&one_worker).enumerate() {
+            assert_eq!(got.indices, want.indices, "batch {b}: survivors diverged!");
+            assert_eq!(
+                got.payload_sum, want.payload_sum,
+                "batch {b}: payloads diverged!"
+            );
+        }
+        let survivors = batches.last().map_or(0, |r| r.indices.len());
         println!(
             "   {pool_workers} pool worker(s): {ms:8.2} ms  order {:?}  reorders {}  survivors {survivors}",
             chain.order(),
