@@ -39,8 +39,7 @@ impl GroupState {
         self.sum += v;
     }
 
-    /// Merge another partial state (used by pre-aggregation and by the
-    /// partitioned parallel aggregation's final merge phase).
+    /// Merge another partial state (used by pre-aggregation).
     pub fn merge(&mut self, other: &GroupState) {
         if other.count == 0 {
             return;

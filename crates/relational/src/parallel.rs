@@ -22,9 +22,9 @@
 //!   order, so the shared table and the morsel-ordered probe output are
 //!   observably identical to a sequential build + probe (exact: integer
 //!   payloads only),
-//! * [`q1_parallel_fused`], [`parallel_hash_aggregate`] — deterministic
-//!   (worker-count independent) per-morsel merge; equal to the sequential
-//!   fold up to floating-point associativity.
+//! * [`q1_parallel_fused`] — deterministic (worker-count independent)
+//!   per-morsel merge; equal to the sequential fold up to floating-point
+//!   associativity.
 //!
 //! ## Parallel joins
 //!
@@ -55,7 +55,7 @@ use adaptvm_storage::Array;
 use adaptvm_vm::reorder::ReorderController;
 use adaptvm_vm::{Prepared, Vm, VmConfig, VmError};
 
-use crate::agg::{AdaptiveAggregator, GroupState, PreAgg};
+use crate::agg::GroupState;
 use crate::join::{
     probe_chunk_with_order_mixed, validate_mixed_columns, ChainResult, HashTable, JoinKey,
     JoinPartition, JoinSide, KeyColumn, StrHashTable,
@@ -366,54 +366,6 @@ pub fn parallel_filter_project_sum(
         }
     }
     Ok((total, rows))
-}
-
-/// Partitioned hash aggregation with a final merge phase: each morsel
-/// aggregates `(key_col, value_col)` into a private hash table (through
-/// the adaptively pre-aggregating [`AdaptiveAggregator`]), and the
-/// partial tables are merged in morsel order, then sorted by key.
-pub fn parallel_hash_aggregate(
-    table: &Table,
-    key_col: &str,
-    value_col: &str,
-    mode: PreAgg,
-    chunk_rows: usize,
-    opts: ParallelOpts<'_>,
-) -> OpResult<Vec<(i64, GroupState)>> {
-    let _stage = opts.stage("aggregate");
-    let chunk_rows = chunk_rows.max(1);
-    let keys = ops::int_column(table, key_col)?;
-    let values = table
-        .column_by_name(value_col)
-        .map_err(adaptvm_kernels::KernelError::Storage)?
-        .as_f64()
-        .ok_or_else(|| {
-            adaptvm_kernels::KernelError::Precondition(format!("{value_col} must be f64"))
-        })?;
-
-    let plan = MorselPlan::chunk_aligned(table.rows(), opts.effective_morsel_rows(), chunk_rows);
-    let run = opts.runner().run(&plan, opts.cancel, |_, m| {
-        let mut agg = AdaptiveAggregator::new(mode);
-        let mut off = m.start;
-        while off < m.end() {
-            let n = chunk_rows.min(m.end() - off);
-            agg.push_chunk(&keys[off..off + n], &values[off..off + n]);
-            off += n;
-        }
-        Ok::<_, adaptvm_kernels::KernelError>(agg.finish())
-    });
-    let (partials, _) = run.map_err(kernel_run_err)?;
-
-    // Merge phase: morsel order, then key order for the final answer.
-    let mut global: WordMap<i64, GroupState> = WordMap::default();
-    for partial in partials {
-        for (k, s) in partial {
-            global.entry(k).or_default().merge(&s);
-        }
-    }
-    let mut out: Vec<(i64, GroupState)> = global.into_iter().collect();
-    out.sort_by_key(|(k, _)| *k);
-    Ok(out)
 }
 
 /// Extract equal-length build key and integer payload columns (the
@@ -867,14 +819,16 @@ pub fn q6_parallel(
 
 /// Morsel-parallel TPC-H Q18 (large-volume customer): the big group-by —
 /// `sum(l_quantity) by l_orderkey` through the **spillable** parallel
-/// aggregate ([`crate::spill::parallel_hash_aggregate_spill`], which
-/// binds `opts`' effective memory budget) — feeding a filter
-/// (`total > threshold`) and a join back to `orders` for the date.
+/// aggregate (the core of
+/// [`crate::spill::parallel_hash_aggregate_spill`], which binds `opts`'
+/// effective memory budget) — feeding a filter (`total > threshold`) and
+/// a join back to `orders` for the date.
 ///
 /// Bit-identical to [`tpch::q18_reference`] at every worker count,
 /// budget, and executor: the spilling aggregate is bit-identical to the
-/// sequential fold and already key-sorted, and the join is a point
-/// lookup per surviving group.
+/// sequential fold, HAVING runs on its unordered groups so only the
+/// survivors are sorted by key, and the join is a point lookup per
+/// survivor.
 pub fn q18_parallel(
     lineitem: &Table,
     orders: &Table,
@@ -882,26 +836,22 @@ pub fn q18_parallel(
     opts: ParallelOpts<'_>,
 ) -> OpResult<(Vec<tpch::Q18Row>, adaptvm_parallel::SpillStats)> {
     let _stage = opts.stage("q18");
-    let (groups, stats) =
-        crate::spill::parallel_hash_aggregate_spill(lineitem, "l_orderkey", "l_quantity", opts)?;
-    let rows = q18_finish(groups, orders, threshold)?;
+    let (mut groups, stats) =
+        crate::spill::hash_aggregate_spill_unordered(lineitem, "l_orderkey", "l_quantity", opts)?;
+    groups.retain(|(_, g)| g.sum > threshold);
+    groups.sort_unstable_by_key(|&(k, _)| k);
+    let rows = q18_finish(groups, orders)?;
     Ok((rows, stats))
 }
 
-/// The shared tail of the Q18 pipelines: apply the HAVING filter to the
-/// key-sorted group sums and join the survivors back to `orders` for the
-/// date.
-fn q18_finish(
-    groups: Vec<(i64, GroupState)>,
-    orders: &Table,
-    threshold: f64,
-) -> OpResult<Vec<tpch::Q18Row>> {
+/// The shared tail of the Q18 pipelines: join the key-sorted HAVING
+/// survivors back to `orders` for the date.
+fn q18_finish(survivors: Vec<(i64, GroupState)>, orders: &Table) -> OpResult<Vec<tpch::Q18Row>> {
     let okey = ops::int_column(orders, "o_orderkey")?;
     let odate = ops::int_column(orders, "o_orderdate")?;
     let dates: WordMap<i64, i64> = okey.iter().copied().zip(odate.iter().copied()).collect();
-    Ok(groups
+    Ok(survivors
         .into_iter()
-        .filter(|(_, g)| g.sum > threshold)
         .filter_map(|(k, g)| {
             dates.get(&k).map(|&d| tpch::Q18Row {
                 o_orderkey: k,
@@ -962,7 +912,11 @@ pub fn q18_parallel_vm(
             )));
         }
     }
-    let rows = q18_finish(groups, orders, threshold).map_err(VmError::Kernel)?;
+    let survivors = groups
+        .into_iter()
+        .filter(|(_, g)| g.sum > threshold)
+        .collect();
+    let rows = q18_finish(survivors, orders).map_err(VmError::Kernel)?;
     Ok((rows, stats))
 }
 
@@ -1156,53 +1110,6 @@ mod tests {
             .unwrap();
             assert_eq!(rows, seq_rows, "workers={workers}");
             assert_eq!(total.to_bits(), seq_total.to_bits(), "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn partitioned_agg_merges_deterministically() {
-        use adaptvm_storage::gen;
-        let t = gen::measurements(30_000, 16, 9);
-        let reference = parallel_hash_aggregate(
-            &t,
-            "group",
-            "value",
-            PreAgg::Adaptive,
-            1024,
-            ParallelOpts {
-                workers: 1,
-                morsel_rows: 4096,
-                ..ParallelOpts::default()
-            },
-        )
-        .unwrap();
-        // Sanity: counts partition the input.
-        assert_eq!(
-            reference.iter().map(|(_, s)| s.count).sum::<i64>(),
-            t.rows() as i64
-        );
-        for workers in [2, 4, 8] {
-            let par = parallel_hash_aggregate(
-                &t,
-                "group",
-                "value",
-                PreAgg::Adaptive,
-                1024,
-                ParallelOpts {
-                    workers,
-                    morsel_rows: 4096,
-                    ..ParallelOpts::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(par.len(), reference.len());
-            for ((k1, s1), (k2, s2)) in reference.iter().zip(&par) {
-                assert_eq!(k1, k2);
-                assert_eq!(s1.count, s2.count);
-                assert_eq!(s1.sum.to_bits(), s2.sum.to_bits(), "workers={workers}");
-                assert_eq!(s1.min.to_bits(), s2.min.to_bits());
-                assert_eq!(s1.max.to_bits(), s2.max.to_bits());
-            }
         }
     }
 

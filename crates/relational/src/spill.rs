@@ -745,6 +745,26 @@ struct AggSides<'a> {
     dir: Option<SpillDir>,
 }
 
+/// One morsel's rows scattered by level-0 partition into two exact-size
+/// columns: partition `b` is `[offs[b], offs[b + 1])` of `keys` and
+/// `bits` (the value's f64 bits), rows in morsel order.
+struct Scattered {
+    keys: Vec<i64>,
+    bits: Vec<i64>,
+    offs: [usize; SPILL_FANOUT + 1],
+}
+
+impl Scattered {
+    fn rows(&self, b: usize) -> usize {
+        self.offs[b + 1] - self.offs[b]
+    }
+
+    fn slice(&self, b: usize) -> (&[i64], &[i64]) {
+        let r = self.offs[b]..self.offs[b + 1];
+        (&self.keys[r.clone()], &self.bits[r])
+    }
+}
+
 /// Out-of-core hash aggregation as a consume-less [`SpillableOp`]: the
 /// input partitions by group key, resident partitions fold immediately,
 /// spilled partitions fold during settle — each group's rows always in
@@ -758,7 +778,7 @@ struct AggSpillOp<'a> {
 }
 
 impl<'a> SpillableOp for AggSpillOp<'a> {
-    type Partition = Vec<(Vec<i64>, Vec<i64>)>;
+    type Partition = Scattered;
     type Shared = AggSides<'a>;
     type Out = ();
     type Settled = Vec<(i64, GroupState)>;
@@ -768,39 +788,56 @@ impl<'a> SpillableOp for AggSpillOp<'a> {
         &self.plan
     }
 
-    fn partition_morsel(&self, _w: usize, m: &Morsel) -> Result<Self::Partition, KernelError> {
-        let mut parts: Vec<(Vec<i64>, Vec<i64>)> = vec![Default::default(); SPILL_FANOUT];
-        for i in m.start..m.end() {
-            let b = bucket_of(hash_i64(self.keys[i]), 0);
-            parts[b].0.push(self.keys[i]);
-            parts[b].1.push(self.values[i].to_bits() as i64);
+    // Counted scatter: one histogram pass over the level-0 partitions,
+    // then every row is copied once, to its exact slot.
+    fn partition_morsel(&self, _w: usize, m: &Morsel) -> Result<Scattered, KernelError> {
+        let keys = &self.keys[m.start..m.end()];
+        let values = &self.values[m.start..m.end()];
+        let mut offs = [0usize; SPILL_FANOUT + 1];
+        for &k in keys {
+            offs[bucket_of(hash_i64(k), 0) + 1] += 1;
         }
-        Ok(parts)
+        for b in 0..SPILL_FANOUT {
+            offs[b + 1] += offs[b];
+        }
+        let mut next = offs;
+        let mut out_keys = vec![0i64; keys.len()];
+        let mut out_bits = vec![0i64; keys.len()];
+        for (&k, &v) in keys.iter().zip(values) {
+            let slot = &mut next[bucket_of(hash_i64(k), 0)];
+            out_keys[*slot] = k;
+            out_bits[*slot] = v.to_bits() as i64;
+            *slot += 1;
+        }
+        Ok(Scattered {
+            keys: out_keys,
+            bits: out_bits,
+            offs,
+        })
     }
 
+    // Charge partition by partition from the per-morsel counts (no row
+    // touched to size a partition). A resident partition folds its
+    // per-morsel slices in morsel order, so every group sees its rows in
+    // global row order; a spilled one gathers them into one run.
     fn charge(
         &mut self,
-        parts: Vec<Self::Partition>,
+        parts: Vec<Scattered>,
         _budget: &MemoryBudget,
         stats: &mut SpillStats,
     ) -> Result<AggSides<'a>, KernelError> {
-        let mut buckets: Vec<(Vec<i64>, Vec<i64>)> = vec![Default::default(); SPILL_FANOUT];
-        for part in parts {
-            for (b, (k, v)) in part.into_iter().enumerate() {
-                buckets[b].0.extend(k);
-                buckets[b].1.extend(v);
-            }
-        }
         let mut dir: Option<SpillDir> = None;
         let mut groups = Vec::with_capacity(SPILL_FANOUT);
         let mut runs = Vec::with_capacity(SPILL_FANOUT);
         let mut leases = Vec::new();
-        for (b, (keys, bits)) in buckets.into_iter().enumerate() {
-            let cost = keys.len() * AGG_ROW_BYTES;
-            if let Ok(lease) = self.budget.lease(cost) {
+        for b in 0..SPILL_FANOUT {
+            let rows: usize = parts.iter().map(|p| p.rows(b)).sum();
+            if let Ok(lease) = self.budget.lease(rows * AGG_ROW_BYTES) {
                 let mut map: WordMap<i64, GroupState> = WordMap::default();
-                for (&k, &v) in keys.iter().zip(&bits) {
-                    map.entry(k).or_default().observe_bits(v);
+                for (keys, bits) in parts.iter().map(|p| p.slice(b)) {
+                    for (&k, &v) in keys.iter().zip(bits) {
+                        map.entry(k).or_default().observe_bits(v);
+                    }
                 }
                 groups.push(Some(map));
                 runs.push(None);
@@ -811,6 +848,12 @@ impl<'a> SpillableOp for AggSpillOp<'a> {
                 }
                 let d = dir.as_ref().expect("just created");
                 let _io = obs::spill_scope("agg", b as u16, 0);
+                let mut keys = Vec::with_capacity(rows);
+                let mut bits = Vec::with_capacity(rows);
+                for (k, v) in parts.iter().map(|p| p.slice(b)) {
+                    keys.extend_from_slice(k);
+                    bits.extend_from_slice(v);
+                }
                 let batch = RunBatch {
                     cols: vec![keys, bits],
                     ..RunBatch::default()
@@ -831,6 +874,9 @@ impl<'a> SpillableOp for AggSpillOp<'a> {
         })
     }
 
+    // Collect every partition's groups, in no particular order: a key
+    // lives in exactly one level-0 partition, so the union is disjoint,
+    // and each consumer sorts what it keeps.
     fn settle(
         &mut self,
         shared: AggSides<'a>,
@@ -846,9 +892,8 @@ impl<'a> SpillableOp for AggSpillOp<'a> {
             leases,
             dir,
         } = shared;
-        // A key lives in exactly one level-0 partition, so collecting all
-        // partitions' groups and sorting by key is a disjoint union.
-        let mut out: Vec<(i64, GroupState)> = Vec::new();
+        let resident = groups.iter().flatten().map(WordMap::len).sum();
+        let mut out: Vec<(i64, GroupState)> = Vec::with_capacity(resident);
         for map in groups.into_iter().flatten() {
             out.extend(map);
         }
@@ -869,7 +914,6 @@ impl<'a> SpillableOp for AggSpillOp<'a> {
                 &mut out,
             )?;
         }
-        out.sort_by_key(|&(k, _)| k);
         Ok(out)
     }
 }
@@ -934,14 +978,12 @@ fn settle_agg_run(
 
 /// Memory-governed morsel-parallel hash aggregation (count/sum/min/max
 /// per integer group key over an `f64` value column — the TPC-H Q1
-/// family): the out-of-core sibling of
-/// [`crate::parallel::parallel_hash_aggregate`], charging
-/// [`ParallelOpts::effective_budget`] per partition ([`AGG_ROW_BYTES`] a
-/// row) and spilling raw rows to disk when the charge fails. The result
-/// is **bit-identical** to the sequential row-order fold
-/// [`crate::agg::aggregate_rows`] for any budget, worker count, and
-/// morsel size, because each group's rows are observed in global row
-/// order whether its partition spilled or not.
+/// family), charging [`ParallelOpts::effective_budget`] per partition
+/// ([`AGG_ROW_BYTES`] a row) and spilling raw rows to disk when the
+/// charge fails. The result is sorted by key and **bit-identical** to the
+/// sequential row-order fold [`crate::agg::aggregate_rows`] for any
+/// budget, worker count, and morsel size, because each group's rows are
+/// observed in global row order whether its partition spilled or not.
 ///
 /// ```
 /// use adaptvm_parallel::MemoryBudget;
@@ -962,6 +1004,21 @@ fn settle_agg_run(
 /// assert_eq!(budget.used(), 0, "all charges released");
 /// ```
 pub fn parallel_hash_aggregate_spill(
+    table: &Table,
+    key_col: &str,
+    value_col: &str,
+    opts: ParallelOpts<'_>,
+) -> OpResult<(Vec<(i64, GroupState)>, SpillStats)> {
+    let (mut groups, spill) = hash_aggregate_spill_unordered(table, key_col, value_col, opts)?;
+    // Keys are unique, so the unstable sort is deterministic.
+    groups.sort_unstable_by_key(|&(k, _)| k);
+    Ok((groups, spill))
+}
+
+/// [`parallel_hash_aggregate_spill`] without the final sort: the groups
+/// come back in an unspecified order, so a consumer that filters first
+/// (Q18's HAVING) sorts only what it keeps.
+pub(crate) fn hash_aggregate_spill_unordered(
     table: &Table,
     key_col: &str,
     value_col: &str,

@@ -578,6 +578,7 @@ fn interleaved_concurrent_queries_stay_bit_identical() {
 // ---------------------------------------------------------------------------
 
 use adaptvm::parallel::MemoryBudget;
+use adaptvm::relational::agg::aggregate_rows;
 use adaptvm::relational::parallel::{q18_parallel, q9_parallel};
 use adaptvm::relational::spill::MAX_SPILL_DEPTH;
 use adaptvm::relational::tpch::KeyDist;
@@ -715,6 +716,61 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// HAVING runs on the aggregate's unordered groups and only the
+    /// survivors are sorted: whatever the keys (some missing from
+    /// `orders`), the non-integer quantities, the threshold (no, some or
+    /// every group survives), the budget (0 spills everything), the
+    /// morsel size and the worker count, Q18 equals the oracle bit for
+    /// bit, in strictly ascending order-key order, and the budget
+    /// balances.
+    #[test]
+    fn q18_having_before_sort_matches_reference(
+        rows in prop::collection::vec((-20i64..80, -40.0f64..60.0), 0..400),
+        threshold_pick in 0usize..3,
+        quantile in 0.0f64..1.0,
+        budget_pick in 0usize..3,
+        budget_limit in 0usize..20_000,
+        morsel_rows in 1usize..200,
+        workers in 1usize..5,
+    ) {
+        let (keys, qty): (Vec<i64>, Vec<f64>) = rows.into_iter().unzip();
+        let li = Table::new(
+            Schema::new(vec![
+                Field::new("l_orderkey", ScalarType::I64),
+                Field::new("l_quantity", ScalarType::F64),
+            ]),
+            vec![Array::from(keys.clone()), Array::from(qty.clone())],
+        )
+        .unwrap();
+        let orders = tpch::orders(60, 3);
+        let threshold = match threshold_pick {
+            0 => f64::NEG_INFINITY,
+            1 => {
+                let mut sums: Vec<f64> =
+                    aggregate_rows(&keys, &qty).iter().map(|(_, g)| g.sum).collect();
+                sums.sort_by(f64::total_cmp);
+                sums.get((quantile * sums.len() as f64) as usize).copied().unwrap_or(0.0)
+            }
+            _ => f64::INFINITY,
+        };
+        let reference = q18_bits(&tpch::q18_reference(&li, &orders, threshold));
+        let budget = MemoryBudget::bytes(match budget_pick {
+            0 => 0,
+            1 => usize::MAX,
+            _ => budget_limit,
+        });
+        let opts = ParallelOpts::new(workers, morsel_rows).with_budget(&budget);
+        let (out, _) = q18_parallel(&li, &orders, threshold, opts).unwrap();
+        let out = q18_bits(&out);
+        prop_assert_eq!(&out, &reference);
+        prop_assert!(out.windows(2).all(|w| w[0].0 < w[1].0), "{:?}", out);
+        prop_assert_eq!(budget.used(), 0);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Order-by / top-k: external sort sweeps against the stable oracle
 // ---------------------------------------------------------------------
@@ -722,7 +778,7 @@ proptest! {
 use adaptvm::parallel::SpillStats;
 use adaptvm::relational::sort::{external_sort, external_top_k, sort_rows};
 use adaptvm::relational::workload::Workload;
-use adaptvm::storage::ScalarType;
+use adaptvm::storage::{Field, ScalarType, Schema, Table};
 
 /// Duplicate-heavy keys so stability is load-bearing: equal keys must
 /// keep input (morsel) order through every merge shape.

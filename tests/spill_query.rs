@@ -10,7 +10,8 @@ use std::sync::Arc;
 
 use adaptvm::kernels::KernelError;
 use adaptvm::parallel::{
-    CancelToken, MemoryBudget, Priority, QueryService, ServeConfig, TenantQuota, TenantRegistry,
+    CancelToken, MemoryBudget, Priority, QueryService, ServeConfig, SpillStats, TenantQuota,
+    TenantRegistry,
 };
 use adaptvm::relational::agg::{aggregate_rows, GroupState};
 use adaptvm::relational::parallel::ParallelOpts;
@@ -131,6 +132,45 @@ fn zero_budget_single_group_forces_build() {
     assert_eq!(groups, aggregate_rows(&vec![7i64; 500], &values));
     assert!(spill.forced_builds >= 1, "{spill:?}");
     assert_eq!(budget.used(), 0);
+}
+
+/// Every [`SpillStats`] field, exactly, for one fixed table at three
+/// budgets: unlimited, half the footprint, and 0 B. The keys mix 97
+/// groups with a 300-row run of one key, so at 0 B recursion bottoms out
+/// in forced builds. The numbers pin the charge formula (56 B a row per
+/// partition), the frame bytes and every recursion decision.
+#[test]
+fn aggregate_spill_stats_are_pinned() {
+    let keys: Vec<i64> = (0..2_000)
+        .map(|i| (i * 7) % 97)
+        .chain(std::iter::repeat_n(1_000, 300))
+        .collect();
+    let values: Vec<f64> = (0..keys.len()).map(|i| i as f64 * 0.5 - 300.25).collect();
+    let table = table_of(keys.clone(), values.clone());
+    let oracle = aggregate_rows(&keys, &values);
+    let stats = |partitions, runs, written, read, depth, forced| SpillStats {
+        partitions_spilled: partitions,
+        probe_partitions_spilled: 0,
+        runs_written: runs,
+        bytes_written: written,
+        bytes_read: read,
+        max_recursion_depth: depth,
+        forced_builds: forced,
+    };
+    let footprint = keys.len() * AGG_ROW_BYTES;
+    for (limit, pinned) in [
+        (usize::MAX, SpillStats::default()),
+        (footprint / 2, stats(10, 10, 19_544, 19_544, 0, 0)),
+        (0, stats(213, 213, 116_372, 116_372, 3, 98)),
+    ] {
+        let budget = MemoryBudget::bytes(limit);
+        let opts = ParallelOpts::new(2, 128).with_budget(&budget);
+        let (groups, spill) =
+            parallel_hash_aggregate_spill(&table, "group", "value", opts).unwrap();
+        assert_eq!(groups, oracle, "limit={limit}");
+        assert_eq!(spill, pinned, "limit={limit}");
+        assert_eq!(budget.used(), 0);
+    }
 }
 
 #[test]
