@@ -7,8 +7,8 @@
 //! loop the paper asks for: "making adaptive decisions which strategy to
 //! use … but also on which hardware".
 
-use adaptvm_hetsim::cost::price;
-use adaptvm_hetsim::device::DeviceSpec;
+use crate::cost::price;
+use crate::device::DeviceSpec;
 
 /// Discount for the per-device model-error correction.
 const ALPHA: f64 = 0.2;
@@ -137,6 +137,22 @@ mod tests {
             before, after,
             "policy should abandon the mispredicted device"
         );
+    }
+
+    #[test]
+    fn placement_chooses_cpu_for_small_chunks() {
+        // Default-sized 1024-row chunks of a short trace, with feedback at
+        // the priced cost: launch and transfer latency keep every chunk on
+        // the CPU.
+        let mut p = cpu_dgpu();
+        let (lanes, ops, b) = (1024, 4, 1024 * 8);
+        for _ in 0..16 {
+            let d = p.choose(lanes, ops, b, b);
+            let observed = price(&p.devices()[d], lanes, ops, b, b).total_ns();
+            assert!(observed > 0);
+            p.feedback(d, lanes, ops, b, b, observed);
+        }
+        assert_eq!(p.decisions(), &[16, 0], "small chunks belong on the CPU");
     }
 
     #[test]

@@ -19,8 +19,7 @@ use parking_lot::RwLock;
 use crate::compiler::CompiledTrace;
 
 /// The situation key for unspecialized traces: what the engine uses when it
-/// did not specialize on compression scheme, selectivity class or device,
-/// and what a publishing [`crate::compiler::CompileServer`] inserts under.
+/// did not specialize on compression scheme, selectivity class or device.
 /// Sharing the constant keeps every producer and consumer of generic traces
 /// on the same cache entries.
 pub const GENERIC_SITUATION: &str = "generic";
@@ -89,14 +88,6 @@ impl CodeCache {
                 None
             }
         }
-    }
-
-    /// Look up a trace **without** touching hit/miss statistics. This is
-    /// the polling path: an engine waiting for a background compile to land
-    /// may peek every iteration, and those probes must not drown the
-    /// stats that real dispatch decisions are based on.
-    pub fn peek(&self, key: &TraceKey) -> Option<Arc<CompiledTrace>> {
-        self.inner.read().map.get(key).cloned()
     }
 
     /// Insert a trace, evicting the oldest entry when full.

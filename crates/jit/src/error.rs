@@ -24,8 +24,6 @@ pub enum JitError {
         /// Register budget.
         budget: usize,
     },
-    /// The compile server was shut down.
-    ServerDown,
 }
 
 impl fmt::Display for JitError {
@@ -37,7 +35,6 @@ impl fmt::Display for JitError {
             JitError::TooWide { needed, budget } => {
                 write!(f, "fragment needs {needed} registers, budget is {budget}")
             }
-            JitError::ServerDown => write!(f, "compile server is down"),
         }
     }
 }

@@ -17,9 +17,8 @@
 //!    code elimination (real optimization work, iterated to a fixpoint),
 //! 3. [`compiler`] — produces a [`CompiledTrace`] under a calibrated
 //!    compile-cost model (superlinear in fragment size, mirroring "optimizer
-//!    passes tend to take longer with an increasing amount of code"), either
-//!    synchronously or on the [`compiler::CompileServer`] background worker
-//!    (the Fig. 1 "generate code … inject functions" path),
+//!    passes tend to take longer with an increasing amount of code"), on
+//!    the caller's thread (the Fig. 1 "generate code" step),
 //! 4. [`cache`] — code cache keyed by (fragment fingerprint, situation),
 //!    the VM's multi-trace store ("each optimized for a specific
 //!    situation").
@@ -38,6 +37,6 @@ pub mod pipeline;
 
 pub use builder::build_fragment;
 pub use cache::CodeCache;
-pub use compiler::{compile, CompileServer, CompiledTrace, CostModel};
+pub use compiler::{compile, CompiledTrace, CostModel};
 pub use error::JitError;
 pub use ir::{LaneType, TraceIr, TraceResult};

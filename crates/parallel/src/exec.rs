@@ -95,10 +95,8 @@ pub struct ParallelRunReport {
 /// Where the JIT world lives follows the runner. With a scheduler (its
 /// own, or a service's) every morsel compiles into / injects from the
 /// scheduler's shared code cache, so traces survive across queries
-/// (repeated fragments surface as `trace_cache_hits`); `async_compile`
-/// configs without a compile server use the scheduler's background
-/// [`adaptvm_jit::CompileServer`]; and the merged profile window feeds the
-/// scheduler's morsel elasticity after the run. A scoped pool keeps a
+/// (repeated fragments surface as `trace_cache_hits`), and the merged
+/// profile window feeds the scheduler's morsel elasticity after the run. A scoped pool keeps a
 /// code cache already in `config` or installs a fresh one for this run.
 /// Results are identical either way (same per-morsel programs, same
 /// morsel-ordered merge).
@@ -115,9 +113,6 @@ where
     let wall = std::time::Instant::now();
     if let Some(s) = runner.scheduler() {
         config.code_cache = Some(s.cache().clone());
-        if config.async_compile && config.compile_server.is_none() {
-            config.compile_server = Some(s.compile_server().clone());
-        }
     }
     let cache = config
         .code_cache

@@ -34,9 +34,8 @@
 //!   created once, parked between queries) with a query submission queue,
 //!   concurrent multi-query execution, per-query [`CancelToken`]s and
 //!   deadlines checked at morsel boundaries, explicit shutdown with typed
-//!   submission errors, one shared JIT cache + background
-//!   [`adaptvm_jit::CompileServer`] across all queries, and profile-driven
-//!   morsel-size elasticity,
+//!   submission errors, one shared JIT code cache across all queries, and
+//!   profile-driven morsel-size elasticity,
 //! * [`serve`] — [`serve::QueryService`]: the **admission-controlled
 //!   serving layer** over a scheduler — bounded per-priority queues
 //!   (Interactive/Normal/Batch) with typed backpressure, weighted-fair
@@ -73,7 +72,7 @@
 //! ## What is shared, what is not
 //!
 //! Shared (thread-safe, `Arc`): the JIT [`adaptvm_jit::CodeCache`], the
-//! [`adaptvm_jit::CompileServer`], the [`Dispatcher`]. Per-worker: the
+//! [`Dispatcher`]. Per-worker: the
 //! `Env`, the interpreter, flavor policies, per-morsel buffers. The
 //! profile is per-morsel during execution and merged afterwards —
 //! contention-free profiling with a single combined signal for the

@@ -101,13 +101,6 @@ pub enum EventKind {
         /// Modeled compile cost, nanoseconds.
         cost_ns: u64,
     },
-    /// A fragment was submitted to a background compile server.
-    JitSubmit,
-    /// A background compile landed and was injected.
-    JitPublish {
-        /// Modeled compile cost, nanoseconds.
-        cost_ns: u64,
-    },
     /// A fragment failed to build/compile/run: trace-fallback deopt.
     JitDeopt,
     /// One frame written to a spill run.
@@ -211,8 +204,6 @@ impl EventKind {
             EventKind::Morsel { .. } => "morsel",
             EventKind::JitCacheHit => "jit-cache-hit",
             EventKind::JitCompile { .. } => "jit-compile",
-            EventKind::JitSubmit => "jit-submit",
-            EventKind::JitPublish { .. } => "jit-publish",
             EventKind::JitDeopt => "jit-deopt",
             EventKind::SpillWrite { .. } => "spill-write",
             EventKind::SpillRead { .. } => "spill-read",
@@ -233,11 +224,7 @@ impl EventKind {
     fn category(&self) -> &'static str {
         match self {
             EventKind::Morsel { .. } => "exec",
-            EventKind::JitCacheHit
-            | EventKind::JitCompile { .. }
-            | EventKind::JitSubmit
-            | EventKind::JitPublish { .. }
-            | EventKind::JitDeopt => "jit",
+            EventKind::JitCacheHit | EventKind::JitCompile { .. } | EventKind::JitDeopt => "jit",
             EventKind::SpillWrite { .. } | EventKind::SpillRead { .. } => "spill",
             EventKind::BudgetCharge { .. }
             | EventKind::BudgetRefused { .. }
@@ -665,8 +652,6 @@ fn install_hooks() {
             emit(match ev {
                 adaptvm_vm::JitEvent::CacheHit => EventKind::JitCacheHit,
                 adaptvm_vm::JitEvent::Compile { cost_ns } => EventKind::JitCompile { cost_ns },
-                adaptvm_vm::JitEvent::AsyncSubmit => EventKind::JitSubmit,
-                adaptvm_vm::JitEvent::Publish { cost_ns } => EventKind::JitPublish { cost_ns },
                 adaptvm_vm::JitEvent::Deopt => EventKind::JitDeopt,
             })
         }));
@@ -725,12 +710,10 @@ pub struct ProfileRollup {
     pub rows: u64,
     /// Total morsel task time, nanoseconds.
     pub morsel_ns: u64,
-    /// Synchronous + published compiles.
+    /// Compiles.
     pub jit_compiles: u64,
     /// Code-cache hits.
     pub jit_cache_hits: u64,
-    /// Background compile submissions.
-    pub jit_submits: u64,
     /// Trace-fallback deopts.
     pub jit_deopts: u64,
     /// Total modeled compile cost, nanoseconds.
@@ -790,11 +773,6 @@ impl QueryProfile {
                 }
                 EventKind::JitCacheHit => r.jit_cache_hits += 1,
                 EventKind::JitCompile { cost_ns } => {
-                    r.jit_compiles += 1;
-                    r.compile_ns += cost_ns;
-                }
-                EventKind::JitSubmit => r.jit_submits += 1,
-                EventKind::JitPublish { cost_ns } => {
                     r.jit_compiles += 1;
                     r.compile_ns += cost_ns;
                 }
@@ -911,11 +889,10 @@ impl QueryProfile {
         );
         let _ = writeln!(
             out,
-            "  jit: {} compiles ({:.3} ms modeled), {} cache hits, {} submits, {} deopts",
+            "  jit: {} compiles ({:.3} ms modeled), {} cache hits, {} deopts",
             r.jit_compiles,
             r.compile_ns as f64 / 1e6,
             r.jit_cache_hits,
-            r.jit_submits,
             r.jit_deopts
         );
         let _ = writeln!(
@@ -1018,8 +995,6 @@ impl QueryProfile {
                 // Masked: timing-dependent or cross-query state.
                 EventKind::JitCacheHit
                 | EventKind::JitCompile { .. }
-                | EventKind::JitSubmit
-                | EventKind::JitPublish { .. }
                 | EventKind::JitDeopt
                 | EventKind::ScratchAcquire { .. }
                 | EventKind::MorselResize { .. }
@@ -1069,10 +1044,10 @@ fn write_args(out: &mut String, kind: &EventKind) {
                 ",\"index\":{index},\"rows\":{rows},\"stolen\":{stolen}"
             );
         }
-        EventKind::JitCompile { cost_ns } | EventKind::JitPublish { cost_ns } => {
+        EventKind::JitCompile { cost_ns } => {
             let _ = write!(out, ",\"cost_ns\":{cost_ns}");
         }
-        EventKind::JitCacheHit | EventKind::JitSubmit | EventKind::JitDeopt => {}
+        EventKind::JitCacheHit | EventKind::JitDeopt => {}
         EventKind::SpillWrite {
             op,
             partition,
@@ -1178,7 +1153,7 @@ mod tests {
         let _g = trace.enter();
         {
             let _s = stage("build");
-            emit(EventKind::JitSubmit);
+            emit(EventKind::JitCacheHit);
         }
         emit(EventKind::JitDeopt);
         let p = trace.profile();

@@ -25,11 +25,11 @@
 //!   a typed [`SubmitError::ShutDown`], in-flight queries finish, workers
 //!   join. `Drop` calls the same path, so the silent-drop behavior and the
 //!   explicit one are identical,
-//! * one [`CodeCache`] + one *publishing* [`CompileServer`] are owned by
-//!   the scheduler and shared by every query that runs on it: hot
-//!   fragments are compiled once in the background and picked up by later
-//!   morsels — of the same query or of any other (see
-//!   `adaptvm_vm::VmConfig::compile_server`),
+//! * one [`CodeCache`] is owned by the scheduler and shared by every query
+//!   that runs on it: the first morsel to reach a hot fragment compiles it
+//!   on its own worker, and later morsels — of the same query or of any
+//!   other — inject it from the cache (see
+//!   `adaptvm_vm::VmConfig::code_cache`),
 //! * a [`MorselElasticity`] controller adapts the preferred morsel size
 //!   from merged profile windows: grow while compiled traces dominate and
 //!   stealing is rare (fewer per-morsel setups on the fast path), shrink
@@ -96,8 +96,6 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use adaptvm_jit::cache::GENERIC_SITUATION;
-use adaptvm_jit::compiler::{CompileServer, CostModel};
 use adaptvm_jit::CodeCache;
 use adaptvm_storage::DEFAULT_CHUNK;
 
@@ -808,25 +806,14 @@ pub struct Scheduler {
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     workers: usize,
     cache: Arc<CodeCache>,
-    compile_server: Arc<CompileServer>,
     elasticity: MorselElasticity,
     counters: Arc<Counters>,
 }
 
 impl Scheduler {
-    /// A scheduler with `workers` long-lived threads (clamped to ≥1), an
-    /// untimed compile-cost model, and default elasticity bounds.
+    /// A scheduler with `workers` long-lived threads (clamped to ≥1) and
+    /// default elasticity bounds. It spawns no other thread.
     pub fn new(workers: usize) -> Scheduler {
-        Scheduler::with_config(workers, CostModel::untimed(), ElasticityConfig::default())
-    }
-
-    /// Full-control constructor: compile-cost model for the background
-    /// compile server, and elasticity bounds for morsel sizing.
-    pub fn with_config(
-        workers: usize,
-        cost_model: CostModel,
-        elasticity: ElasticityConfig,
-    ) -> Scheduler {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
             registry: Mutex::new(Registry {
@@ -845,19 +832,12 @@ impl Scheduler {
                     .expect("spawn scheduler worker")
             })
             .collect();
-        let cache = Arc::new(CodeCache::new(CODE_CACHE_CAPACITY));
-        let compile_server = Arc::new(CompileServer::with_cache(
-            cost_model,
-            cache.clone(),
-            GENERIC_SITUATION,
-        ));
         Scheduler {
             shared,
             threads: Mutex::new(threads),
             workers,
-            cache,
-            compile_server,
-            elasticity: MorselElasticity::new(elasticity, DEFAULT_MORSEL_ROWS),
+            cache: Arc::new(CodeCache::new(CODE_CACHE_CAPACITY)),
+            elasticity: MorselElasticity::new(ElasticityConfig::default(), DEFAULT_MORSEL_ROWS),
             counters: Arc::new(Counters::default()),
         }
     }
@@ -870,12 +850,6 @@ impl Scheduler {
     /// The shared JIT code cache every query on this scheduler uses.
     pub fn cache(&self) -> &Arc<CodeCache> {
         &self.cache
-    }
-
-    /// The shared background compile server (publishing into
-    /// [`Scheduler::cache`]).
-    pub fn compile_server(&self) -> &Arc<CompileServer> {
-        &self.compile_server
     }
 
     /// The elasticity-preferred morsel size right now.

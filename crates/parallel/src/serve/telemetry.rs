@@ -415,11 +415,14 @@ impl ServiceStats {
 /// one through [`render_text_with`] to keep goldens deterministic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineSnapshot {
-    /// Fragments compiled (sync or via a background publish).
+    /// Fragments compiled.
     pub jit_compiles: u64,
     /// Fragments injected from a shared cache without compiling.
     pub jit_cache_hits: u64,
-    /// Fragments submitted to a background compile server.
+    /// Always 0 in a live capture. Frozen compatibility field: the
+    /// exposition keeps `engine_jit_async_submits_total` in its pinned
+    /// family list.
+    #[doc(hidden)]
     pub jit_async_submits: u64,
     /// Build/compile/run failures that fell back to interpretation.
     pub jit_deopts: u64,

@@ -23,7 +23,7 @@
 //!   first run that optimizes and adopted by every other run of the query
 //!   (one atomic load per iteration to check);
 //! * **per run** — [`Vm::run_prepared`]: environment, interpreter, profile,
-//!   report, placement clocks, pending background compiles.
+//!   report.
 //!
 //! [`Vm::run`] is `prepare` + `run_prepared`: a single run is a query of
 //! one morsel.
@@ -34,7 +34,7 @@
 //! * [`Strategy::CompiledPipeline`] — compile the whole loop body up
 //!   front (HyPer-style; at chunk size 1, literally tuple-at-a-time),
 //! * [`Strategy::Adaptive`] — Fig. 1: profile, partition (§III-B),
-//!   compile hot regions (optionally in the background), inject, and fall
+//!   compile hot regions, inject, and fall
 //!   back to interpretation whenever a fragment is uncompilable. When the
 //!   regions tile the loop body, the one "region" compiled is the whole
 //!   body: the same trace `CompiledPipeline` runs.
@@ -50,10 +50,9 @@ use adaptvm_dsl::normalize::normalize_program;
 use adaptvm_dsl::partition::{partition, PartitionConfig, Region};
 use adaptvm_dsl::typecheck::{infer_expr, Type, TypeEnv};
 use adaptvm_dsl::value::{Value, Vector};
-use adaptvm_hetsim::exec::run_trace_on;
 use adaptvm_jit::builder::{build_fragment, Fragment};
 use adaptvm_jit::cache::{CodeCache, TraceKey, GENERIC_SITUATION};
-use adaptvm_jit::compiler::{compile, CompileServer, CompiledTrace, CostModel};
+use adaptvm_jit::compiler::{compile, CompiledTrace, CostModel};
 use adaptvm_jit::ir::OutputSpec;
 use adaptvm_jit::JitError;
 use adaptvm_storage::array::Array;
@@ -65,7 +64,6 @@ use crate::adaptive::{FixedPolicy, FlavorPolicy};
 use crate::env::{Buffers, Env};
 use crate::error::VmError;
 use crate::interp::{filter_site, Flow, Interpreter, MAX_ITERATIONS};
-use crate::placement::PlacementPolicy;
 use crate::profile::Profile;
 
 /// The Fig. 1 states.
@@ -75,7 +73,8 @@ pub enum VmState {
     Interpret,
     /// Profile analysis + partitioning decision.
     Optimize,
-    /// Fragment compilation (possibly backgrounded).
+    /// Fragment compilation, on the run's own thread (through the code
+    /// cache when one is configured).
     GenerateCode,
     /// Finished traces spliced into the iteration plan.
     InjectFunctions,
@@ -112,33 +111,18 @@ pub struct VmConfig {
     /// Iterations of interpretation before the Optimize transition.
     pub hot_threshold: u64,
     /// Compile-cost model. `VmConfig::default()` uses the *untimed* model
-    /// (costs reported, no wall-clock padding) so tests stay fast;
-    /// benchmarks opt into `CostModel::default()`.
+    /// (costs reported, no wall-clock padding) so tests stay fast; the
+    /// `quickstart` and `tpch_q6` examples and the `adaptvm-bench`
+    /// experiments opt into `CostModel::default()`.
     pub cost_model: CostModel,
     /// §III-B partitioning heuristics.
     pub partition: PartitionConfig,
-    /// Compile on a background worker (Fig. 1 semantics) or synchronously.
-    pub async_compile: bool,
-    /// Devices for placement; empty = host only, >1 = adaptive placement.
-    pub devices: Vec<adaptvm_hetsim::device::DeviceSpec>,
     /// Shared code cache, keyed by fragment fingerprint. When set, compile
     /// decisions consult the cache first and publish finished traces into
     /// it — this is how morsel-parallel workers share one JIT: the first
     /// worker to reach a fragment compiles it, everyone else injects the
     /// cached trace for free (§III-B's multi-trace store, shared).
     pub code_cache: Option<Arc<CodeCache>>,
-    /// Shared background compile server. When set (it must be a
-    /// *publishing* server, [`CompileServer::with_cache`], over the same
-    /// cache as `code_cache`), `async_compile` runs submit hot fragments
-    /// here instead of spawning a private server per run: the submit is
-    /// deduplicated by fragment fingerprint across every run sharing the
-    /// server, the finished trace lands in the shared cache, and each run
-    /// picks it up from there — the run that submitted counts the compile,
-    /// later runs count a `trace_cache_hits`. This is how a long-lived
-    /// scheduler overlaps one background compiler with many concurrent
-    /// morsel runs. A non-publishing server is ignored (the run falls back
-    /// to a private server), because unclaimed finishes would be lost.
-    pub compile_server: Option<Arc<CompileServer>>,
 }
 
 impl Default for VmConfig {
@@ -149,10 +133,7 @@ impl Default for VmConfig {
             hot_threshold: 8,
             cost_model: CostModel::untimed(),
             partition: PartitionConfig::default(),
-            async_compile: false,
-            devices: Vec::new(),
             code_cache: None,
-            compile_server: None,
         }
     }
 }
@@ -182,10 +163,6 @@ pub struct RunReport {
     pub native_trace_executions: u64,
     /// The run profile.
     pub profile: Profile,
-    /// Virtual nanoseconds charged per device (placement runs).
-    pub device_ns: Vec<(String, u64)>,
-    /// Placement decisions per device.
-    pub device_decisions: Vec<(String, u64)>,
     /// Wall-clock nanoseconds of the whole run.
     pub wall_ns: u64,
 }
@@ -381,10 +358,9 @@ impl Injection {
     }
 }
 
-// Unspecialized engine traces use [`GENERIC_SITUATION`] (re-exported from
-// `adaptvm_jit::cache` so publishing compile servers key identically).
-// Specialized situations — compression scheme, selectivity class — keep
-// their own entries beside it; see [`adaptvm_jit::cache`].
+// Unspecialized engine traces use [`GENERIC_SITUATION`]. Specialized
+// situations — compression scheme, selectivity class — keep their own
+// entries beside it; see [`adaptvm_jit::cache`].
 
 impl Vm {
     /// A VM with the given configuration.
@@ -517,7 +493,7 @@ impl Vm {
                 let mut run = LoopRun::new(&self.config, prepared, body);
                 run.run(&mut interp, &mut env)?;
                 interp.exec_stmts(&stmts[body.pos + 1..], &mut env)?;
-                run.finish()
+                run.report
             }
         };
         report.profile = profile;
@@ -546,20 +522,6 @@ struct LoopRun<'a> {
     /// for a hot plan.
     settled: bool,
     report: RunReport,
-    placement: Option<PlacementPolicy>,
-    device_clocks: Vec<u64>,
-    /// This run's private background compile server and its tickets
-    /// (`async_compile` without a shared publishing server).
-    server: Option<CompileServer>,
-    pending: HashMap<u64, Vec<NodeId>>,
-    /// The shared background path: fragments submitted to a *publishing*
-    /// compile server, picked up from its cache when they land. Each
-    /// pending entry is (publish key, covered nodes, whether this run
-    /// enqueued the compile) — the key is built once, from the server's
-    /// own situation string, so server and engine can never disagree and
-    /// the per-iteration poll allocates nothing.
-    shared_server: Option<&'a Arc<CompileServer>>,
-    shared_pending: Vec<(TraceKey, Vec<NodeId>, bool)>,
 }
 
 impl<'a> LoopRun<'a> {
@@ -573,16 +535,6 @@ impl<'a> LoopRun<'a> {
             plan: body.base.clone(),
             settled: false,
             report,
-            placement: (!config.devices.is_empty())
-                .then(|| PlacementPolicy::new(config.devices.clone())),
-            device_clocks: vec![0; config.devices.len()],
-            server: None,
-            pending: HashMap::new(),
-            shared_server: config
-                .compile_server
-                .as_ref()
-                .filter(|s| s.cache().is_some()),
-            shared_pending: Vec::new(),
         }
     }
 
@@ -610,7 +562,6 @@ impl<'a> LoopRun<'a> {
             {
                 self.optimize(iterations, interp.profile);
             }
-            self.poll_compiles(iterations);
             if self.iterate(interp, env)? == Flow::Broke {
                 self.report.iterations = iterations;
                 return Ok(());
@@ -635,21 +586,6 @@ impl<'a> LoopRun<'a> {
         }
         self.report.enter(iteration, VmState::InjectFunctions);
         true
-    }
-
-    /// Splice `fresh` traces into this run's plan and, once nothing this
-    /// run submitted is still compiling, offer the plan to the other runs
-    /// of the query. Losing the publish race is harmless: this run keeps
-    /// its own (equivalent) plan.
-    fn install(&mut self, fresh: Vec<Injection>, iteration: u64) {
-        self.report.injected_traces += fresh.len();
-        let mut injections = self.plan.injections.clone();
-        injections.extend(fresh);
-        self.plan = Arc::new(Plan::build(&self.body.flat, injections));
-        self.report.enter(iteration, VmState::InjectFunctions);
-        if self.pending.is_empty() && self.shared_pending.is_empty() {
-            let _ = self.prepared.hot.set(self.plan.clone());
-        }
     }
 
     fn fallback(&mut self) {
@@ -715,8 +651,7 @@ impl<'a> LoopRun<'a> {
 
     /// The Optimize → GenerateCode → InjectFunctions edges of Fig. 1:
     /// partition under this run's measured costs, then compile each
-    /// fragment (or fetch it from the cache, or hand it to the background
-    /// server).
+    /// fragment (or fetch it from the cache).
     ///
     /// The plan's shape follows from the partition. When its regions tile
     /// the loop body (no node is left to the interpreter), the fragment is
@@ -757,108 +692,16 @@ impl<'a> LoopRun<'a> {
                 self.fallback();
                 continue;
             };
-            if !self.config.async_compile {
-                let trace = self.compile_cached(frag);
-                fresh.push(Injection::new(nodes, trace));
-                continue;
-            }
-            // A cached trace needs no compile round-trip even on the
-            // background path: inject now. Key lookups by the server's own
-            // publish situation when one is shared, else the generic
-            // situation.
-            let key = TraceKey {
-                fingerprint: frag.fingerprint(),
-                situation: self
-                    .shared_server
-                    .and_then(|s| s.situation())
-                    .unwrap_or(GENERIC_SITUATION)
-                    .to_string(),
-            };
-            let cached = self.config.code_cache.as_ref().and_then(|c| c.get(&key));
-            if let Some(trace) = cached {
-                self.report.trace_cache_hits += 1;
-                crate::obs::jit_event(crate::obs::JitEvent::CacheHit);
-                fresh.push(Injection::new(nodes, trace));
-            } else if let Some(shared) = self.shared_server {
-                // Shared publishing server: dedup by fingerprint, pick the
-                // trace up from the publish cache once it lands.
-                match shared.submit_unique(frag) {
-                    Ok(ours) => {
-                        crate::obs::jit_event(crate::obs::JitEvent::AsyncSubmit);
-                        self.shared_pending.push((key, nodes, ours.is_some()));
-                    }
-                    Err(_) => self.fallback(),
-                }
-            } else {
-                let model = self.config.cost_model;
-                let server = self
-                    .server
-                    .get_or_insert_with(|| CompileServer::start(model));
-                if let Ok(ticket) = server.submit(frag) {
-                    crate::obs::jit_event(crate::obs::JitEvent::AsyncSubmit);
-                    self.pending.insert(ticket, nodes);
-                }
-            }
+            let trace = self.compile_cached(frag);
+            fresh.push(Injection::new(nodes, trace));
         }
-        if !self.config.async_compile || !fresh.is_empty() {
-            self.install(fresh, iteration);
-        }
-    }
-
-    /// Inject whatever background compiles have finished.
-    fn poll_compiles(&mut self, iteration: u64) {
-        let mut landed = Vec::new();
-        // Shared server: pick finished compiles up from the publish cache.
-        // The submitting run counts the compile cost, runs that found the
-        // fragment already in flight count a cache hit.
-        if !self.shared_pending.is_empty() {
-            let cache = self
-                .shared_server
-                .and_then(|s| s.cache())
-                .expect("shared_pending implies a publishing server");
-            let mut i = 0;
-            while i < self.shared_pending.len() {
-                let Some(trace) = cache.peek(&self.shared_pending[i].0) else {
-                    i += 1;
-                    continue;
-                };
-                let (_, nodes, ours) = self.shared_pending.remove(i);
-                if ours {
-                    self.report.compile_ns_total += trace.cost_ns;
-                    crate::obs::jit_event(crate::obs::JitEvent::Publish {
-                        cost_ns: trace.cost_ns,
-                    });
-                } else {
-                    self.report.trace_cache_hits += 1;
-                    crate::obs::jit_event(crate::obs::JitEvent::CacheHit);
-                }
-                landed.push(Injection::new(nodes, trace));
-            }
-        }
-        // Private server: claim finished tickets, publish to the cache.
-        let finished = self.server.as_ref().map_or_else(Vec::new, |s| s.poll());
-        for f in finished {
-            let Some(nodes) = self.pending.remove(&f.ticket) else {
-                continue;
-            };
-            self.report.compile_ns_total += f.trace.cost_ns;
-            crate::obs::jit_event(crate::obs::JitEvent::Publish {
-                cost_ns: f.trace.cost_ns,
-            });
-            if let Some(cache) = &self.config.code_cache {
-                cache.insert(
-                    TraceKey {
-                        fingerprint: f.trace.fingerprint,
-                        situation: GENERIC_SITUATION.to_string(),
-                    },
-                    f.trace.clone(),
-                );
-            }
-            landed.push(Injection::new(nodes, f.trace));
-        }
-        if !landed.is_empty() {
-            self.install(landed, iteration);
-        }
+        // Inject (the run is still on the base plan) and offer the plan to
+        // the other runs of the query. Losing the publish race is
+        // harmless: this run keeps its own (equivalent) plan.
+        self.report.injected_traces += fresh.len();
+        self.plan = Arc::new(Plan::build(&body.flat, fresh));
+        self.report.enter(iteration, VmState::InjectFunctions);
+        let _ = self.prepared.hot.set(self.plan.clone());
     }
 
     /// Execute one iteration of the plan.
@@ -884,14 +727,7 @@ impl<'a> LoopRun<'a> {
                     }
                 }
                 Step::Trace(k) => {
-                    match exec_trace(
-                        &plan.injections[k],
-                        interp,
-                        env,
-                        self.config.chunk_size,
-                        self.placement.as_mut(),
-                        &mut self.device_clocks,
-                    ) {
+                    match exec_trace(&plan.injections[k], interp, env, self.config.chunk_size) {
                         Ok(()) => self.report.trace_executions += 1,
                         Err(TraceFailure::Recoverable(_)) => {
                             // Drop the injection from this run's plan for
@@ -924,24 +760,6 @@ impl<'a> LoopRun<'a> {
         }
         Ok(Flow::Normal)
     }
-
-    fn finish(mut self) -> RunReport {
-        if let Some(p) = &self.placement {
-            self.report.device_decisions = p
-                .devices()
-                .iter()
-                .zip(p.decisions())
-                .map(|(d, &c)| (d.name.clone(), c))
-                .collect();
-            self.report.device_ns = p
-                .devices()
-                .iter()
-                .zip(&self.device_clocks)
-                .map(|(d, &ns)| (d.name.clone(), ns))
-                .collect();
-        }
-        self.report
-    }
 }
 
 enum TraceFailure {
@@ -960,8 +778,6 @@ fn exec_trace(
     interp: &mut Interpreter<'_>,
     env: &mut Env<'_>,
     chunk_size: usize,
-    placement: Option<&mut PlacementPolicy>,
-    device_clocks: &mut [u64],
 ) -> Result<(), TraceFailure> {
     let trace = &inj.trace;
     let t0 = Instant::now();
@@ -1026,29 +842,11 @@ fn exec_trace(
             .map_err(|e| TraceFailure::Fatal(e.into()))?;
         let inputs: Vec<&Array> = gathered.iter().map(|a| &**a).collect();
 
-        // 3. Run (with placement when devices are registered).
+        // 3. Run.
         let lanes = inputs.first().map_or(0, |a| a.len());
-        let result = match placement {
-            Some(policy) => {
-                let bytes_in: usize = inputs.iter().map(|a| a.byte_size()).sum();
-                let d = policy.choose(lanes, trace.ir.op_count(), bytes_in, bytes_in);
-                let run = run_trace_on(&policy.devices()[d].clone(), trace, &inputs, None)
-                    .map_err(TraceFailure::Recoverable)?;
-                device_clocks[d] += run.cost.total_ns();
-                policy.feedback(
-                    d,
-                    lanes,
-                    trace.ir.op_count(),
-                    bytes_in,
-                    bytes_in,
-                    run.cost.total_ns(),
-                );
-                run.result
-            }
-            None => trace
-                .run(&inputs, None)
-                .map_err(TraceFailure::Recoverable)?,
-        };
+        let result = trace
+            .run(&inputs, None)
+            .map_err(TraceFailure::Recoverable)?;
         // A condensed input is what a selection output of this trace
         // indexes: keep it for step 4.
         let condensed: Vec<(&str, Array)> = trace
@@ -1272,7 +1070,6 @@ fn collect_binding_types(
 mod tests {
     use super::*;
     use adaptvm_dsl::programs;
-    use adaptvm_hetsim::device::DeviceSpec;
 
     fn fig2_data(n: usize) -> Vec<i64> {
         (0..n as i64).map(|i| (i % 7) - 3).collect()
@@ -1373,43 +1170,6 @@ mod tests {
     }
 
     #[test]
-    fn async_compile_injects_mid_run() {
-        // The background worker races the loop; retry with growing inputs
-        // so the test is robust on fast machines (injection timing is
-        // inherently nondeterministic — that is the point of Fig. 1's
-        // background code generation).
-        let mut injected = None;
-        for scale in [1usize, 8, 32] {
-            let n = 200_000 * scale;
-            let limit = (n - 50_000) as i64;
-            let config = VmConfig {
-                hot_threshold: 2,
-                async_compile: true,
-                ..VmConfig::default()
-            };
-            let (out, report) = run_fig2(config, n, limit);
-            check_fig2(&out, n, limit as usize);
-            if report.injected_traces > 0 {
-                injected = Some(report);
-                break;
-            }
-        }
-        let report = injected.expect("background compile should land within the largest run");
-        let names = report.state_names();
-        assert!(names.contains(&"inject_functions"), "{names:?}");
-        let inject_iter = report
-            .transitions
-            .iter()
-            .find(|t| t.state == VmState::InjectFunctions)
-            .unwrap()
-            .iteration;
-        assert!(
-            inject_iter >= 2,
-            "background injection should land at/after the optimize point"
-        );
-    }
-
-    #[test]
     fn interpret_strategy_never_compiles() {
         let config = VmConfig {
             strategy: Strategy::Interpret,
@@ -1444,34 +1204,6 @@ mod tests {
         let (out, report) = vm.run(&programs::hypot_whole_array(), b).unwrap();
         assert_eq!(out.output("out").unwrap(), &Array::from(vec![5.0, 5.0]));
         assert_eq!(report.iterations, 0);
-    }
-
-    #[test]
-    fn placement_chooses_cpu_for_small_chunks() {
-        let config = VmConfig {
-            strategy: Strategy::CompiledPipeline,
-            devices: vec![DeviceSpec::cpu(), DeviceSpec::discrete_gpu()],
-            ..VmConfig::default()
-        };
-        let (out, report) = run_fig2(config, 10_000, 8192);
-        check_fig2(&out, 10_000, 8192);
-        let cpu = report
-            .device_decisions
-            .iter()
-            .find(|(n, _)| n == "cpu")
-            .unwrap()
-            .1;
-        let gpu = report
-            .device_decisions
-            .iter()
-            .find(|(n, _)| n == "dgpu")
-            .unwrap()
-            .1;
-        assert!(
-            cpu > 0 && gpu == 0,
-            "small chunks belong on the CPU: {report:?}"
-        );
-        assert!(report.device_ns.iter().any(|(_, ns)| *ns > 0));
     }
 
     #[test]
@@ -1614,64 +1346,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_compile_server_publishes_across_runs() {
-        // A publishing server over a shared cache: the first async run
-        // submits the hot fragments; once the compiles land in the cache,
-        // later runs over the same program hit without compiling. Retry
-        // with growing inputs — background landing time is nondeterministic
-        // (that is the point) but the *cache* outlives each run, so the
-        // second run observes whatever the first one seeded.
-        let cache = Arc::new(CodeCache::new(16));
-        let server = Arc::new(CompileServer::with_cache(
-            CostModel::untimed(),
-            cache.clone(),
-            GENERIC_SITUATION,
-        ));
-        let config = VmConfig {
-            strategy: Strategy::Adaptive,
-            hot_threshold: 2,
-            async_compile: true,
-            code_cache: Some(cache.clone()),
-            compile_server: Some(server.clone()),
-            ..VmConfig::default()
-        };
-        let (out1, _) = run_fig2(config.clone(), 200_000, 150_000);
-        check_fig2(&out1, 200_000, 150_000);
-        // Give the background compiles (Fig. 3: two regions) time to
-        // publish.
-        let deadline = Instant::now() + std::time::Duration::from_secs(10);
-        while cache.stats().entries < 2 && Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        assert!(cache.stats().entries > 0, "server must publish to cache");
-        let (out2, r2) = run_fig2(config, 200_000, 150_000);
-        check_fig2(&out2, 200_000, 150_000);
-        assert_eq!(out1.output("v"), out2.output("v"));
-        assert!(
-            r2.trace_cache_hits > 0,
-            "second run must hit the published traces: {r2:?}"
-        );
-        assert_eq!(r2.compile_ns_total, 0, "{r2:?}");
-    }
-
-    #[test]
-    fn non_publishing_shared_server_is_ignored() {
-        // A plain `start()` server cannot be shared safely (unclaimed
-        // finishes would be lost), so the engine falls back to its private
-        // background path and still completes correctly.
-        let server = Arc::new(CompileServer::start(CostModel::untimed()));
-        let config = VmConfig {
-            strategy: Strategy::Adaptive,
-            hot_threshold: 2,
-            async_compile: true,
-            compile_server: Some(server),
-            ..VmConfig::default()
-        };
-        let (out, _) = run_fig2(config, 50_000, 40_000);
-        check_fig2(&out, 50_000, 40_000);
-    }
-
-    #[test]
     fn trace_selection_over_a_selected_input_indexes_the_condensed_lanes() {
         // A trace whose flow input arrives from the environment with a
         // pending selection runs over the condensed lanes, so the
@@ -1715,7 +1389,7 @@ mod tests {
         let mut profile = Profile::new();
         let mut policy = FixedPolicy::default();
         let mut interp = Interpreter::new(1024, &mut profile, &mut policy);
-        exec_trace(&injection, &mut interp, &mut env, 1024, None, &mut [])
+        exec_trace(&injection, &mut interp, &mut env, 1024)
             .unwrap_or_else(|_| panic!("trace step failed"));
         let u = env
             .get("u")
@@ -1775,7 +1449,7 @@ mod tests {
         let mut profile = Profile::new();
         let mut policy = FixedPolicy::default();
         let mut interp = Interpreter::new(1024, &mut profile, &mut policy);
-        exec_trace(&injection, &mut interp, &mut env, 1024, None, &mut [])
+        exec_trace(&injection, &mut interp, &mut env, 1024)
             .unwrap_or_else(|_| panic!("trace step failed"));
         // 20*2 + 3*10 + 5*100.
         assert_eq!(env.get("s").unwrap().as_i64(), Some(570));

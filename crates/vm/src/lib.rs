@@ -14,8 +14,12 @@
 //!   execution strategies (vectorized / tuple-at-a-time compiled /
 //!   column-at-a-time / fully adaptive),
 //! * [`reorder`] — on-the-fly reordering of selective operators (§III-C),
-//! * [`placement`] — adaptive device placement over the simulated
-//!   heterogeneous substrate (§IV target 3).
+//! * [`obs`] — process-wide JIT counters and the JIT event hook.
+//!
+//! Every trace the engine injects is compiled on the run's own thread and
+//! runs on the host. Device placement over the simulated heterogeneous
+//! substrate (§IV target 3) lives in `adaptvm_hetsim::placement`, outside
+//! the engine.
 
 pub mod adaptive;
 pub mod engine;
@@ -23,7 +27,6 @@ pub mod env;
 pub mod error;
 pub mod interp;
 pub mod obs;
-pub mod placement;
 pub mod profile;
 pub mod reorder;
 

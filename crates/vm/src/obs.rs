@@ -25,14 +25,6 @@ pub enum JitEvent {
         /// Modeled compile cost, nanoseconds.
         cost_ns: u64,
     },
-    /// A fragment was submitted to a background compile server.
-    AsyncSubmit,
-    /// A background compile landed and was injected (modeled cost
-    /// attached; emitted by the run that submitted it).
-    Publish {
-        /// Modeled compile cost, nanoseconds.
-        cost_ns: u64,
-    },
     /// A fragment failed to build/compile/run and execution fell back to
     /// the interpreter (the adaptive strategy's deopt path).
     Deopt,
@@ -41,16 +33,16 @@ pub enum JitEvent {
 /// A snapshot of the process-wide JIT counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JitCounters {
-    /// Fragments compiled (synchronously or via a background publish).
+    /// Fragments compiled.
     pub compiles: u64,
     /// Fragments injected from a shared cache without compiling.
     pub cache_hits: u64,
-    /// Fragments submitted to a background compile server.
-    pub async_submits: u64,
     /// Build/compile/run failures that fell back to interpretation.
     pub deopts: u64,
     /// Always 0. Frozen compatibility fields: the `benchmark/` crate still
     /// reads them; nothing in the engine increments them.
+    #[doc(hidden)]
+    pub async_submits: u64,
     #[doc(hidden)]
     pub native_installs: u64,
     #[doc(hidden)]
@@ -59,7 +51,6 @@ pub struct JitCounters {
 
 static COMPILES: AtomicU64 = AtomicU64::new(0);
 static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static ASYNC_SUBMITS: AtomicU64 = AtomicU64::new(0);
 static DEOPTS: AtomicU64 = AtomicU64::new(0);
 
 type JitHook = Box<dyn Fn(JitEvent) + Send + Sync>;
@@ -77,8 +68,8 @@ pub fn jit_counters() -> JitCounters {
     JitCounters {
         compiles: COMPILES.load(Ordering::Relaxed),
         cache_hits: CACHE_HITS.load(Ordering::Relaxed),
-        async_submits: ASYNC_SUBMITS.load(Ordering::Relaxed),
         deopts: DEOPTS.load(Ordering::Relaxed),
+        async_submits: 0,
         native_installs: 0,
         native_deopts: 0,
     }
@@ -88,10 +79,7 @@ pub fn jit_counters() -> JitCounters {
 pub(crate) fn jit_event(ev: JitEvent) {
     match ev {
         JitEvent::CacheHit => CACHE_HITS.fetch_add(1, Ordering::Relaxed),
-        JitEvent::Compile { .. } | JitEvent::Publish { .. } => {
-            COMPILES.fetch_add(1, Ordering::Relaxed)
-        }
-        JitEvent::AsyncSubmit => ASYNC_SUBMITS.fetch_add(1, Ordering::Relaxed),
+        JitEvent::Compile { .. } => COMPILES.fetch_add(1, Ordering::Relaxed),
         JitEvent::Deopt => DEOPTS.fetch_add(1, Ordering::Relaxed),
     };
     if let Some(hook) = HOOK.get() {
@@ -108,13 +96,11 @@ mod tests {
         let before = jit_counters();
         jit_event(JitEvent::CacheHit);
         jit_event(JitEvent::Compile { cost_ns: 10 });
-        jit_event(JitEvent::Publish { cost_ns: 20 });
-        jit_event(JitEvent::AsyncSubmit);
         jit_event(JitEvent::Deopt);
         let after = jit_counters();
         assert_eq!(after.cache_hits - before.cache_hits, 1);
-        assert_eq!(after.compiles - before.compiles, 2);
-        assert_eq!(after.async_submits - before.async_submits, 1);
+        assert_eq!(after.compiles - before.compiles, 1);
+        assert_eq!(after.async_submits, 0);
         assert_eq!(after.deopts - before.deopts, 1);
     }
 }

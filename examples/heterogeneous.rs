@@ -1,6 +1,8 @@
 //! Heterogeneous placement (§IV target 3): the same compiled trace priced
 //! on CPU, integrated GPU, discrete GPU and FPGA profiles, and the adaptive
-//! placement policy following the crossover.
+//! placement policy following the crossover. Asserts the ends of the
+//! crossover it prints: 2^8 rows stay on the CPU, 2^26 rows go to a GPU
+//! profile.
 //!
 //! ```sh
 //! cargo run --release --example heterogeneous
@@ -8,10 +10,10 @@
 
 use adaptvm::dsl::programs;
 use adaptvm::hetsim::cost::price;
-use adaptvm::hetsim::device::DeviceSpec;
+use adaptvm::hetsim::device::{DeviceKind, DeviceSpec};
+use adaptvm::hetsim::placement::PlacementPolicy;
 use adaptvm::jit::compiler::{compile, CostModel};
 use adaptvm::jit::pipeline::whole_pipeline_fragment;
-use adaptvm::vm::placement::PlacementPolicy;
 use std::collections::HashMap;
 
 fn main() {
@@ -35,7 +37,7 @@ fn main() {
         "rows", "cpu µs", "igpu µs", "dgpu µs", "fpga µs", "winner"
     );
     let mut policy = PlacementPolicy::new(devices.clone());
-    for exp in 10..=26 {
+    for exp in 8..=26 {
         let n = 1usize << exp;
         let bytes = n * 8;
         let costs: Vec<f64> = devices
@@ -47,6 +49,18 @@ fn main() {
             "2^{exp:<5} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>10}",
             costs[0], costs[1], costs[2], costs[3], devices[chosen].name
         );
+        match exp {
+            8 => assert_eq!(devices[chosen].kind, DeviceKind::Cpu, "2^8 rows"),
+            26 => assert!(
+                matches!(
+                    devices[chosen].kind,
+                    DeviceKind::IntegratedGpu | DeviceKind::DiscreteGpu
+                ),
+                "2^26 rows went to {}",
+                devices[chosen].name
+            ),
+            _ => {}
+        }
     }
     println!(
         "\ndecisions per device: {:?}",
@@ -57,5 +71,5 @@ fn main() {
             .zip(policy.decisions().iter().copied())
             .collect::<Vec<_>>()
     );
-    println!("Small inputs stay on the CPU (launch+transfer latency);\nlarge streaming inputs migrate to the discrete GPU — the §IV-3 crossover.");
+    println!("Small inputs stay on the CPU (kernel launch latency), mid-sized ones go to the\nintegrated GPU (no transfer), large streaming inputs migrate to the discrete GPU\n— the §IV-3 crossover.");
 }

@@ -17,19 +17,20 @@
 //! * [`kernels`] — pre-compiled vectorized primitives in micro-adaptive
 //!   flavors (§III-A, §III-C),
 //! * [`jit`] — the fusion JIT: trace IR, real optimization passes,
-//!   calibrated compile-cost model, background compile server, code cache
-//!   (§III-B),
-//! * [`hetsim`] — the simulated heterogeneous device substrate (§IV
-//!   target 3),
-//! * [`vm`] — the Fig. 1 state machine engine, profiler, micro-adaptive
-//!   bandits, operator reordering and device placement (§III),
+//!   calibrated compile-cost model, code cache (§III-B),
+//! * [`hetsim`] — the simulated heterogeneous device substrate and the
+//!   adaptive placement policy over it (§IV target 3); a leaf that the VM
+//!   does not use,
+//! * [`vm`] — the Fig. 1 state machine engine (every injected trace is
+//!   compiled synchronously and runs on the host), profiler,
+//!   micro-adaptive bandits and operator reordering (§III),
 //! * [`parallel`] — morsel-driven parallel execution: work-stealing morsel
 //!   dispatch, per-worker interpreters sharing one JIT code cache and one
 //!   merged profile (HyPer-style intra-query parallelism over the
 //!   chunk-at-a-time engine), plus a long-lived worker pool + query
 //!   scheduler (`parallel::scheduler`) that executes many queries
-//!   concurrently over one parked worker set, one shared JIT cache and one
-//!   background compile server — with per-query cancel tokens and
+//!   concurrently over one parked worker set and one shared JIT code
+//!   cache — with per-query cancel tokens and
 //!   deadlines checked at morsel boundaries and an explicit, typed
 //!   shutdown path,
 //! * [`parallel::serve`] — the **admission-controlled serving layer**:

@@ -1,6 +1,12 @@
 //! Integration tests for the adaptive behaviours (experiments B2–B6, B9).
 
-use adaptvm::hetsim::device::DeviceSpec;
+use std::collections::HashMap;
+
+use adaptvm::dsl::programs;
+use adaptvm::hetsim::exec::run_trace_on;
+use adaptvm::hetsim::placement::PlacementPolicy;
+use adaptvm::jit::compiler::compile;
+use adaptvm::jit::pipeline::whole_pipeline_fragment;
 use adaptvm::prelude::*;
 use adaptvm::relational::compressed_exec::{sum_where_gt, ScanStrategy};
 use adaptvm::relational::join::{AdaptiveJoinChain, HashTable};
@@ -15,7 +21,7 @@ use adaptvm::storage::gen;
 fn bandit_policy_through_vm() {
     let n = 64 * 1024;
     let data: Vec<i64> = (0..n as i64).map(|i| (i % 100) - 50).collect();
-    let program = adaptvm::dsl::programs::filter_sum(0, (n - 8192) as i64);
+    let program = programs::filter_sum(0, (n - 8192) as i64);
     let mut policy = BanditPolicy::epsilon_greedy(0.2, 3);
     let config = VmConfig {
         strategy: Strategy::Interpret, // keep filters in the interpreter
@@ -82,36 +88,38 @@ fn join_chain_adapts_and_stays_correct() {
     assert_eq!(survivor_count, Some(100));
 }
 
-/// B6 — placement through the VM: big chunks of a compute-heavy program
-/// migrate off the CPU; outputs stay identical to the host-only run.
+/// B6 — placement over the public API: a compute-heavy trace runs in wide
+/// chunks under the adaptive placement policy with feedback; wide chunks
+/// migrate off the CPU, and every chunk's output is bit-identical to the
+/// trace run on the host.
 #[test]
 fn placement_migrates_large_chunks() {
-    let n = 1 << 21;
-    let data: Vec<i64> = (0..n as i64).collect();
-    let program = adaptvm::dsl::programs::map_chain((n - (1 << 18)) as i64);
-    let run = |devices: Vec<DeviceSpec>| {
-        let config = VmConfig {
-            strategy: Strategy::CompiledPipeline,
-            chunk_size: 1 << 20, // column-ish chunks: enough work to offload
-            devices,
-            ..VmConfig::default()
-        };
-        let vm = Vm::new(config);
-        let buffers = Buffers::new().with_input("xs", Array::from(data.clone()));
-        vm.run(&program, buffers).unwrap()
-    };
-    let (host_out, _) = run(vec![]);
-    let (dev_out, report) = run(vec![DeviceSpec::cpu(), DeviceSpec::integrated_gpu()]);
-    assert_eq!(host_out.output("out"), dev_out.output("out"));
-    let igpu = report
-        .device_decisions
-        .iter()
-        .find(|(n, _)| n == "igpu")
-        .map(|(_, c)| *c)
-        .unwrap_or(0);
+    let frag = whole_pipeline_fragment(&programs::map_chain(i64::MAX), &HashMap::new())
+        .expect("map chain compiles");
+    let trace = compile(frag, &CostModel::untimed());
+    let ops = trace.ir.op_count();
+    let chunk = 1usize << 20; // column-ish chunks: enough work to offload
+    let mut policy = PlacementPolicy::new(vec![DeviceSpec::cpu(), DeviceSpec::integrated_gpu()]);
+    for c in 0..4 {
+        let start = (c * chunk) as i64;
+        let x = Array::from((start..start + chunk as i64).collect::<Vec<_>>());
+        let bytes = x.byte_size();
+        let d = policy.choose(chunk, ops, bytes, bytes);
+        let run = run_trace_on(&policy.devices()[d], &trace, &[&x], None).unwrap();
+        policy.feedback(d, chunk, ops, bytes, bytes, run.cost.total_ns());
+        let host = trace.run(&[&x], None).unwrap();
+        assert_eq!(
+            run.result,
+            host,
+            "chunk {c} on {}",
+            policy.devices()[d].name
+        );
+    }
+    let igpu = policy.decisions()[1];
     assert!(
         igpu > 0,
-        "wide chunks should be placed on the iGPU: {report:?}"
+        "wide chunks should be placed on the iGPU: {:?}",
+        policy.decisions()
     );
 }
 
@@ -140,28 +148,4 @@ fn tpch_stack_agrees() {
     let rev = out.output("revenue").unwrap().as_f64().unwrap()[0];
     assert!((rev - expected).abs() / expected.abs().max(1.0) < 1e-9);
     assert!(report.injected_traces > 0, "Q6 loop should get compiled");
-}
-
-/// Async background compilation (the Fig. 1 concurrency): outputs match
-/// the synchronous run and injection happens mid-loop.
-#[test]
-fn async_compile_equivalence() {
-    let n = 512 * 1024i64;
-    let data: Vec<i64> = (0..n).map(|i| (i % 13) - 6).collect();
-    let run = |async_compile: bool| {
-        let config = VmConfig {
-            hot_threshold: 2,
-            async_compile,
-            ..VmConfig::default()
-        };
-        let vm = Vm::new(config);
-        let buffers = Buffers::new().with_input("some_data", Array::from(data.clone()));
-        vm.run(&adaptvm::dsl::programs::fig2_with_limit(n - 8192), buffers)
-            .unwrap()
-    };
-    let (sync_out, _) = run(false);
-    let (async_out, report) = run(true);
-    assert_eq!(sync_out.output("v"), async_out.output("v"));
-    assert_eq!(sync_out.output("w"), async_out.output("w"));
-    assert!(report.injected_traces > 0);
 }

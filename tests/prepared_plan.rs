@@ -9,8 +9,6 @@
 //! * Racing runs publish one plan; nobody observes a torn one.
 //! * A run whose adopted trace fails falls back on a private copy; the
 //!   published plan is untouched.
-//! * Background compilation through a shared publishing server still
-//!   injects mid-run and still turns into cache hits for the next query.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
@@ -560,63 +558,4 @@ fn a_failing_adopted_trace_falls_back_locally_and_leaves_the_published_plan_inta
     assert_eq!(third.fallbacks, 0, "{third:?}");
     assert_eq!(third.trace_executions, third.iterations, "{third:?}");
     assert_eq!(third.interpreted_nodes, 0, "{third:?}");
-}
-
-// ---------------------------------------------------------------------
-// (e) background compilation
-// ---------------------------------------------------------------------
-
-#[test]
-fn async_compile_on_a_shared_server_injects_mid_run_and_hits_on_the_next_query() {
-    let scheduler = Scheduler::new(2);
-    let chunk_size = 256;
-    let config = VmConfig {
-        chunk_size,
-        hot_threshold: 2,
-        async_compile: true,
-        ..VmConfig::default()
-    };
-    let oracle_config = VmConfig {
-        chunk_size,
-        strategy: Strategy::Interpret,
-        ..VmConfig::default()
-    };
-    // The background worker races the loop; retry with growing inputs so
-    // the first query is long enough for a compile to land inside it.
-    let mut landed: Option<(Table, usize)> = None;
-    for scale in [1usize, 4, 16, 64] {
-        let morsel_rows = 64 * chunk_size * scale;
-        let table = tpch::lineitem(4 * morsel_rows, 9);
-        let (oracle, _) = q6_parallel(
-            &table,
-            DATE_LO,
-            oracle_config.clone(),
-            ParallelOpts::new(1, morsel_rows),
-        )
-        .unwrap();
-        let opts = ParallelOpts::new(2, morsel_rows).with_scheduler(&scheduler);
-        let (revenue, report) = q6_parallel(&table, DATE_LO, config.clone(), opts).unwrap();
-        assert_eq!(revenue.to_bits(), oracle.to_bits(), "scale {scale}");
-        if report.injected_traces > 0 {
-            assert!(report.trace_executions > 0, "{report:?}");
-            landed = Some((table, morsel_rows));
-            break;
-        }
-    }
-    let (table, morsel_rows) = landed.expect("a background compile lands within the largest run");
-    // The next query over the same program: its fragments are in the
-    // scheduler's cache, so its first hot morsel injects without compiling
-    // and the others adopt.
-    let (oracle, _) = q6_parallel(
-        &table,
-        DATE_LO,
-        oracle_config,
-        ParallelOpts::new(1, morsel_rows),
-    )
-    .unwrap();
-    let opts = ParallelOpts::new(2, morsel_rows).with_scheduler(&scheduler);
-    let (revenue, report) = q6_parallel(&table, DATE_LO, config, opts).unwrap();
-    assert_eq!(revenue.to_bits(), oracle.to_bits());
-    assert!(report.trace_cache_hits > 0, "{report:?}");
-    assert!(report.trace_executions > 0, "{report:?}");
 }
