@@ -40,6 +40,11 @@ pub struct ReadSpec {
     pub pos: adaptvm_dsl::ast::Expr,
     /// Optional explicit length expression.
     pub len: Option<adaptvm_dsl::ast::Expr>,
+    /// The variable escapes the region (a node outside it or a scalar
+    /// statement uses it, or an in-region write stores it): the VM binds
+    /// a copy of the chunk after the trace. The trace itself reads the
+    /// chunk in place and never outputs it.
+    pub escapes: bool,
 }
 
 /// A buffer write the VM performs after a trace.
@@ -212,6 +217,7 @@ pub fn build_fragment(
                     buffer,
                     pos,
                     len,
+                    escapes: false,
                 });
                 var_map.insert(
                     var,
@@ -394,7 +400,8 @@ pub fn build_fragment(
     }
 
     // Escaping bindings: consumed outside the region, used by scalar
-    // statements, or needed by an in-region write.
+    // statements, or needed by an in-region write. An escaping read is
+    // bound by the VM from its chunk, not copied through the trace.
     for &id in &region.nodes {
         let node = g.node(id);
         let Some(var) = node.output.clone() else {
@@ -404,6 +411,10 @@ pub fn build_fragment(
             || scalar_uses.contains(&var)
             || needed.contains(&var);
         if !escapes || fold_vars.contains(&var) {
+            continue;
+        }
+        if let Some(read) = reads.iter_mut().find(|r| r.var == var) {
+            read.escapes = true;
             continue;
         }
         if let Some((fvar, flow)) = &filter_binding {
@@ -466,7 +477,7 @@ pub fn build_fragment(
         }
     }
 
-    if outputs.is_empty() {
+    if outputs.is_empty() && !reads.iter().any(|r| r.escapes) {
         return Err(JitError::Unsupported("fragment produces no outputs".into()));
     }
 

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use crate::builder::{Fragment, ReadSpec, WriteSpec};
 use crate::error::JitError;
-use crate::ir::{self, PackedProgram, TraceIr, TraceResult};
+use crate::ir::{self, PackedProgram, TraceIr, TraceResult, Window};
 use crate::passes::{optimize, PassStats};
 
 use adaptvm_storage::array::Array;
@@ -91,16 +91,28 @@ pub struct CompiledTrace {
 }
 
 impl CompiledTrace {
-    /// Execute over chunk inputs (see [`ir::execute`]).
-    pub fn run(
+    /// Execute over equal-length input windows, read in place (see
+    /// [`ir::run_packed`]).
+    pub fn run_windows(
         &self,
-        inputs: &[&Array],
+        inputs: &[Window<'_>],
         candidates: Option<&SelVec>,
     ) -> Result<TraceResult, JitError> {
         match &self.packed {
             Ok(p) => ir::run_packed(&self.ir, p, inputs, candidates),
             Err(e) => Err(e.clone()),
         }
+    }
+
+    /// Execute over whole chunk arrays: [`CompiledTrace::run_windows`]
+    /// with each array as one window.
+    pub fn run(
+        &self,
+        inputs: &[&Array],
+        candidates: Option<&SelVec>,
+    ) -> Result<TraceResult, JitError> {
+        let windows: Vec<Window<'_>> = inputs.iter().map(|a| Window::whole(a)).collect();
+        self.run_windows(&windows, candidates)
     }
 
     // Frozen compatibility surface: the `benchmark/` crate still names

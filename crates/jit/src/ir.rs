@@ -22,6 +22,8 @@
 //! declared type (which is how compact-data-type traces keep their narrow
 //! types at the boundaries). Booleans travel as 0/1 in lane domain.
 
+use std::ops::Range;
+
 use adaptvm_dsl::ast::{FoldFn, ScalarOp};
 use adaptvm_kernels::lanes::for_each_true;
 use adaptvm_kernels::map::hash_str;
@@ -284,8 +286,8 @@ pub(crate) trait LaneNum: Copy + Default + PartialOrd + 'static {
     fn narrow(v: Vec<Self>, ty: ScalarType) -> Array;
     /// Borrow the payload when the array already has the lane type.
     fn view(a: &Array) -> Option<&[Self]>;
-    /// Widen any compatible array to owned lanes.
-    fn widen(a: &Array) -> Option<Vec<Self>>;
+    /// Widen `a[range]` of any compatible array to owned lanes.
+    fn widen(a: &Array, range: Range<usize>) -> Option<Vec<Self>>;
 }
 
 impl LaneNum for i64 {
@@ -371,11 +373,15 @@ impl LaneNum for i64 {
     fn view(a: &Array) -> Option<&[i64]> {
         a.as_i64()
     }
-    fn widen(a: &Array) -> Option<Vec<i64>> {
-        match a {
-            Array::Bool(v) => Some(v.iter().map(|&b| b as i64).collect()),
-            other => other.to_i64_vec(),
-        }
+    fn widen(a: &Array, r: Range<usize>) -> Option<Vec<i64>> {
+        Some(match a {
+            Array::Bool(v) => v.get(r)?.iter().map(|&b| b as i64).collect(),
+            Array::I8(v) => v.get(r)?.iter().map(|&x| x as i64).collect(),
+            Array::I16(v) => v.get(r)?.iter().map(|&x| x as i64).collect(),
+            Array::I32(v) => v.get(r)?.iter().map(|&x| x as i64).collect(),
+            Array::I64(v) => v.get(r)?.to_vec(),
+            Array::F64(_) | Array::Str(_) => return None,
+        })
     }
 }
 
@@ -456,11 +462,16 @@ impl LaneNum for f64 {
     fn view(a: &Array) -> Option<&[f64]> {
         a.as_f64()
     }
-    fn widen(a: &Array) -> Option<Vec<f64>> {
-        match a {
-            Array::Bool(v) => Some(v.iter().map(|&b| b as i64 as f64).collect()),
-            other => other.to_f64_vec(),
-        }
+    fn widen(a: &Array, r: Range<usize>) -> Option<Vec<f64>> {
+        Some(match a {
+            Array::Bool(v) => v.get(r)?.iter().map(|&b| b as i64 as f64).collect(),
+            Array::I8(v) => v.get(r)?.iter().map(|&x| x as f64).collect(),
+            Array::I16(v) => v.get(r)?.iter().map(|&x| x as f64).collect(),
+            Array::I32(v) => v.get(r)?.iter().map(|&x| x as f64).collect(),
+            Array::I64(v) => v.get(r)?.iter().map(|&x| x as f64).collect(),
+            Array::F64(v) => v.get(r)?.to_vec(),
+            Array::Str(_) => return None,
+        })
     }
 }
 
@@ -635,8 +646,9 @@ impl TraceIr {
 /// Read one operand (lane loop).
 ///
 /// # Safety contract (upheld by `pack_typed` + `run_packed`)
-/// * every `PSrc::In(k)` has `k < views.len()`, and all views are at least
-///   the common chunk length (checked on entry),
+/// * every `PSrc::In(k)` has `k < views.len()`, and every view is exactly
+///   the common chunk length (`run_packed` checks that the windows share
+///   one length, `run_packed_typed` that each fits its array),
 /// * every `PSrc::Reg(r)` has `r < regs.len()`.
 #[inline(always)]
 fn rd<T: LaneNum>(views: &[&[T]], regs: &[T], i: usize, s: PSrc<T>) -> T {
@@ -644,8 +656,11 @@ fn rd<T: LaneNum>(views: &[&[T]], regs: &[T], i: usize, s: PSrc<T>) -> T {
         PSrc::In(k) => {
             debug_assert!((k as usize) < views.len() && i < views[k as usize].len());
             // SAFETY: `pack_src` bounds every input operand by the program's
-            // input count, `run_packed` checks one view per input, all of
-            // the chunk length, and every lane index is below that length.
+            // input count; `run_packed` checks one window per input, all of
+            // the chunk length, and `run_packed_typed` builds each view from
+            // its window only when the window lies inside its array (the
+            // checked `get`), so every view has the chunk length; every lane
+            // index is below that length.
             unsafe { *views.get_unchecked(k as usize).get_unchecked(i) }
         }
         PSrc::Reg(r) => {
@@ -1078,22 +1093,60 @@ pub(crate) fn assemble<T: LaneNum>(
     result
 }
 
-/// Run a packed program over chunk inputs.
+/// One trace input: the rows `[start, start + len)` of `array`, read in
+/// place. A chunk of a longer buffer is a window of it; a whole array is
+/// [`Window::whole`].
+#[derive(Debug, Clone, Copy)]
+pub struct Window<'a> {
+    /// The array the rows live in.
+    pub array: &'a Array,
+    /// First row of the window.
+    pub start: usize,
+    /// Rows in the window.
+    pub len: usize,
+}
+
+impl<'a> Window<'a> {
+    /// All of `array`.
+    pub fn whole(array: &'a Array) -> Window<'a> {
+        Window {
+            array,
+            start: 0,
+            len: array.len(),
+        }
+    }
+
+    fn range(&self) -> Range<usize> {
+        self.start..self.start + self.len
+    }
+}
+
+/// Run a packed program over chunk windows of `n` rows each.
 pub(crate) fn run_packed_typed<T: LaneNum>(
     ir: &TraceIr,
     p: &Packed<T>,
-    inputs: &[&Array],
+    inputs: &[Window<'_>],
     n: usize,
     candidates: Option<&SelVec>,
 ) -> Result<TraceResult, JitError> {
-    // Widen inputs once per chunk; borrowed views when types already match.
+    // Borrow each window's lanes when the type already matches; widen only
+    // the window's rows otherwise.
     let stores: Vec<LaneStore<'_, T>> = inputs
         .iter()
-        .map(|a| match T::view(a) {
-            Some(s) => Ok(LaneStore::Borrowed(s)),
-            None => T::widen(a).map(LaneStore::Owned).ok_or_else(|| {
-                JitError::LaneConflict(format!("{} in trace lanes", a.scalar_type()))
-            }),
+        .map(|w| {
+            let lanes = match T::view(w.array) {
+                Some(s) => s.get(w.range()).map(LaneStore::Borrowed),
+                None => T::widen(w.array, w.range()).map(LaneStore::Owned),
+            };
+            lanes.ok_or_else(|| {
+                JitError::LaneConflict(format!(
+                    "{} rows {}..{} of {} in trace lanes",
+                    w.array.scalar_type(),
+                    w.start,
+                    w.start + w.len,
+                    w.array.len()
+                ))
+            })
         })
         .collect::<Result<_, _>>()?;
     let views: Vec<&[T]> = stores
@@ -1119,11 +1172,14 @@ pub(crate) fn run_packed_typed<T: LaneNum>(
     })
 }
 
-/// Run a packed program (dispatching on the lane tag).
+/// Run a packed program (dispatching on the lane tag) over equal-length
+/// input windows, one per `ir.inputs` entry. A window that does not fit
+/// its array is an error, so every view the lane loops index has exactly
+/// the common length.
 pub fn run_packed(
     ir: &TraceIr,
     packed: &PackedProgram,
-    inputs: &[&Array],
+    inputs: &[Window<'_>],
     candidates: Option<&SelVec>,
 ) -> Result<TraceResult, JitError> {
     if inputs.len() != ir.inputs.len() {
@@ -1133,11 +1189,9 @@ pub fn run_packed(
             inputs.len()
         )));
     }
-    let n = inputs.first().map_or(0, |a| a.len());
-    for a in inputs {
-        if a.len() != n {
-            return Err(JitError::Unresolved("trace input length mismatch".into()));
-        }
+    let n = inputs.first().map_or(0, |w| w.len);
+    if inputs.iter().any(|w| w.len != n) {
+        return Err(JitError::Unresolved("trace input length mismatch".into()));
     }
     match packed {
         PackedProgram::I64(p) => run_packed_typed(ir, p, inputs, n, candidates),
@@ -1154,7 +1208,8 @@ pub fn execute(
     candidates: Option<&SelVec>,
 ) -> Result<TraceResult, JitError> {
     let packed = ir.pack()?;
-    run_packed(ir, &packed, inputs, candidates)
+    let windows: Vec<Window<'_>> = inputs.iter().map(|a| Window::whole(a)).collect();
+    run_packed(ir, &packed, &windows, candidates)
 }
 
 #[cfg(test)]

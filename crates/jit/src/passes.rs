@@ -6,7 +6,9 @@
 //!
 //! * **constant folding** — ops over immediates are evaluated at compile
 //!   time,
-//! * **algebraic simplification** — `x*1`, `x+0`, `x*0`, `x-0`, `x/1`,
+//! * **algebraic simplification** — `x*1`, `x/1`, and in integer lanes
+//!   `x+0`, `x-0`, `x*0`; in float lanes only the IEEE-exact `x-(+0.0)`
+//!   and `x+(-0.0)` of those,
 //! * **common subexpression elimination** — structurally identical ops
 //!   reuse one register,
 //! * **dead code elimination** — ops whose result reaches no output,
@@ -14,7 +16,7 @@
 
 use adaptvm_dsl::ast::ScalarOp;
 
-use crate::ir::{OutputSpec, Src, TraceIr, TraceOp};
+use crate::ir::{LaneType, OutputSpec, Src, TraceIr, TraceOp};
 
 /// Statistics of one optimization run (reported by the VM's explain output
 /// and asserted in tests).
@@ -139,7 +141,7 @@ fn eval_const(op: ScalarOp, args: &[Src], is_float: bool) -> Option<Src> {
 }
 
 fn const_fold(ir: &mut TraceIr, stats: &mut PassStats) -> bool {
-    let is_float = matches!(ir.lane, crate::ir::LaneType::F64);
+    let is_float = ir.lane == LaneType::F64;
     let mut changed = false;
     // Apply one replacement at a time: substitutions invalidate any other
     // replacement computed against the pre-substitution state.
@@ -169,26 +171,15 @@ fn remove_op(ir: &mut TraceIr, dst: usize) {
 }
 
 fn simplify(ir: &mut TraceIr, stats: &mut PassStats) -> bool {
+    let float = ir.lane == LaneType::F64;
     let mut changed = false;
     // One replacement per step (see const_fold for why).
     loop {
-        let next = ir.pre_ops.iter().chain(ir.post_ops.iter()).find_map(|op| {
-            let repl = match (op.op, op.args.as_slice()) {
-                (ScalarOp::Add, [x, c]) if is_zero(c) => Some(*x),
-                (ScalarOp::Add, [c, x]) if is_zero(c) => Some(*x),
-                (ScalarOp::Sub, [x, c]) if is_zero(c) => Some(*x),
-                (ScalarOp::Mul, [x, c]) if is_one(c) => Some(*x),
-                (ScalarOp::Mul, [c, x]) if is_one(c) => Some(*x),
-                (ScalarOp::Div, [x, c]) if is_one(c) => Some(*x),
-                // Traces carry finite data, so x*0 = 0 holds in both
-                // lane domains (NaN inputs are rejected upstream by
-                // merge/compare preconditions).
-                (ScalarOp::Mul, [_, c]) if is_zero(c) => Some(Src::ConstI(0)),
-                (ScalarOp::Mul, [c, _]) if is_zero(c) => Some(Src::ConstI(0)),
-                _ => None,
-            };
-            repl.map(|r| (op.dst, r))
-        });
+        let next = ir
+            .pre_ops
+            .iter()
+            .chain(ir.post_ops.iter())
+            .find_map(|op| identity(op, float).map(|r| (op.dst, r)));
         match next {
             Some((dst, r)) => {
                 remove_op(ir, dst);
@@ -198,6 +189,38 @@ fn simplify(ir: &mut TraceIr, stats: &mut PassStats) -> bool {
             }
             None => return changed,
         }
+    }
+}
+
+/// The value `op` reduces to by an algebraic identity that holds for every
+/// input of its lane domain. In i64 lanes those are `x * 1`, `x / 1`,
+/// `x ± 0` and `x * 0 = 0`. In f64 lanes `x + 0.0` is not `x` at −0.0 and
+/// `x * 0.0` is not `0.0` at a negative, infinite or NaN `x`, so only the
+/// rewrites exact for every IEEE 754 input remain: `x * 1`, `x / 1`,
+/// `x − (+0.0)` and `x + (−0.0)`, with the zeros matched by bit pattern.
+fn identity(op: &TraceOp, float: bool) -> Option<Src> {
+    let f64_is = |s: &Src, v: f64| f64_bits(s) == Some(v.to_bits());
+    match (op.op, op.args.as_slice()) {
+        (ScalarOp::Mul, [x, c]) | (ScalarOp::Mul, [c, x]) if is_one(c) => Some(*x),
+        (ScalarOp::Div, [x, c]) if is_one(c) => Some(*x),
+        _ if float => match (op.op, op.args.as_slice()) {
+            (ScalarOp::Add, [x, c]) | (ScalarOp::Add, [c, x]) if f64_is(c, -0.0) => Some(*x),
+            (ScalarOp::Sub, [x, c]) if f64_is(c, 0.0) => Some(*x),
+            _ => None,
+        },
+        (ScalarOp::Add, [x, c]) | (ScalarOp::Add, [c, x]) if is_zero(c) => Some(*x),
+        (ScalarOp::Sub, [x, c]) if is_zero(c) => Some(*x),
+        (ScalarOp::Mul, [_, c]) | (ScalarOp::Mul, [c, _]) if is_zero(c) => Some(Src::ConstI(0)),
+        _ => None,
+    }
+}
+
+/// The bits of an immediate as an f64 lane holds it.
+fn f64_bits(s: &Src) -> Option<u64> {
+    match s {
+        Src::ConstI(v) => Some((*v as f64).to_bits()),
+        Src::ConstF(v) => Some(v.to_bits()),
+        _ => None,
     }
 }
 
@@ -365,6 +388,30 @@ mod tests {
         let (opt, stats) = optimize(ir);
         assert_eq!(stats.simplified, 1);
         assert!(opt.pre_ops.is_empty());
+    }
+
+    #[test]
+    fn float_lanes_keep_only_ieee_exact_identities() {
+        let rewritten = |k: ScalarOp, c: f64| {
+            let ir = TraceIr {
+                lane: LaneType::F64,
+                inputs: vec!["x".into()],
+                n_regs: 1,
+                pre_ops: vec![op(k, 0, vec![Src::Input(0), Src::ConstF(c)])],
+                filter: None,
+                post_ops: vec![],
+                outputs: out(Src::Reg(0)),
+            };
+            optimize(ir).1.simplified > 0
+        };
+        assert!(rewritten(ScalarOp::Mul, 1.0));
+        assert!(rewritten(ScalarOp::Div, 1.0));
+        assert!(rewritten(ScalarOp::Sub, 0.0));
+        assert!(rewritten(ScalarOp::Add, -0.0));
+        assert!(!rewritten(ScalarOp::Add, 0.0));
+        assert!(!rewritten(ScalarOp::Sub, -0.0));
+        assert!(!rewritten(ScalarOp::Mul, 0.0));
+        assert!(!rewritten(ScalarOp::Mul, -0.0));
     }
 
     #[test]

@@ -39,7 +39,6 @@
 //! observation per join per batch, scheduling-independent results.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::convert::Infallible;
 
 use adaptvm_dsl::ast::ScalarOp;
@@ -53,7 +52,7 @@ use adaptvm_storage::scalar::Scalar;
 use adaptvm_storage::schema::Table;
 use adaptvm_storage::Array;
 use adaptvm_vm::reorder::ReorderController;
-use adaptvm_vm::{Prepared, Vm, VmConfig, VmError};
+use adaptvm_vm::{Vm, VmConfig, VmError};
 
 use crate::agg::GroupState;
 use crate::join::{
@@ -754,9 +753,14 @@ pub fn q1_parallel_adaptive(
     Ok(tpch::q1_adaptive_rows(&iaccs))
 }
 
-/// Parallel TPC-H Q6 through the full adaptive VM: one VM program per
-/// morsel (each worker owns its `Env`/interpreter), all sharing one JIT
-/// code cache, revenues folded in morsel order.
+/// Parallel TPC-H Q6 through the full adaptive VM: one prepared program
+/// per query, run once per morsel (each worker owns its `Env`/interpreter),
+/// all sharing one JIT code cache, revenues folded in morsel order.
+///
+/// The program is [`tpch::q6_program`] bounded by the longest morsel; a
+/// shorter morsel (the plan's tail) ends on its first empty read. So
+/// [`Vm::prepare`] runs once, and every morsel, the tail included, adopts
+/// the query's hot plan once one morsel has published it.
 ///
 /// With `morsel_rows == config.chunk_size` every morsel is exactly one
 /// chunk and the revenue fold reproduces the single-threaded VM's
@@ -786,23 +790,21 @@ pub fn q6_parallel(
     // Resolve the four Q6 columns once; each morsel borrows its rows of
     // these as windows, nothing is copied.
     let inputs = tpch::q6_columns(table)?;
-    // The program depends only on a morsel's length (its loop bound), and a
-    // plan has at most two lengths (full and tail): parse and prepare each
-    // once, then every morsel runs its prepared program — and the morsels
-    // of one length share its hot plan. A column of another element type
-    // than the Q6 schema's fails the run with `VmError::InputType`.
-    let mut programs: HashMap<usize, Prepared> = HashMap::new();
-    for m in plan.morsels() {
-        programs.entry(m.len).or_insert_with(|| {
-            Vm::prepare(&tpch::q6_program(m.len as i64, date_lo), tpch::q6_schema())
-        });
-    }
+    // One program for the whole query: bounded by the longest morsel, it
+    // ends a shorter one on its first empty read. A column of another
+    // element type than the Q6 schema's fails the run with
+    // `VmError::InputType`.
+    let longest = plan.morsels().iter().map(|m| m.len).max().unwrap_or(0);
+    let program = Vm::prepare(
+        &tpch::q6_program(longest as i64, date_lo),
+        tpch::q6_schema(),
+    );
     let make = |m: &Morsel| {
         let mut buffers = adaptvm_vm::Buffers::new();
         for &(name, column) in &inputs {
             buffers.insert_window(name, column, m.start, m.len);
         }
-        (&programs[&m.len], buffers)
+        (&program, buffers)
     };
     let (outs, report) = run_vm(opts.runner(), config, &plan, opts.cancel, make)?;
     let mut revenue = 0.0;

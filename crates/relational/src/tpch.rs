@@ -548,13 +548,21 @@ pub fn q1_reference(table: &Table) -> Vec<Q1Row> {
 ///
 /// Buffers: `l_price`, `l_disc`, `l_qty`, `l_ship` (all f64/i64 as in the
 /// schema); the revenue accumulates in `rev` and is written to `revenue`.
+///
+/// `rows` is an upper bound on the rows the loop reads: it also stops on
+/// its first empty read, so one program serves every input of at most
+/// `rows` rows — every morsel of a query, the short tail included (see
+/// [`crate::parallel::q6_parallel`]). On an input of exactly `rows` rows
+/// the bound stops the loop first and no empty chunk is read.
 pub fn q6_program(rows: i64, date_lo: i64) -> Program {
     let date_hi = date_lo + 365;
     let src = format!(
         r#"
         mut i
+        mut n
         mut rev
         i := 0
+        n := 1
         rev := 0.0
         loop {{
           let price = read i l_price in {{
@@ -566,6 +574,7 @@ pub fn q6_program(rows: i64, date_lo: i64) -> Program {
                       let s = fold sum 0.0 r in {{
                         rev := rev + s
                         i := i + len(price)
+                        n := len(price)
                       }}
                     }}
                   }}
@@ -573,7 +582,7 @@ pub fn q6_program(rows: i64, date_lo: i64) -> Program {
               }}
             }}
           }}
-          if i >= {rows} then {{ break }}
+          if i >= {rows} || n == 0 then {{ break }}
         }}
         write revenue 0 rev
         "#

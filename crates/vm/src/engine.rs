@@ -39,7 +39,6 @@
 //!   regions tile the loop body, the one "region" compiled is the whole
 //!   body: the same trace `CompiledPipeline` runs.
 
-use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -50,14 +49,15 @@ use adaptvm_dsl::normalize::normalize_program;
 use adaptvm_dsl::partition::{partition, PartitionConfig, Region};
 use adaptvm_dsl::typecheck::{infer_expr, Type, TypeEnv};
 use adaptvm_dsl::value::{Value, Vector};
-use adaptvm_jit::builder::{build_fragment, Fragment};
+use adaptvm_jit::builder::{build_fragment, Fragment, ReadSpec};
 use adaptvm_jit::cache::{CodeCache, TraceKey, GENERIC_SITUATION};
 use adaptvm_jit::compiler::{compile, CompiledTrace, CostModel};
-use adaptvm_jit::ir::OutputSpec;
+use adaptvm_jit::ir::{OutputSpec, Window};
 use adaptvm_jit::JitError;
 use adaptvm_storage::array::Array;
 use adaptvm_storage::scalar::ScalarType;
 use adaptvm_storage::sel::SelVec;
+use adaptvm_storage::StorageError;
 use adaptvm_storage::DEFAULT_CHUNK;
 
 use crate::adaptive::{FixedPolicy, FlavorPolicy};
@@ -332,6 +332,9 @@ struct Injection {
     /// Selectivity-profile sites of the trace's selection outputs, in
     /// output order (`trace-sel@<name>`).
     sel_sites: Vec<String>,
+    /// For each trace input, the index of the region read that yields it
+    /// (`None`: the input is bound in the environment).
+    input_reads: Vec<Option<usize>>,
 }
 
 impl Injection {
@@ -350,6 +353,12 @@ impl Injection {
                     OutputSpec::Sel { name, .. } => Some(format!("trace-sel@{name}")),
                     _ => None,
                 })
+                .collect(),
+            input_reads: trace
+                .ir
+                .inputs
+                .iter()
+                .map(|name| trace.reads.iter().position(|r| r.var == *name))
                 .collect(),
             anchor,
             covered: nodes.into_iter().collect(),
@@ -782,8 +791,8 @@ fn exec_trace(
     let trace = &inj.trace;
     let t0 = Instant::now();
 
-    // 1. Perform the region's buffer reads.
-    let mut local: HashMap<&str, Array> = HashMap::with_capacity(trace.reads.len());
+    // 1. Evaluate the region's read positions and lengths.
+    let mut extents = Vec::with_capacity(trace.reads.len());
     for spec in &trace.reads {
         let pos = interp
             .eval_scalar_index(&spec.pos, env, "read position")
@@ -794,28 +803,33 @@ fn exec_trace(
                 .map_err(TraceFailure::Fatal)?,
             None => chunk_size,
         };
-        let chunk = env
-            .buffers
-            .read(&spec.buffer, pos, len)
-            .map_err(TraceFailure::Fatal)?;
-        local.insert(&spec.var, chunk);
+        extents.push((pos, len));
     }
 
-    let (result, lanes, condensed) = {
-        // 2. Gather trace inputs: read chunks from `local`, everything else
-        // borrowed from the environment. A pending selection on an incoming
-        // flow puts the whole trace into that flow's condensed lane space —
-        // the flow is condensed, and so is every dense input of the flow's
-        // physical length (the interpreter's common-selection rule: dense
-        // operands ride along with the flow's selection).
-        let mut sources: Vec<(&Array, Option<&SelVec>)> = Vec::with_capacity(trace.ir.inputs.len());
-        for name in &trace.ir.inputs {
-            if let Some(chunk) = local.get(name.as_str()) {
-                sources.push((chunk, None));
+    let (result, lanes, condensed, kept_reads) = {
+        // 2. Gather trace inputs: each read is a window of its buffer, read
+        // in place; everything else is borrowed from the environment. A
+        // pending selection on an incoming flow puts the whole trace into
+        // that flow's condensed lane space — the flow is condensed, and so
+        // is every dense input of the flow's physical length (the
+        // interpreter's common-selection rule: dense operands ride along
+        // with the flow's selection). Only such inputs are copied.
+        let windows = trace
+            .reads
+            .iter()
+            .zip(&extents)
+            .map(|(spec, &(pos, len))| env.buffers.window(&spec.buffer, pos, len))
+            .collect::<Result<Vec<Window<'_>>, _>>()
+            .map_err(TraceFailure::Fatal)?;
+        let mut sources: Vec<(Window<'_>, Option<&SelVec>)> =
+            Vec::with_capacity(trace.ir.inputs.len());
+        for (name, read) in trace.ir.inputs.iter().zip(&inj.input_reads) {
+            if let Some(k) = *read {
+                sources.push((windows[k], None));
                 continue;
             }
             match env.get(name).map_err(TraceFailure::Fatal)? {
-                Value::Vector(v) => sources.push((&v.data, v.sel.as_ref())),
+                Value::Vector(v) => sources.push((Window::whole(&v.data), v.sel.as_ref())),
                 Value::Scalar(_) => {
                     return Err(TraceFailure::Recoverable(JitError::Unsupported(format!(
                         "trace input {name} is a scalar"
@@ -823,29 +837,28 @@ fn exec_trace(
                 }
             }
         }
-        let flow = sources
-            .iter()
-            .find_map(|(data, sel)| sel.map(|s| (s, data.len())));
+        let flow = sources.iter().find_map(|(w, sel)| sel.map(|s| (s, w.len)));
         let gathered = sources
             .iter()
-            .map(|&(data, own)| {
-                let sel = own.or_else(|| match flow {
-                    Some((s, physical)) if data.len() == physical => Some(s),
+            .map(|&(w, own)| {
+                let sel = own.or(match flow {
+                    Some((s, physical)) if w.len == physical => Some(s),
                     _ => None,
                 });
-                match sel {
-                    Some(s) => data.take(s.indices()).map(Cow::Owned),
-                    None => Ok(Cow::Borrowed(data)),
-                }
+                sel.map(|s| gather_window(w, s)).transpose()
             })
-            .collect::<Result<Vec<Cow<'_, Array>>, _>>()
+            .collect::<Result<Vec<Option<Array>>, _>>()
             .map_err(|e| TraceFailure::Fatal(e.into()))?;
-        let inputs: Vec<&Array> = gathered.iter().map(|a| &**a).collect();
+        let inputs: Vec<Window<'_>> = sources
+            .iter()
+            .zip(&gathered)
+            .map(|(&(w, _), g)| g.as_ref().map_or(w, Window::whole))
+            .collect();
 
         // 3. Run.
-        let lanes = inputs.first().map_or(0, |a| a.len());
+        let lanes = inputs.first().map_or(0, |w| w.len);
         let result = trace
-            .run(&inputs, None)
+            .run_windows(&inputs, None)
             .map_err(TraceFailure::Recoverable)?;
         // A condensed input is what a selection output of this trace
         // indexes: keep it for step 4.
@@ -854,12 +867,21 @@ fn exec_trace(
             .inputs
             .iter()
             .zip(gathered)
-            .filter_map(|(name, gathered)| match gathered {
-                Cow::Owned(a) => Some((name.as_str(), a)),
-                Cow::Borrowed(_) => None,
-            })
+            .filter_map(|(name, g)| g.map(|a| (name.as_str(), a)))
             .collect();
-        (result, lanes, condensed)
+        // Copy out the reads that outlive the trace — the escaping ones, and
+        // a selection output's flow — while the windows still see the
+        // buffers as they were read (step 5 may write the same buffer).
+        let kept_reads: Vec<(&ReadSpec, Array)> = trace
+            .reads
+            .iter()
+            .zip(&windows)
+            .filter(|(spec, _)| {
+                spec.escapes || result.sels.iter().any(|(_, flow, _)| *flow == spec.var)
+            })
+            .map(|(spec, w)| (spec, w.array.slice(w.start, w.len)))
+            .collect();
+        (result, lanes, condensed, kept_reads)
     };
 
     // 4. Bind outputs (arrays first — selections may reference them).
@@ -870,7 +892,11 @@ fn exec_trace(
         let carrier = condensed
             .iter()
             .find_map(|(name, a)| (*name == flow).then_some(a))
-            .or_else(|| local.get(flow.as_str()));
+            .or_else(|| {
+                kept_reads
+                    .iter()
+                    .find_map(|(spec, a)| (spec.var == flow).then_some(a))
+            });
         let data = match carrier {
             Some(a) => a.clone(),
             None => match env.get(&flow).map_err(TraceFailure::Fatal)? {
@@ -895,10 +921,9 @@ fn exec_trace(
     for (name, scalar) in result.scalars {
         env.set(&name, Value::Scalar(scalar));
     }
-    // Bind read results too (the loop's counter updates use len(input)):
-    // each chunk moves into the environment, it is not copied again.
-    for spec in &trace.reads {
-        if let Some(data) = local.remove(spec.var.as_str()) {
+    // Bind the escaping reads (the loop's counter updates use len(input)).
+    for (spec, data) in kept_reads {
+        if spec.escapes {
             env.set(&spec.var, Value::dense(data));
         }
     }
@@ -926,6 +951,15 @@ fn exec_trace(
         .profile
         .record(&inj.site, t0.elapsed().as_nanos() as u64, lanes);
     Ok(())
+}
+
+/// The rows of `w` that `sel` selects (indices relative to the window).
+fn gather_window(w: Window<'_>, sel: &SelVec) -> Result<Array, StorageError> {
+    if w.start == 0 {
+        w.array.take(sel.indices())
+    } else {
+        w.array.slice(w.start, w.len).take(sel.indices())
+    }
 }
 
 /// A flattened loop body: document-ordered items.

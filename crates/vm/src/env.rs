@@ -4,6 +4,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 
 use adaptvm_dsl::value::Value;
+use adaptvm_jit::ir::Window;
 use adaptvm_kernels::movement;
 use adaptvm_storage::array::Array;
 use adaptvm_storage::scalar::ScalarType;
@@ -15,11 +16,7 @@ use crate::error::VmError;
 #[derive(Debug, Clone)]
 enum Input<'a> {
     Owned(Array),
-    Window {
-        array: &'a Array,
-        start: usize,
-        len: usize,
-    },
+    Window(Window<'a>),
 }
 
 /// Named data buffers: read-only inputs and growable output sinks.
@@ -66,21 +63,22 @@ impl<'a> Buffers<'a> {
     pub fn insert_window(&mut self, name: &str, array: &'a Array, start: usize, len: usize) {
         let start = start.min(array.len());
         let len = len.min(array.len() - start);
-        self.inputs
-            .insert(name.to_string(), Input::Window { array, start, len });
+        self.inputs.insert(
+            name.to_string(),
+            Input::Window(Window { array, start, len }),
+        );
     }
 
-    /// The array behind buffer `name` and the `(start, len)` range of it
-    /// the program sees: an input (owned or windowed) first, else a
-    /// previously written output.
-    fn view(&self, name: &str) -> Result<(&Array, usize, usize), VmError> {
+    /// The rows of buffer `name` the program sees: an input (owned or
+    /// windowed) first, else a previously written output.
+    fn view(&self, name: &str) -> Result<Window<'_>, VmError> {
         match self.inputs.get(name) {
-            Some(Input::Owned(a)) => Ok((a, 0, a.len())),
-            Some(&Input::Window { array, start, len }) => Ok((array, start, len)),
+            Some(Input::Owned(a)) => Ok(Window::whole(a)),
+            Some(Input::Window(w)) => Ok(*w),
             None => self
                 .outputs
                 .get(name)
-                .map(|a| (a, 0, a.len()))
+                .map(Window::whole)
                 .ok_or_else(|| VmError::UnknownBuffer(name.to_string())),
         }
     }
@@ -88,15 +86,26 @@ impl<'a> Buffers<'a> {
     /// Read up to `len` elements starting at `pos`; short (or empty) reads
     /// at the tail are normal (Fig. 2's loop exit depends on them).
     pub fn read(&self, name: &str, pos: usize, len: usize) -> Result<Array, VmError> {
-        let (array, start, visible) = self.view(name)?;
-        let pos = pos.min(visible);
-        Ok(array.slice(start + pos, len.min(visible - pos)))
+        let w = self.window(name, pos, len)?;
+        Ok(w.array.slice(w.start, w.len))
+    }
+
+    /// The rows [`Buffers::read`] would return, clamped the same way, as a
+    /// window of the array they live in: nothing is copied.
+    pub fn window(&self, name: &str, pos: usize, len: usize) -> Result<Window<'_>, VmError> {
+        let visible = self.view(name)?;
+        let pos = pos.min(visible.len);
+        Ok(Window {
+            array: visible.array,
+            start: visible.start + pos,
+            len: len.min(visible.len - pos),
+        })
     }
 
     /// `gather`: `buffer[indices[i]]` for each lane, indexed relative to
     /// the buffer as the program sees it (a window's first row is 0).
     pub fn gather(&self, name: &str, indices: &Array) -> Result<Array, VmError> {
-        let (array, start, len) = self.view(name)?;
+        let Window { array, start, len } = self.view(name)?;
         let data = if start == 0 && len == array.len() {
             Cow::Borrowed(array)
         } else {
@@ -133,7 +142,7 @@ impl<'a> Buffers<'a> {
         self.inputs.iter().map(|(n, input)| {
             let array = match input {
                 Input::Owned(a) => a,
-                Input::Window { array, .. } => *array,
+                Input::Window(w) => w.array,
             };
             (n.as_str(), array.scalar_type())
         })

@@ -246,6 +246,40 @@ fn q6_is_bit_identical_on_every_strategy_worker_count_and_executor() {
     }
 }
 
+#[test]
+fn q6_prepares_once_and_its_tail_morsel_runs_the_hot_plan() {
+    let chunk_size = 256;
+    let morsel_rows = 16 * chunk_size;
+    let hot_threshold = 8u64;
+    // Three full morsels and a tail of two full chunks plus a short one.
+    let table = tpch::lineitem(3 * morsel_rows + 2 * chunk_size + 188, 7);
+    let config = |strategy| VmConfig {
+        strategy,
+        chunk_size,
+        hot_threshold,
+        ..VmConfig::default()
+    };
+    let opts = ParallelOpts::new(1, morsel_rows);
+    let (oracle, _) = q6_parallel(&table, DATE_LO, config(Strategy::Interpret), opts).unwrap();
+    let (revenue, report) = q6_parallel(&table, DATE_LO, config(Strategy::Adaptive), opts).unwrap();
+    assert_eq!(report.morsels, 4, "{report:?}");
+    assert_eq!(report.fallbacks, 0, "{report:?}");
+    // One program for the query: only the first morsel's first
+    // `hot_threshold - 1` chunks are interpreted; every later chunk, the
+    // tail morsel's included, runs the one whole-body trace.
+    assert_eq!(
+        report.trace_executions,
+        report.iterations - (hot_threshold - 1),
+        "{report:?}"
+    );
+    assert_eq!(revenue.to_bits(), oracle.to_bits());
+    let reference = tpch::q6_reference(&table, DATE_LO);
+    assert!(
+        (revenue - reference).abs() <= 1e-9 * reference.abs().max(1.0),
+        "{revenue} vs q6_reference {reference}"
+    );
+}
+
 /// A chunk-local, loop-shaped program: triple-plus-one every row of its
 /// slice; stops on the first empty chunk, so it fits any morsel length.
 const PARTITIONED_SRC: &str = "

@@ -7,7 +7,9 @@
 //! loop at lengths around its block size, together with filtered outputs,
 //! every fold kind and the masked-sum `-0.0` contract. A whole DSL
 //! workload driven through the engine at 1/2/4/8 workers pins that traced
-//! execution is bit-identical whatever the parallelism.
+//! execution is bit-identical whatever the parallelism, and float probes
+//! at −0.0, ±inf and NaN pin that the trace optimizer applies only the
+//! identities IEEE 754 makes exact.
 
 use std::collections::HashMap;
 
@@ -518,6 +520,109 @@ fn masked_sum_from_negative_zero_adds_a_zero_per_skipped_lane() {
                     0.0f64.to_bits(),
                     "n={n} {what}"
                 );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Float identities the optimizer may not apply.
+// ---------------------------------------------------------------------
+
+/// A partitioned loop writing `map (\a -> E) f` for each probe `E`.
+fn float_probe_src(expr: &str) -> String {
+    format!(
+        "\
+mut i
+mut n
+i := 0
+n := 1
+loop {{
+  let a = read i fs in {{
+    let g = map (\\a -> {expr}) a in {{
+      write o i g
+      i := i + len(a)
+      n := len(a)
+    }}
+  }}
+  if n == 0 then {{ break }}
+}}
+"
+    )
+}
+
+/// One word per element, every NaN folded to one pattern: NaN-ness must
+/// agree, payloads are not compared (two instruction orders may pick
+/// different ones).
+fn float_bits(a: &Array) -> Vec<u64> {
+    let canonical = |x: f64| {
+        if x.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            x.to_bits()
+        }
+    };
+    a.as_f64()
+        .expect("f64 probe output")
+        .iter()
+        .map(|&x| canonical(x))
+        .collect()
+}
+
+/// `x * 0 = 0` and `x + 0 = x` hold for integers but not for IEEE 754
+/// doubles: at −1.5, −0.0 and +inf the rewritten trace would disagree
+/// with the interpreter. Every strategy and worker count must compute
+/// what pure interpretation computes, bit for bit. `a * 1.0` and
+/// `a - 0.0` are exact rewrites and ride along as controls.
+#[test]
+fn float_traces_keep_signed_zeros_infinities_and_nans() {
+    let rows = 1024;
+    let cycle = [-1.5, -0.0, f64::INFINITY, f64::NAN, 2.0];
+    let fs = Array::from(
+        (0..rows)
+            .map(|k| cycle[k % cycle.len()])
+            .collect::<Vec<f64>>(),
+    );
+    let schema = [("fs", ScalarType::F64), ("o", ScalarType::F64)];
+    let config = |strategy| VmConfig {
+        strategy,
+        hot_threshold: 2,
+        chunk_size: 64,
+        ..VmConfig::default()
+    };
+    for expr in [
+        "a * 0.0",
+        "a + 0.0",
+        "a + 0",
+        "(a * 0.0) + 1.0",
+        "a * 1.0",
+        "a - 0.0",
+    ] {
+        let workload = Workload::compile(&float_probe_src(expr), &schema).unwrap();
+        let oracle = workload
+            .run_seq(&[("fs", fs.clone())], config(Strategy::Interpret))
+            .unwrap();
+        let expected = float_bits(&oracle["o"]);
+        assert_eq!(expected.len(), rows, "{expr}");
+        for strategy in [
+            Strategy::Interpret,
+            Strategy::CompiledPipeline,
+            Strategy::Adaptive,
+        ] {
+            for workers in WORKER_COUNTS {
+                let (out, report) = workload
+                    .run_partitioned(
+                        rows,
+                        &[("fs", fs.clone())],
+                        config(strategy),
+                        ParallelOpts::new(workers, 256),
+                    )
+                    .unwrap();
+                let what = format!("{expr}: {strategy:?} at {workers} workers");
+                assert_eq!(float_bits(&out["o"]), expected, "{what}");
+                if strategy != Strategy::Interpret {
+                    assert!(report.trace_executions > 0, "{what}: {report:?}");
+                }
             }
         }
     }
